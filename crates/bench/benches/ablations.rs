@@ -79,10 +79,10 @@ fn bench_plan_cost(c: &mut Criterion) {
         let (base, desc) = stage_ipars(&format!("bench-plan-{name}"), &cfg, layout);
         let v = Virtualizer::builder(&desc).storage_base(&base).build().unwrap();
         let bq = v
-            .server()
+            .service()
             .bind_sql("SELECT * FROM IparsData WHERE TIME > 5 AND TIME < 11 AND SOIL > 0.7")
             .unwrap();
-        let compiled = v.server().compiled();
+        let compiled = v.service().compiled();
         group.bench_function(name, |b| b.iter(|| compiled.plan_query(&bq).unwrap().planned_rows()));
     }
     group.finish();

@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Runs a GROUP BY spectrum on the L0 layout, pushdown vs shipped-rows
-//! (`QueryOptions::no_agg_pushdown`, the in-process form of
-//! `DV_NO_AGG_PUSHDOWN=1`). With pushdown each node folds its morsels
+//! (`QueryOptions::no_agg_pushdown`, the CLI's `--no-agg-pushdown`).
+//! With pushdown each node folds its morsels
 //! into per-AFC partial aggregates and the mover carries compact
 //! key+accumulator blocks; without it the filtered projected rows
 //! cross the wire and the absorber aggregates client-side. Both modes

@@ -10,7 +10,9 @@
 //! configurations — off / coalesce only / + readahead / + segment
 //! cache (warm) — asserting identical cardinalities throughout, then
 //! sweeps the fig11(a) query widths cold-vs-warm to show the
-//! cross-query cache. Counters (`QueryStats::io`) and times go to
+//! cross-query cache. The `off` arm is `IoOptions::plain()`: the same
+//! scan path with gap bridging, readahead and the cache turned off.
+//! Counters (`QueryStats::io`) and times go to
 //! `BENCH_io.json` at the repo root (override with `DV_BENCH_OUT`).
 
 use std::path::PathBuf;
@@ -47,7 +49,7 @@ fn fig11_cfg() -> IparsConfig {
 /// The ablation stages, cumulative left to right.
 fn stages() -> [(&'static str, IoOptions); 4] {
     [
-        ("off", IoOptions::disabled()),
+        ("off", IoOptions::plain()),
         ("coalesce", IoOptions { readahead: false, cache_bytes: 0, ..IoOptions::default() }),
         ("readahead", IoOptions { cache_bytes: 0, ..IoOptions::default() }),
         ("cache-warm", IoOptions::default()),
@@ -221,7 +223,7 @@ fn fig11_sweep() -> Vec<SweepPoint> {
         let width = t_max / frac;
         let sql = format!("SELECT * FROM IparsData WHERE TIME >= 1 AND TIME <= {width}");
         let v = Virtualizer::builder(&desc).storage_base(&base).build().unwrap();
-        let (off_rows, _, off_time) = run_timed(&v, &sql, IoOptions::disabled());
+        let (off_rows, _, off_time) = run_timed(&v, &sql, IoOptions::plain());
         let (_, cold, _) = run_once(&v, &sql, IoOptions::default());
         let (warm_rows, warm, warm_time) = run_timed(&v, &sql, IoOptions::default());
         assert_eq!(off_rows, warm_rows, "width {width}: cached run changed cardinality");

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Runs a prunability spectrum on the L0 layout, pruned vs unpruned
-//! (`QueryOptions::no_prune`, the in-process form of `DV_NO_PRUNE=1`),
+//! (`QueryOptions::no_prune`, the CLI's `--no-prune`),
 //! asserting identical row multisets throughout. The headline query is
 //! an *arithmetic* time window (`TIME * 10 <= 40`, 8% of the
 //! coordinate space): range analysis cannot see through the

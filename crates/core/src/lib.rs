@@ -43,8 +43,7 @@ pub use dv_lint::{CostBudgets, LinkBudget, VerifyReport};
 pub use dv_sql::{BoundQuery, UdfRegistry};
 pub use dv_storm::{
     BandwidthModel, CancelReason, CancelToken, ExecMode, IoOptions, IoSnapshot, PartitionStrategy,
-    QueryId, QueryOptions, QueryService, QueryStats, ServiceConfig, SessionHandle, StormServer,
-    SubmitOptions,
+    QueryId, QueryOptions, QueryService, QueryStats, ServiceConfig, SessionHandle, SubmitOptions,
 };
 pub use dv_types::{DvError, Result, Row, Schema, Table, Value};
 
@@ -166,14 +165,13 @@ impl VirtualizerBuilder {
                 compiled.set_certificate(report.certificate());
             }
         }
-        let server = StormServer::with_config(compiled, self.udfs, self.service);
-        Ok(Virtualizer { server })
+        Ok(Virtualizer { service: QueryService::new(compiled, self.udfs, &self.service) })
     }
 }
 
 /// A compiled, queryable virtual table over flat-file data.
 pub struct Virtualizer {
-    server: StormServer,
+    service: QueryService,
 }
 
 impl Virtualizer {
@@ -192,23 +190,23 @@ impl Virtualizer {
 
     /// The virtual table's schema.
     pub fn schema(&self) -> &Schema {
-        &self.server.model().schema
+        &self.service.model().schema
     }
 
     /// The resolved dataset model (files, implicit extents, layouts).
     pub fn model(&self) -> &DatasetModel {
-        self.server.model()
+        self.service.model()
     }
 
     /// Execute a query for a single local client.
     pub fn query(&self, sql: &str) -> Result<(Table, QueryStats)> {
-        self.server.execute_table(sql)
+        single_table(self.query_with(sql, &QueryOptions::default())?)
     }
 
     /// Execute with full options (partitioning, remote-client
     /// bandwidth, intra-node threads).
     pub fn query_with(&self, sql: &str, opts: &QueryOptions) -> Result<(Vec<Table>, QueryStats)> {
-        self.server.execute(sql, opts)
+        self.service.execute(sql, opts)
     }
 
     /// Execute a single-table query that is aborted mid-scan once
@@ -219,14 +217,7 @@ impl Virtualizer {
         timeout: std::time::Duration,
     ) -> Result<(Table, QueryStats)> {
         let sub = SubmitOptions { timeout: Some(timeout), ..SubmitOptions::default() };
-        let (mut tables, stats) =
-            self.server.service().execute_with(sql, &QueryOptions::default(), &sub)?;
-        match tables.pop() {
-            Some(table) => Ok((table, stats)),
-            None => Err(DvError::Runtime(
-                "query produced no client partitions (zero processors configured)".into(),
-            )),
-        }
+        single_table(self.service.execute_with(sql, &QueryOptions::default(), &sub)?)
     }
 
     /// Submit a query as a background session: returns a
@@ -239,27 +230,27 @@ impl Virtualizer {
         opts: &QueryOptions,
         sub: &SubmitOptions,
     ) -> Result<SessionHandle> {
-        self.server.service().submit(sql, opts, sub)
+        self.service.submit(sql, opts, sub)
     }
 
     /// The query service plane: sessions, admission introspection,
-    /// cancellation by [`QueryId`].
+    /// cancellation by [`QueryId`], binding and the compiled dataset.
     pub fn service(&self) -> &QueryService {
-        self.server.service()
+        &self.service
     }
 
     /// Render the generated index/extractor functions as source text
     /// (what the paper's compiler would have emitted as C++).
     pub fn render_generated_code(&self) -> String {
-        dv_layout::codegen::render_compiled(self.server.compiled())
+        dv_layout::codegen::render_compiled(self.service.compiled())
     }
 
     /// Render the AFC schedule of a query (debugging / inspection),
     /// followed by the plan's static resource bounds (dv-cost).
     pub fn explain(&self, sql: &str) -> Result<String> {
-        let bq = self.server.bind_sql(sql)?;
-        let plan = self.server.compiled().plan_query(&bq)?;
-        let mut out = dv_layout::codegen::render_plan(self.server.compiled(), &plan);
+        let bq = self.service.bind_sql(sql)?;
+        let plan = self.service.compiled().plan_query(&bq)?;
+        let mut out = dv_layout::codegen::render_plan(self.service.compiled(), &plan);
         let report = CostReport::analyze(
             &plan,
             &CostParams::new(&IoOptions::default(), 1, bq.predicate.is_some()),
@@ -277,8 +268,8 @@ impl Virtualizer {
     /// bounds on rows, bytes, syscalls, mover wire bytes and absorber
     /// memory, derived without touching any data.
     pub fn cost_report(&self, sql: &str) -> Result<CostReport> {
-        let bq = self.server.bind_sql(sql)?;
-        let plan = self.server.compiled().plan_query(&bq)?;
+        let bq = self.service.bind_sql(sql)?;
+        let plan = self.service.compiled().plan_query(&bq)?;
         Ok(CostReport::analyze(
             &plan,
             &CostParams::new(&IoOptions::default(), 1, bq.predicate.is_some()),
@@ -288,18 +279,23 @@ impl Virtualizer {
     /// Validate the descriptor against the files on disk; returns all
     /// discrepancies (missing files, size mismatches, chunk overruns).
     pub fn verify_files(&self) -> Vec<FileIssue> {
-        self.server.compiled().verify_files()
+        self.service.compiled().verify_files()
     }
 
     /// The verification certificate computed at build time (or
     /// [`Certificate::Unverified`] when verification was disabled).
     pub fn certificate(&self) -> Certificate {
-        self.server.compiled().certificate()
+        self.service.compiled().certificate()
     }
+}
 
-    /// Access the underlying STORM server (advanced use).
-    pub fn server(&self) -> &StormServer {
-        &self.server
+/// The one table of a single-processor query.
+fn single_table((mut tables, stats): (Vec<Table>, QueryStats)) -> Result<(Table, QueryStats)> {
+    match tables.pop() {
+        Some(table) => Ok((table, stats)),
+        None => Err(DvError::Runtime(
+            "query produced no client partitions (zero processors configured)".into(),
+        )),
     }
 }
 

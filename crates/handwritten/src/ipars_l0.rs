@@ -515,8 +515,11 @@ mod tests {
         let hand = HandIparsL0::new(base.clone(), cfg.clone(), UdfRegistry::with_builtins());
         let desc = ipars::descriptor(&cfg, IparsLayout::L0);
         let compiled = dv_layout::plan::compile_from_text(&desc, &base).unwrap();
-        let server =
-            dv_storm::StormServer::new(std::sync::Arc::new(compiled), UdfRegistry::with_builtins());
+        let service = dv_storm::QueryService::new(
+            std::sync::Arc::new(compiled),
+            UdfRegistry::with_builtins(),
+            &dv_storm::ServiceConfig::default(),
+        );
 
         let queries = [
             "SELECT * FROM IparsData",
@@ -527,7 +530,9 @@ mod tests {
         for sql in queries {
             let bq = bind(&parse(sql).unwrap(), &schema(), &UdfRegistry::with_builtins()).unwrap();
             let (hand_table, hand_bytes) = hand.execute(&bq).unwrap();
-            let (gen_table, stats) = server.execute_table(sql).unwrap();
+            let (mut tables, stats) =
+                service.execute(sql, &dv_storm::QueryOptions::default()).unwrap();
+            let gen_table = tables.pop().unwrap();
             assert!(
                 hand_table.same_rows(&gen_table),
                 "{sql}: hand {} rows vs generated {}",

@@ -210,8 +210,11 @@ mod tests {
         let (base, cfg) = setup("match", 2);
         let hand = HandTitan::new(base.clone(), &cfg, UdfRegistry::with_builtins()).unwrap();
         let compiled = dv_layout::plan::compile_from_text(&titan::descriptor(&cfg), &base).unwrap();
-        let server =
-            dv_storm::StormServer::new(std::sync::Arc::new(compiled), UdfRegistry::with_builtins());
+        let service = dv_storm::QueryService::new(
+            std::sync::Arc::new(compiled),
+            UdfRegistry::with_builtins(),
+            &dv_storm::ServiceConfig::default(),
+        );
         let queries = [
             "SELECT * FROM TitanData",
             "SELECT * FROM TitanData WHERE X >= 0 AND X <= 20000 AND Y >= 0 AND Y <= 20000 \
@@ -223,7 +226,8 @@ mod tests {
             let bq =
                 bind(&parse(sql).unwrap(), &schema(&cfg), &UdfRegistry::with_builtins()).unwrap();
             let (hand_table, _) = hand.execute(&bq).unwrap();
-            let (gen_table, _) = server.execute_table(sql).unwrap();
+            let (mut tables, _) = service.execute(sql, &dv_storm::QueryOptions::default()).unwrap();
+            let gen_table = tables.pop().unwrap();
             assert!(
                 hand_table.same_rows(&gen_table),
                 "{sql}: hand {} vs generated {}",

@@ -111,10 +111,6 @@ impl fmt::Display for CostBound {
 pub struct CostParams {
     /// Client processors receiving partitioned blocks.
     pub client_processors: usize,
-    /// Whether reads go through the I/O scheduler (columnar engine
-    /// with `IoOptions::enabled`). The direct path issues exactly the
-    /// planned bytes in exactly one syscall per entry run.
-    pub io_enabled: bool,
     /// The scheduler's run-coalescing gap (slack bytes per merge).
     pub coalesce_gap: u64,
     /// Whether the query carries a `WHERE` clause. Without one every
@@ -127,7 +123,6 @@ impl CostParams {
     pub fn new(io: &IoOptions, client_processors: usize, has_predicate: bool) -> CostParams {
         CostParams {
             client_processors: client_processors.max(1),
-            io_enabled: io.enabled,
             coalesce_gap: io.coalesce_gap,
             has_predicate,
         }
@@ -309,33 +304,20 @@ impl CostReport {
         };
 
         // All I/O accounting is in *logical* (decoded-image) bytes, so
-        // the scheduled-path upper bounds hold for every codec: a
-        // non-affine file decodes at most once per cache-missed range,
-        // and decodes ≤ missed ranges ≤ runs. Only the direct path
-        // loses *exactness* — a CSV/zstd run is served by a whole-file
-        // decode rather than one positioned read — so its bounds
-        // degrade to `at_most` when any node touches such a file.
-        let nonaffine = node_plans.iter().any(|np| np.nonaffine);
-        let (io_runs, read_syscalls, bytes_issued) = if params.io_enabled {
-            (
-                CostBound::at_most(runs),
-                CostBound::at_most(runs),
-                CostBound::at_most(bytes.saturating_add(runs.saturating_mul(params.coalesce_gap))),
-            )
-        } else if nonaffine {
-            (CostBound::at_most(runs), CostBound::at_most(runs), CostBound::at_most(bytes))
-        } else {
-            (CostBound::exact(runs), CostBound::exact(runs), CostBound::exact(bytes))
-        };
+        // the upper bounds hold for every codec: a non-affine file
+        // decodes at most once per cache-missed range, and decodes ≤
+        // missed ranges ≤ runs. Coalescing and cache hits only lower
+        // the actuals.
+        let bytes_issued_hi = bytes.saturating_add(runs.saturating_mul(params.coalesce_gap));
 
         CostReport {
             rows_scanned: CostBound::exact(rows),
             rows_selected: CostBound { lo: selected_lo, hi: rows },
             bytes_read: CostBound::exact(bytes),
             afcs: CostBound::exact(afcs),
-            io_runs,
-            read_syscalls,
-            bytes_issued,
+            io_runs: CostBound::at_most(runs),
+            read_syscalls: CostBound::at_most(runs),
+            bytes_issued: CostBound::at_most(bytes_issued_hi),
             mover_sends,
             mover_bytes,
             agg_groups,
@@ -504,16 +486,6 @@ DATASET "D" {
         let r = CostReport::analyze(&p, &CostParams::new(&IoOptions::default(), 2, false));
         assert_eq!(r.rows_selected, CostBound::exact(400));
         assert_eq!(r.mover_sends.hi, r.afcs.hi * 2, "partitioned across 2 processors");
-    }
-
-    #[test]
-    fn direct_path_bounds_are_exact() {
-        let c = compiled();
-        let p = plan(&c, "SELECT SOIL FROM D WHERE TIME = 3");
-        let io = IoOptions::disabled();
-        let r = CostReport::analyze(&p, &CostParams::new(&io, 1, true));
-        assert_eq!(r.read_syscalls.lo, r.read_syscalls.hi);
-        assert_eq!(r.bytes_issued, r.bytes_read);
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //! For each AFC, the extractor obtains one contiguous byte run per
 //! entry (`num_rows × stride` bytes starting at the entry offset —
 //! exactly the access pattern the paper describes) and then assembles
-//! working rows by decoding scheduled fields and supplying implicit
-//! values. Runs arrive either from direct per-entry reads (the
-//! fallback path) or as slices of an [`crate::io::IoScheduler`]'s
-//! coalesced segments (the default columnar path).
+//! working rows or columns by decoding scheduled fields and supplying
+//! implicit values. Runs always arrive as slices of an
+//! [`crate::io::IoScheduler`]'s fetched segments; the scheduler in
+//! turn reads files only through [`Extractor::read_file_at`].
 
 use std::collections::HashMap;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::SystemTime;
 
 use dv_descriptor::{codec, CodecKind, DatasetModel};
@@ -106,9 +106,6 @@ impl Default for SharedHandles {
     }
 }
 
-/// Generation-stamped decoded logical images, keyed by file ordinal.
-type DecodedMemo = Mutex<HashMap<usize, (FileGen, Arc<Vec<u8>>)>>;
-
 /// Executes AFCs on one node's files. Cloneable across worker threads;
 /// the open-file pool is shared.
 #[derive(Clone)]
@@ -120,22 +117,12 @@ pub struct Extractor {
     /// Working-row width (number of attributes to materialize).
     row_width: usize,
     handles: Arc<HandlePool>,
-    /// Decoded logical images of non-affine files, memoized per
-    /// generation for the direct (per-entry) read path — without it
-    /// every AFC of a CSV/zstd file would re-decode the whole file.
-    /// The scheduled path deliberately bypasses this memo: its warmth
-    /// comes from the segment cache, so that cache ablations measure
-    /// real re-decode cost.
-    decoded: Arc<DecodedMemo>,
-    /// `DV_ROWMAJOR` ablation flag, read once at construction rather
-    /// than once per AFC on the hot path.
-    rowmajor: bool,
     /// True when the compiled dataset carries a `Safe` verification
     /// certificate: per-row bounds checks in the columnar decode are
     /// provably redundant and the unchecked kernel runs instead.
-    /// `DV_CHECKED_DECODE` forces the checked path (ablation).
+    /// [`Extractor::with_unchecked`] overrides it (ablation).
     unchecked: bool,
-    /// Per-query cancellation flag, polled once per byte run so an
+    /// Per-query cancellation flag, polled once per AFC decode so an
     /// abort or deadline takes effect mid-extraction.
     cancel: CancelToken,
 }
@@ -150,10 +137,7 @@ impl Extractor {
             model: Arc::clone(&compiled.model),
             row_width,
             handles: Arc::new(HandlePool::new(HANDLE_CACHE_CAP)),
-            decoded: Arc::new(Mutex::new(HashMap::new())),
-            rowmajor: std::env::var_os("DV_ROWMAJOR").is_some(),
-            unchecked: compiled.certificate() == Certificate::Safe
-                && std::env::var_os("DV_CHECKED_DECODE").is_none(),
+            unchecked: compiled.certificate() == Certificate::Safe,
             cancel: CancelToken::new(),
         }
     }
@@ -166,7 +150,7 @@ impl Extractor {
     }
 
     /// Attach a query's cancellation token; extraction checkpoints
-    /// (one per byte run) report [`DvError::Cancelled`] once it trips.
+    /// (one per AFC decode) report [`DvError::Cancelled`] once it trips.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Extractor {
         self.cancel = cancel;
         self
@@ -194,8 +178,8 @@ impl Extractor {
         Ok(self.handles.insert(file, handle))
     }
 
-    /// Read `buf.len()` bytes of `file` starting at `offset` (the
-    /// I/O scheduler's single entry point to the filesystem).
+    /// Read `buf.len()` bytes of `file` starting at `offset` — the
+    /// only place a data file is read.
     pub fn read_file_at(&self, file: usize, offset: u64, buf: &mut [u8]) -> Result<()> {
         let handle = self.open(file)?;
         read_exact_at(&handle, buf, offset, &self.paths[file])
@@ -229,8 +213,8 @@ impl Extractor {
     }
 
     /// Read the whole physical file and decode it to its logical
-    /// fixed-stride image (unmemoized — the scheduled path's warmth
-    /// is the segment cache, and warm reads must not decode at all).
+    /// fixed-stride image (unmemoized — warmth is the segment cache's
+    /// job, and warm reads must not decode at all).
     pub fn decode_physical_file(&self, file: usize) -> Result<Arc<Vec<u8>>> {
         let len = self.file_generation(file)?.len;
         let mut physical = vec![0u8; len as usize];
@@ -238,65 +222,6 @@ impl Extractor {
         let f = &self.model.files[file];
         let logical = codec::decode_physical(f.codec, f, &self.model.attr_types, &physical)?;
         Ok(Arc::new(logical))
-    }
-
-    /// Decoded logical image of a non-affine `file`, memoized by
-    /// on-disk generation (direct read path only).
-    fn logical_file(&self, file: usize) -> Result<Arc<Vec<u8>>> {
-        let generation = self.file_generation(file)?;
-        if let Some((g, data)) = self.decoded.lock().unwrap().get(&file) {
-            if *g == generation {
-                return Ok(Arc::clone(data));
-            }
-            self.invalidate_handle(file);
-        }
-        let data = self.decode_physical_file(file)?;
-        self.decoded.lock().unwrap().insert(file, (generation, Arc::clone(&data)));
-        Ok(data)
-    }
-
-    /// Copy `len` logical bytes at `offset` of a non-affine file out
-    /// of its decoded image.
-    fn read_decoded(&self, file: usize, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let whole = self.logical_file(file)?;
-        let lo = offset as usize;
-        let src = lo.checked_add(buf.len()).and_then(|hi| whole.get(lo..hi)).ok_or_else(|| {
-            DvError::Runtime(format!(
-                "{}: decoded logical image ({} bytes) is shorter than the \
-                     descriptor layout requires (run at offset {offset}, {} bytes)",
-                self.paths[file].display(),
-                whole.len(),
-                buf.len()
-            ))
-        })?;
-        buf.copy_from_slice(src);
-        Ok(())
-    }
-
-    /// Read every entry run of `afc` into the shared scratch buffer
-    /// (one allocation reused across entries and calls) and return
-    /// per-entry slices.
-    fn read_runs<'s>(&self, afc: &Afc, scratch: &'s mut ExtractScratch) -> Result<Vec<&'s [u8]>> {
-        scratch.spans.clear();
-        let mut total = 0usize;
-        for e in &afc.entries {
-            let len = (afc.num_rows * e.stride) as usize;
-            scratch.spans.push((total, total + len));
-            total += len;
-        }
-        if scratch.data.len() < total {
-            scratch.data.resize(total, 0);
-        }
-        for (e, &(a, b)) in afc.entries.iter().zip(scratch.spans.iter()) {
-            self.cancel.check()?;
-            if self.codec(e.file).is_affine() {
-                let handle = self.open(e.file)?;
-                read_exact_at(&handle, &mut scratch.data[a..b], e.offset, &self.paths[e.file])?;
-            } else {
-                self.read_decoded(e.file, e.offset, &mut scratch.data[a..b])?;
-            }
-        }
-        Ok(scratch.spans.iter().map(|&(a, b)| &scratch.data[a..b]).collect())
     }
 
     /// Per-entry slices of `afc` out of a fetched group's coalesced
@@ -311,21 +236,18 @@ impl Extractor {
             .collect()
     }
 
-    /// Read and decode one AFC into rows, appending to `block`.
-    pub fn extract_into(&self, afc: &Afc, block: &mut RowBlock) -> Result<()> {
-        let mut scratch = ExtractScratch::default();
-        self.extract_into_with(afc, block, &mut scratch)
-    }
-
-    /// Like [`Extractor::extract_into`], reusing `scratch` read
-    /// buffers across calls (the hot path used by node workers).
-    pub fn extract_into_with(
+    /// Decode one AFC into rows out of a fetched group, appending to
+    /// `block` — the row engine's counterpart of
+    /// [`Extractor::extract_columns_fetched`], kept as the oracle the
+    /// columnar decode is differentially tested against.
+    pub fn extract_rows_fetched(
         &self,
         afc: &Afc,
         block: &mut RowBlock,
-        scratch: &mut ExtractScratch,
+        group: &FetchedGroup,
     ) -> Result<()> {
-        let bufs = self.read_runs(afc, scratch)?;
+        self.cancel.check()?;
+        let bufs = self.fetched_runs(afc, group)?;
 
         let n = afc.num_rows as usize;
         let start = block.rows.len();
@@ -335,32 +257,6 @@ impl Extractor {
             block.rows.push(vec![placeholder; self.row_width]);
         }
         let rows = &mut block.rows[start..];
-
-        if self.rowmajor {
-            // Experimental row-major decode path (perf comparison).
-            let strides: Vec<usize> = afc.entries.iter().map(|e| e.stride as usize).collect();
-            for (r, row) in rows.iter_mut().enumerate() {
-                for f in &afc.fields {
-                    let at = r * strides[f.entry] + f.byte_off;
-                    row[f.working_pos] = Value::decode(f.dtype, &bufs[f.entry][at..]);
-                }
-            }
-            for (pos, imp) in &afc.implicits {
-                match imp {
-                    ImplicitValue::Const(v) => {
-                        for row in rows.iter_mut() {
-                            row[*pos] = *v;
-                        }
-                    }
-                    ImplicitValue::Affine { start, step, dtype } => {
-                        for (r, row) in rows.iter_mut().enumerate() {
-                            row[*pos] = Value::from_i64(*dtype, start + r as i64 * step);
-                        }
-                    }
-                }
-            }
-            return Ok(());
-        }
 
         // Column-major, type-specialized decode: the dtype match and
         // entry lookups are hoisted out of the per-row loop.
@@ -408,33 +304,9 @@ impl Extractor {
         Ok(())
     }
 
-    /// Convenience: extract a batch of AFCs into a fresh block.
-    pub fn extract_all(&self, afcs: &[Afc], source_node: usize) -> Result<RowBlock> {
-        let total: u64 = afcs.iter().map(|a| a.num_rows).sum();
-        let mut block = RowBlock::with_capacity(source_node, total as usize);
-        let mut scratch = ExtractScratch::default();
-        for afc in afcs {
-            self.extract_into_with(afc, &mut block, &mut scratch)?;
-        }
-        Ok(block)
-    }
-
-    /// Read and decode one AFC straight into typed columns — the
-    /// columnar fallback path (direct per-entry reads into the shared
-    /// scratch buffer).
-    pub fn extract_columns_with(
-        &self,
-        afc: &Afc,
-        block: &mut ColumnBlock,
-        scratch: &mut ExtractScratch,
-    ) -> Result<()> {
-        let bufs = self.read_runs(afc, scratch)?;
-        self.decode_columns(afc, block, &bufs)
-    }
-
     /// Decode one AFC into typed columns out of an I/O scheduler's
-    /// fetched group — the columnar default path. Runs are sliced out
-    /// of the coalesced segments without copying.
+    /// fetched group. Runs are sliced out of the coalesced segments
+    /// without copying.
     pub fn extract_columns_fetched(
         &self,
         afc: &Afc,
@@ -445,8 +317,7 @@ impl Extractor {
         self.decode_columns(afc, block, &bufs)
     }
 
-    /// The columnar decode kernel, shared by the direct-read and
-    /// scheduled paths. Each scheduled field runs one tight
+    /// The columnar decode kernel. Each scheduled field runs one tight
     /// strided-copy loop from its run's bytes into its native `Vec`
     /// (no per-row `Vec<Value>` allocation, no placeholder pre-fill);
     /// implicit attributes append lazy generator runs instead of
@@ -583,31 +454,6 @@ impl Extractor {
         }
         block.advance_rows(n);
     }
-
-    /// Convenience: extract a batch of AFCs into a fresh columnar
-    /// block (used by tests and the ablation harness).
-    pub fn extract_all_columns(
-        &self,
-        afcs: &[Afc],
-        source_node: usize,
-        dtypes: &[dv_types::DataType],
-    ) -> Result<ColumnBlock> {
-        let mut block = ColumnBlock::with_dtypes(source_node, dtypes);
-        let mut scratch = ExtractScratch::default();
-        for afc in afcs {
-            self.extract_columns_with(afc, &mut block, &mut scratch)?;
-        }
-        Ok(block)
-    }
-}
-
-/// Reusable read state for the direct-read extraction path: one data
-/// buffer shared across all AFC entries plus the per-entry spans into
-/// it.
-#[derive(Default)]
-pub struct ExtractScratch {
-    data: Vec<u8>,
-    spans: Vec<(usize, usize)>,
 }
 
 #[cfg(unix)]
@@ -685,19 +531,38 @@ DATASET "IparsData" {
         }
     }
 
-    fn run(sql: &str, base: &Path) -> Vec<Row> {
-        let compiled = crate::plan::compile_from_text(DESC, base).unwrap();
-        let q = parse(sql).unwrap();
-        let b = bind(&q, &compiled.model.schema, &UdfRegistry::with_builtins()).unwrap();
-        let plan = compiled.plan_query(&b).unwrap();
-        let ex = Extractor::new(&compiled, plan.working.attrs.len());
-        let mut rows = Vec::new();
-        for np in &plan.node_plans {
-            let block = ex.extract_all(&np.afcs, np.node).unwrap();
-            rows.extend(block.rows);
+    /// Fetch `afcs` as one group through a cache-less scheduler — how
+    /// these unit tests reach files.
+    fn fetch_plain(ex: &Extractor, afcs: &[Afc]) -> Result<FetchedGroup> {
+        IoScheduler::new(ex.clone(), IoOptions::plain(), None, Arc::new(IoStats::default()))
+            .fetch(afcs)
+    }
+
+    fn extract_all(ex: &Extractor, afcs: &[Afc], node: usize) -> Result<RowBlock> {
+        let fetched = fetch_plain(ex, afcs)?;
+        let mut block = RowBlock::new(node);
+        for afc in afcs {
+            ex.extract_rows_fetched(afc, &mut block, &fetched)?;
         }
-        rows.sort();
-        rows
+        Ok(block)
+    }
+
+    fn extract_all_columns(
+        ex: &Extractor,
+        afcs: &[Afc],
+        node: usize,
+        dtypes: &[dv_types::DataType],
+    ) -> Result<ColumnBlock> {
+        let fetched = fetch_plain(ex, afcs)?;
+        let mut block = ColumnBlock::with_dtypes(node, dtypes);
+        for afc in afcs {
+            ex.extract_columns_fetched(afc, &mut block, &fetched)?;
+        }
+        Ok(block)
+    }
+
+    fn run(sql: &str, base: &Path) -> Vec<Row> {
+        run_desc(DESC, sql, base)
     }
 
     fn tmpbase(tag: &str) -> PathBuf {
@@ -734,7 +599,7 @@ DATASET "IparsData" {
         let ex = Extractor::new(&compiled, plan.working.attrs.len());
         let mut rows = Vec::new();
         for np in &plan.node_plans {
-            let block = ex.extract_all(&np.afcs, np.node).unwrap();
+            let block = extract_all(&ex, &np.afcs, np.node).unwrap();
             rows.extend(block.rows);
         }
         rows.sort();
@@ -785,8 +650,8 @@ DATASET "IparsData" {
             for np in &plan.node_plans {
                 let sched =
                     IoScheduler::new(ex.clone(), opts.clone(), cache.clone(), Arc::clone(&stats));
-                let direct =
-                    ex.extract_all_columns(&np.afcs, np.node, &plan.working.dtypes).unwrap();
+                // Reference: rows decoded under the plain configuration.
+                let plain = extract_all(&ex, &np.afcs, np.node).unwrap();
                 let mut via = ColumnBlock::with_dtypes(np.node, &plan.working.dtypes);
                 for g in group_afcs(&np.afcs, opts.group_bytes) {
                     let fetched = sched.fetch(&np.afcs[g.clone()]).unwrap();
@@ -794,11 +659,10 @@ DATASET "IparsData" {
                         ex.extract_columns_fetched(afc, &mut via, &fetched).unwrap();
                     }
                 }
-                assert_eq!(via.len(), direct.len());
-                for i in 0..direct.len() {
-                    let a: Row = direct.columns.iter().map(|c| c.value_at(i)).collect();
+                assert_eq!(via.len(), plain.len());
+                for (i, a) in plain.rows.iter().enumerate() {
                     let b: Row = via.columns.iter().map(|c| c.value_at(i)).collect();
-                    assert_eq!(a, b, "row {i} round {round}");
+                    assert_eq!(a, &b, "row {i} round {round}");
                 }
             }
             let snap = stats.snapshot();
@@ -905,7 +769,7 @@ DATASET "ZeroData" {
         let err = plan
             .node_plans
             .iter()
-            .map(|np| ex.extract_all(&np.afcs, np.node))
+            .map(|np| extract_all(&ex, &np.afcs, np.node))
             .collect::<Result<Vec<_>>>()
             .unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
@@ -972,8 +836,14 @@ DATASET "ZeroData" {
             let plan = compiled.plan_query(&b).unwrap();
             let ex = Extractor::new(&compiled, plan.working.attrs.len());
             for np in &plan.node_plans {
-                let rows = ex.extract_all(&np.afcs, np.node).unwrap();
-                let cols = ex.extract_all_columns(&np.afcs, np.node, &plan.working.dtypes).unwrap();
+                // Both decoders read the same fetched group.
+                let fetched = fetch_plain(&ex, &np.afcs).unwrap();
+                let mut rows = RowBlock::new(np.node);
+                let mut cols = ColumnBlock::with_dtypes(np.node, &plan.working.dtypes);
+                for afc in &np.afcs {
+                    ex.extract_rows_fetched(afc, &mut rows, &fetched).unwrap();
+                    ex.extract_columns_fetched(afc, &mut cols, &fetched).unwrap();
+                }
                 assert_eq!(cols.len(), rows.len(), "{sql}");
                 let rebuilt: Vec<Row> = (0..cols.len())
                     .map(|i| cols.columns.iter().map(|c| c.value_at(i)).collect())
@@ -985,8 +855,8 @@ DATASET "ZeroData" {
 
     #[test]
     fn scheduled_extraction_matches_direct_reads() {
-        // Every knob combination of the I/O scheduler decodes the same
-        // columns as the direct per-entry path, with fewer syscalls.
+        // Every knob combination of the I/O scheduler decodes columns
+        // equal to the rows decoded under the plain configuration.
         let base = tmpbase("sched");
         write_dataset(&base);
         let compiled = crate::plan::compile_from_text(DESC, &base).unwrap();
@@ -1001,8 +871,7 @@ DATASET "ZeroData" {
             for np in &plan.node_plans {
                 let sched =
                     IoScheduler::new(ex.clone(), opts.clone(), cache.clone(), Arc::clone(&stats));
-                let direct =
-                    ex.extract_all_columns(&np.afcs, np.node, &plan.working.dtypes).unwrap();
+                let plain = extract_all(&ex, &np.afcs, np.node).unwrap();
                 let mut via_sched = ColumnBlock::with_dtypes(np.node, &plan.working.dtypes);
                 for g in group_afcs(&np.afcs, opts.group_bytes) {
                     let fetched = sched.fetch(&np.afcs[g.clone()]).unwrap();
@@ -1010,11 +879,10 @@ DATASET "ZeroData" {
                         ex.extract_columns_fetched(afc, &mut via_sched, &fetched).unwrap();
                     }
                 }
-                assert_eq!(via_sched.len(), direct.len());
-                for i in 0..direct.len() {
-                    let a: Row = direct.columns.iter().map(|c| c.value_at(i)).collect();
+                assert_eq!(via_sched.len(), plain.len());
+                for (i, a) in plain.rows.iter().enumerate() {
                     let b: Row = via_sched.columns.iter().map(|c| c.value_at(i)).collect();
-                    assert_eq!(a, b, "row {i} gap={gap} cache={cache_bytes}");
+                    assert_eq!(a, &b, "row {i} gap={gap} cache={cache_bytes}");
                 }
             }
             let snap = stats.snapshot();
@@ -1043,8 +911,8 @@ DATASET "ZeroData" {
             assert!(!checked.uses_unchecked_decode());
             assert!(unchecked.uses_unchecked_decode());
             for np in &plan.node_plans {
-                let a = checked.extract_all_columns(&np.afcs, np.node, &plan.working.dtypes);
-                let b = unchecked.extract_all_columns(&np.afcs, np.node, &plan.working.dtypes);
+                let a = extract_all_columns(&checked, &np.afcs, np.node, &plan.working.dtypes);
+                let b = extract_all_columns(&unchecked, &np.afcs, np.node, &plan.working.dtypes);
                 let (a, b) = (a.unwrap(), b.unwrap());
                 assert_eq!(a.len(), b.len(), "{sql}");
                 for i in 0..a.len() {
@@ -1072,9 +940,19 @@ DATASET "ZeroData" {
         let result: Result<Vec<ColumnBlock>> = plan
             .node_plans
             .iter()
-            .map(|np| ex.extract_all_columns(&np.afcs, np.node, &plan.working.dtypes))
+            .map(|np| extract_all_columns(&ex, &np.afcs, np.node, &plan.working.dtypes))
             .collect();
         assert!(result.is_err());
+
+        // The kernel's own length guard, reached directly: every run
+        // one byte short of what the AFC's rows need.
+        let afc = &plan.node_plans[0].afcs[0];
+        let short: Vec<Vec<u8>> =
+            afc.entries.iter().map(|e| vec![0u8; (afc.num_rows * e.stride) as usize - 1]).collect();
+        let bufs: Vec<&[u8]> = short.iter().map(|b| b.as_slice()).collect();
+        let mut block = ColumnBlock::with_dtypes(0, &plan.working.dtypes);
+        let err = ex.decode_columns(afc, &mut block, &bufs).unwrap_err();
+        assert!(err.to_string().contains("too short"), "{err}");
     }
 
     #[test]
@@ -1120,7 +998,7 @@ DATASET "ZeroData" {
         let ex = Extractor::new(&compiled, plan.working.attrs.len());
         let mut failed = false;
         for np in &plan.node_plans {
-            if ex.extract_all(&np.afcs, np.node).is_err() {
+            if extract_all(&ex, &np.afcs, np.node).is_err() {
                 failed = true;
             }
         }
@@ -1141,7 +1019,7 @@ DATASET "ZeroData" {
         let plan = compiled.plan_query(&b).unwrap();
         let ex = Extractor::new(&compiled, plan.working.attrs.len());
         let result: Result<Vec<RowBlock>> =
-            plan.node_plans.iter().map(|np| ex.extract_all(&np.afcs, np.node)).collect();
+            plan.node_plans.iter().map(|np| extract_all(&ex, &np.afcs, np.node)).collect();
         assert!(result.is_err());
     }
 

@@ -1,5 +1,6 @@
 //! The I/O scheduler: run coalescing, double-buffered readahead, and
-//! a cross-query segment cache.
+//! a cross-query segment cache — the one path between data files and
+//! decode. Every engine obtains bytes through [`IoScheduler::fetch`].
 //!
 //! AFC plans describe *what* to read — one byte run per entry. This
 //! module decides *how*: the byte runs of a working set (a group of
@@ -30,8 +31,6 @@ use crate::extract::Extractor;
 /// ablation benchmark and differential tests turn parts off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoOptions {
-    /// Master switch. `false` falls back to one `read` per AFC entry.
-    pub enabled: bool,
     /// Merge two runs of the same file when the byte gap between them
     /// is at most this (gap bytes are read and discarded).
     pub coalesce_gap: u64,
@@ -52,7 +51,6 @@ pub struct IoOptions {
 impl Default for IoOptions {
     fn default() -> IoOptions {
         IoOptions {
-            enabled: true,
             coalesce_gap: 64 * 1024,
             group_bytes: 8 * 1024 * 1024,
             readahead: true,
@@ -63,9 +61,11 @@ impl Default for IoOptions {
 }
 
 impl IoOptions {
-    /// Everything off: the legacy one-read-per-entry path.
-    pub fn disabled() -> IoOptions {
-        IoOptions { enabled: false, ..IoOptions::default() }
+    /// The baseline configuration of the one path: no gap bridging,
+    /// no segment cache, no readahead (adjacent and overlapping runs
+    /// still merge). Tests and benches use it as their reference arm.
+    pub fn plain() -> IoOptions {
+        IoOptions { coalesce_gap: 0, readahead: false, cache_bytes: 0, ..IoOptions::default() }
     }
 }
 
@@ -464,11 +464,6 @@ impl IoScheduler {
     pub fn with_cancel(mut self, cancel: CancelToken) -> IoScheduler {
         self.cancel = cancel;
         self
-    }
-
-    /// The scheduler's options.
-    pub fn options(&self) -> &IoOptions {
-        &self.opts
     }
 
     /// Fetch one working-set group: coalesce its runs, serve what the

@@ -46,7 +46,7 @@ pub use afc::{Afc, AfcEntry, ImplicitValue};
 pub use cost::{
     afc_group_bound, CostBound, CostParams, CostReport, CostViolation, RuntimeCounters,
 };
-pub use extract::{ExtractScratch, Extractor, SharedHandles};
+pub use extract::{Extractor, SharedHandles};
 pub use io::{IoOptions, IoScheduler, IoSnapshot, IoStats, SegmentCache};
 pub use morsel::{adaptive_morsel_bytes, Morsel, MorselPlan, MORSELS_PER_THREAD};
 pub use plan::{AggPrep, Certificate, CompiledDataset, FileIssue, NodePlan, QueryPlan, QueryPrep};

@@ -39,10 +39,6 @@ pub struct NodePlan {
     pub afcs: Vec<Afc>,
     /// Static prune verdicts for `afcs` plus drop accounting.
     pub prune: PruneCertificate,
-    /// True when any AFC touches a file with a non-affine codec
-    /// (CSV/zstd): byte offsets are logical-image coordinates, so
-    /// direct-path I/O cost bounds degrade from exact to upper bounds.
-    pub nonaffine: bool,
 }
 
 impl NodePlan {
@@ -313,9 +309,9 @@ impl CompiledDataset {
             output_positions,
             ranges,
             predicate: query.predicate.clone(),
-            prune_enabled: prune_enabled_by_env(),
+            prune_enabled: true,
             agg,
-            agg_pushdown: agg_pushdown_enabled_by_env(),
+            agg_pushdown: true,
         })
     }
 
@@ -355,11 +351,7 @@ impl CompiledDataset {
         // I/O scheduler ever sees them.
         let predicate = if prep.prune_enabled { prep.predicate.as_ref() } else { None };
         let (afcs, prune) = prune_afcs(predicate, &prep.working, afcs);
-        let nonaffine = afcs
-            .iter()
-            .flat_map(|a| &a.entries)
-            .any(|e| !self.model.files[e.file].codec.is_affine());
-        Ok(NodePlan { node, afcs, prune, nonaffine })
+        Ok(NodePlan { node, afcs, prune })
     }
 
     /// Phase 2, whole-cluster convenience: plan every node centrally
@@ -435,28 +427,15 @@ pub struct QueryPrep {
     pub ranges: HashMap<String, IntervalSet>,
     /// The bound predicate, kept for per-AFC prune verdicts.
     pub predicate: Option<dv_sql::BoundExpr>,
-    /// Static pruning switch (default on; `DV_NO_PRUNE=1` or
-    /// `QueryOptions::no_prune` turn it off for ablation).
+    /// Static pruning switch (default on; `QueryOptions::no_prune`
+    /// turns it off for ablation).
     pub prune_enabled: bool,
     /// Aggregation context (`None` = plain scan query).
     pub agg: Option<AggPrep>,
     /// Partial-aggregation pushdown switch (default on;
-    /// `DV_NO_AGG_PUSHDOWN=1` or `QueryOptions::no_agg_pushdown` turn
-    /// it off: nodes then ship filtered rows and the absorber
-    /// aggregates client-side).
+    /// `QueryOptions::no_agg_pushdown` turns it off: nodes then ship
+    /// filtered rows and the absorber aggregates client-side).
     pub agg_pushdown: bool,
-}
-
-/// Pruning default from the environment: enabled unless `DV_NO_PRUNE`
-/// is set to something other than `0`/empty.
-fn prune_enabled_by_env() -> bool {
-    !matches!(std::env::var("DV_NO_PRUNE"), Ok(v) if !v.is_empty() && v != "0")
-}
-
-/// Aggregation-pushdown default from the environment: enabled unless
-/// `DV_NO_AGG_PUSHDOWN` is set to something other than `0`/empty.
-fn agg_pushdown_enabled_by_env() -> bool {
-    !matches!(std::env::var("DV_NO_AGG_PUSHDOWN"), Ok(v) if !v.is_empty() && v != "0")
 }
 
 /// Convenience: compile a descriptor text directly against a single

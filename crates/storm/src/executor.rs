@@ -46,8 +46,8 @@ use crate::filter::{filter_block, filter_columns, project_block};
 use crate::mover::{
     send_agg, send_block, send_columns, send_morsel_done, MoverMessage, MoverStats,
 };
+use crate::options::{ExecMode, QueryOptions};
 use crate::partition::{partition_block, partition_columns};
-use crate::server::{ExecMode, QueryOptions};
 use crate::stats::MorselStats;
 
 /// One node's executor: dispatches plan fragments onto the node's
@@ -461,30 +461,9 @@ impl NodeWorker {
         self.morsel_stats.workers.fetch_add(workers as u64, Ordering::Relaxed);
         self.morsel_stats.target_bytes.fetch_max(plan.target_bytes, Ordering::Relaxed);
 
-        match self.opts.exec {
-            ExecMode::Columnar if self.opts.io.enabled => {
-                self.run_columnar_io(afcs, verdicts, &plan, workers, tx)
-            }
-            ExecMode::Columnar => self.run_pool(&plan, workers, &|m: &Morsel| {
-                self.run_morsel_columns_direct(afcs, verdicts, m, tx)
-            }),
-            ExecMode::RowAtATime => self.run_pool(&plan, workers, &|m: &Morsel| {
-                self.run_morsel_rows(afcs, verdicts, m, tx)
-            }),
-        }
-    }
-
-    /// The scheduled columnar path: one shared [`IoScheduler`] per
-    /// node and (with readahead on) one [`SharedPrefetcher`] serving
-    /// every pool worker.
-    fn run_columnar_io(
-        &self,
-        afcs: &[Afc],
-        verdicts: &[PruneVerdict],
-        plan: &MorselPlan,
-        workers: usize,
-        tx: &Sender<MoverMessage>,
-    ) -> Result<()> {
+        // One shared [`IoScheduler`] per node — the only source of
+        // bytes for either engine — and (with readahead on) one
+        // [`SharedPrefetcher`] serving every pool worker.
         let scheduler = IoScheduler::new(
             self.extractor.clone(),
             self.opts.io.clone(),
@@ -495,8 +474,8 @@ impl NodeWorker {
 
         if !self.opts.io.readahead || plan.groups.len() < 2 {
             let fetch = |gi: usize| scheduler.fetch(&afcs[plan.groups[gi].clone()]);
-            return self.run_pool(plan, workers, &|m: &Morsel| {
-                self.run_morsel_groups(afcs, verdicts, plan, m, &fetch, tx)
+            return self.run_pool(&plan, workers, &|m: &Morsel| {
+                self.run_morsel(afcs, verdicts, &plan, m, &fetch, tx)
             });
         }
 
@@ -511,8 +490,8 @@ impl NodeWorker {
             let pf = &prefetcher;
             scope.spawn(move || pf.run());
             let fetch = |gi: usize| pf.take(gi);
-            let result = self.run_pool(plan, workers, &|m: &Morsel| {
-                self.run_morsel_groups(afcs, verdicts, plan, m, &fetch, tx)
+            let result = self.run_pool(&plan, workers, &|m: &Morsel| {
+                self.run_morsel(afcs, verdicts, &plan, m, &fetch, tx)
             });
             // Wake the prefetcher out of any condvar wait so the scope
             // can join it — on success, error, and cancellation alike.
@@ -621,11 +600,11 @@ impl NodeWorker {
         result
     }
 
-    /// One columnar morsel through the I/O scheduler: fetch each of
-    /// its coalesce groups (via `fetch` — the shared prefetcher or a
-    /// synchronous scheduler call), decode, ship. The scanned-ordinal
-    /// cursor starts at the morsel's plan-time base.
-    fn run_morsel_groups(
+    /// One morsel of either engine: fetch each of its coalesce groups
+    /// (via `fetch` — the shared prefetcher or a synchronous scheduler
+    /// call) and hand the bytes to the engine's block body. The
+    /// scanned-ordinal cursor starts at the morsel's plan-time base.
+    fn run_morsel(
         &self,
         afcs: &[Afc],
         verdicts: &[PruneVerdict],
@@ -641,15 +620,21 @@ impl NodeWorker {
             self.cancel.check()?;
             let g = plan.groups[gi].clone();
             let fetched = fetch(gi)?;
-            self.decode_and_ship(
-                &afcs[g.clone()],
-                &verdicts[g],
-                &fetched,
-                &cx,
-                &mut cursor,
-                &mut sink,
-                tx,
-            )?;
+            let (afcs, verdicts) = (&afcs[g.clone()], &verdicts[g]);
+            match self.opts.exec {
+                ExecMode::Columnar => {
+                    self.decode_and_ship(afcs, verdicts, &fetched, &cx, &mut cursor, &mut sink, tx)?
+                }
+                ExecMode::RowAtATime => self.decode_and_ship_rows(
+                    afcs,
+                    verdicts,
+                    &fetched,
+                    &cx,
+                    &mut cursor,
+                    &mut sink,
+                    tx,
+                )?,
+            }
         }
         self.finish_morsel(m, cursor, sink, tx)
     }
@@ -698,11 +683,10 @@ impl NodeWorker {
         self.agg.as_ref().filter(|a| a.pushdown).map(|a| AggSink::new(self.node, a))
     }
 
-    /// End-of-morsel bookkeeping shared by all engine paths: flush the
-    /// aggregation sink (if any), then post the advisory `MorselDone`
-    /// marker. `cursor` is the scanned ordinal after the morsel's last
-    /// block, so `cursor - base` is exactly the morsel's pre-filter
-    /// row span.
+    /// End-of-morsel bookkeeping: flush the aggregation sink (if any),
+    /// then post the advisory `MorselDone` marker. `cursor` is the
+    /// scanned ordinal after the morsel's last block, so `cursor - base`
+    /// is exactly the morsel's pre-filter row span.
     fn finish_morsel(
         &self,
         m: &Morsel,
@@ -772,59 +756,6 @@ impl NodeWorker {
         Ok(())
     }
 
-    /// One columnar morsel on the scheduler-off path: one read per AFC
-    /// entry into the worker's scratch buffer (kept as the ablation
-    /// baseline and the fallback when `QueryOptions::io.enabled` is
-    /// false).
-    fn run_morsel_columns_direct(
-        &self,
-        afcs: &[Afc],
-        verdicts: &[PruneVerdict],
-        m: &Morsel,
-        tx: &Sender<MoverMessage>,
-    ) -> Result<()> {
-        let cx = EvalContext::new(self.schema_len, &self.working_attrs, &self.udfs);
-        let mut scratch = dv_layout::ExtractScratch::default();
-        let mut sink = self.new_sink();
-        let mut cursor = m.base_rows;
-        let batch_cap = if self.agg.is_some() { 0 } else { self.opts.batch_rows as u64 };
-
-        let mut i = m.afcs.start;
-        while i < m.afcs.end {
-            // Batch AFCs until the block reaches the target row count
-            // (aggregate queries: exactly one AFC per block).
-            let mut block = ColumnBlock::with_dtypes(self.node, &self.working_dtypes);
-            let mut batched_rows = 0u64;
-            let mut all_full = true;
-            while i < m.afcs.end && (batched_rows == 0 || batched_rows < batch_cap) {
-                let afc = &afcs[i];
-                self.extractor.extract_columns_with(afc, &mut block, &mut scratch)?;
-                self.count_direct_reads(afc);
-                all_full &= verdicts[i] == PruneVerdict::Full;
-                batched_rows += afc.num_rows;
-                i += 1;
-            }
-            match &mut sink {
-                Some(s) => self.fold_columns(block, all_full, &cx, &mut cursor, s, tx)?,
-                None => self.ship_columns(block, all_full, &cx, &mut cursor, tx)?,
-            }
-        }
-        self.finish_morsel(m, cursor, sink, tx)
-    }
-
-    /// Per-AFC accounting shared by the direct-read paths: logical
-    /// bytes plus one issued syscall per entry run.
-    fn count_direct_reads(&self, afc: &Afc) {
-        let bytes = afc.bytes_read();
-        let runs = afc.entries.len() as u64;
-        self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-        self.afc_count.fetch_add(1, Ordering::Relaxed);
-        self.io_stats.read_syscalls.fetch_add(runs, Ordering::Relaxed);
-        self.io_stats.runs_scheduled.fetch_add(runs, Ordering::Relaxed);
-        self.io_stats.bytes_issued.fetch_add(bytes, Ordering::Relaxed);
-        self.io_stats.bytes_used.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Filter → project → partition → move one columnar block. When
     /// every AFC in the block carried a `Full` prune verdict the
     /// predicate is provably true for all rows, so the filter kernel
@@ -872,51 +803,52 @@ impl NodeWorker {
         Ok(())
     }
 
-    /// One morsel on the legacy row-at-a-time engine (the differential
-    /// oracle). Same scanned-ordinal semantics as the columnar path:
-    /// the filter reports survivors' pre-filter indices and partition
-    /// assignment keys on them.
-    fn run_morsel_rows(
+    /// The row-at-a-time block body (the differential oracle): decode
+    /// one fetched group into row blocks and filter → project →
+    /// partition → move each. Same scanned-ordinal semantics as the
+    /// columnar body: the filter reports survivors' pre-filter indices
+    /// and partition assignment keys on them.
+    #[allow(clippy::too_many_arguments)]
+    fn decode_and_ship_rows(
         &self,
         afcs: &[Afc],
         verdicts: &[PruneVerdict],
-        m: &Morsel,
+        fetched: &FetchedGroup,
+        cx: &EvalContext,
+        cursor: &mut u64,
+        sink: &mut Option<AggSink>,
         tx: &Sender<MoverMessage>,
     ) -> Result<()> {
-        let cx = EvalContext::new(self.schema_len, &self.working_attrs, &self.udfs);
-        let mut scratch = dv_layout::ExtractScratch::default();
-        let mut sink = self.new_sink();
-        let mut cursor = m.base_rows;
         let batch_cap = if self.agg.is_some() { 0 } else { self.opts.batch_rows as u64 };
-
-        let mut i = m.afcs.start;
-        while i < m.afcs.end {
+        let mut i = 0usize;
+        while i < afcs.len() {
             self.cancel.check()?;
             // Batch AFCs until the block reaches the target row count
             // (aggregate queries: exactly one AFC per block).
             let mut block = RowBlock::new(self.node);
             let mut batched_rows = 0u64;
             let mut all_full = true;
-            while i < m.afcs.end && (batched_rows == 0 || batched_rows < batch_cap) {
+            while i < afcs.len() && (batched_rows == 0 || batched_rows < batch_cap) {
                 let afc = &afcs[i];
-                self.extractor.extract_into_with(afc, &mut block, &mut scratch)?;
-                self.count_direct_reads(afc);
+                self.extractor.extract_rows_fetched(afc, &mut block, fetched)?;
+                self.bytes_read.fetch_add(afc.bytes_read(), Ordering::Relaxed);
+                self.afc_count.fetch_add(1, Ordering::Relaxed);
                 all_full &= verdicts[i] == PruneVerdict::Full;
                 batched_rows += afc.num_rows;
                 i += 1;
             }
-            let seq = cursor;
-            cursor += batched_rows;
+            let seq = *cursor;
+            *cursor += batched_rows;
             self.rows_scanned.fetch_add(block.len() as u64, Ordering::Relaxed);
 
             let predicate = if all_full { None } else { self.predicate.as_ref().as_ref() };
-            let kept = filter_block(&mut block, predicate, &cx);
+            let kept = filter_block(&mut block, predicate, cx);
             self.rows_selected.fetch_add(block.len() as u64, Ordering::Relaxed);
             if block.is_empty() {
                 continue;
             }
 
-            if let Some(s) = &mut sink {
+            if let Some(s) = sink.as_mut() {
                 // Row-engine fold: same rows, same scan order, same
                 // fold tree as the columnar kernel.
                 let agg = self.agg.as_ref().expect("sink implies aggregation context");
@@ -954,7 +886,7 @@ impl NodeWorker {
                 }
             }
         }
-        self.finish_morsel(m, cursor, sink, tx)
+        Ok(())
     }
 }
 

@@ -7,12 +7,13 @@
 //!   front end: admits queries (priority-then-FIFO, bounded by
 //!   [`ServiceConfig::max_concurrent`]), assigns [`QueryId`]s, tracks
 //!   sessions, and threads a sticky [`CancelToken`] + deadline through
-//!   every stage. [`server::StormServer`] survives as a thin
-//!   single-query facade over it;
+//!   every stage;
 //! * **data source service** — the generated extraction function,
 //!   executed per node by [`executor::ExecutorService`]s running plan
-//!   fragments off the [`cluster::Cluster`] workers via
-//!   [`dv_layout::Extractor`];
+//!   fragments off the [`cluster::Cluster`] workers. There is one scan
+//!   path: every morsel of either engine walks its coalesce groups,
+//!   obtains bytes through [`dv_layout::io::IoScheduler::fetch`], and
+//!   decodes them with [`dv_layout::Extractor`];
 //! * **indexing service** — embedded in plan generation
 //!   (`dv-layout` file/chunk pruning with implicit extents + R-trees);
 //! * **filtering service** ([`filter`]) — evaluates the residual
@@ -36,8 +37,8 @@ pub mod cluster;
 pub mod executor;
 pub mod filter;
 pub mod mover;
+pub mod options;
 pub mod partition;
-pub mod server;
 pub mod service;
 pub mod stats;
 
@@ -46,7 +47,7 @@ pub use dv_layout::{IoOptions, IoSnapshot};
 pub use dv_types::{CancelReason, CancelToken};
 pub use executor::ExecutorService;
 pub use mover::{BandwidthModel, MoverSnapshot};
+pub use options::{default_intra_node_threads, ExecMode, QueryOptions};
 pub use partition::PartitionStrategy;
-pub use server::{default_intra_node_threads, ExecMode, QueryOptions, StormServer};
 pub use service::{QueryId, QueryService, ServiceConfig, SessionHandle, SubmitOptions};
 pub use stats::{MorselSnapshot, QueryStats};

@@ -38,7 +38,7 @@ use crate::admission::Admission;
 use crate::cluster::Cluster;
 use crate::executor::{AggExec, ExecutorService, NodeWorker};
 use crate::mover::{absorb_transfer, MoverMessage, MoverStats};
-use crate::server::QueryOptions;
+use crate::options::QueryOptions;
 use crate::stats::{MorselStats, QueryStats};
 
 /// Identifier the service assigns to each admitted query.
@@ -163,9 +163,15 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    pub(crate) fn new(core: Arc<ServerCore>, config: &ServiceConfig) -> QueryService {
+    /// Start the service for one compiled dataset: per-node executors,
+    /// the cross-query caches, and the admission gate.
+    pub fn new(
+        compiled: Arc<CompiledDataset>,
+        udfs: UdfRegistry,
+        config: &ServiceConfig,
+    ) -> QueryService {
         QueryService {
-            core,
+            core: Arc::new(ServerCore::new(compiled, udfs, config)),
             admission: Admission::new(config.max_concurrent),
             next_id: Arc::new(AtomicU64::new(0)),
             sessions: Arc::new(Mutex::new(HashMap::new())),
@@ -577,9 +583,8 @@ fn finalize_agg(agg: AbsorbAgg, prep: &AggPrep, schema: &Schema, out: &mut Table
 }
 
 /// Execute one admitted session: central planning, fragment fan-out
-/// via the per-node executors, and the absorb loop. This is the old
-/// monolithic `StormServer::execute_bound`, now fed by the service
-/// plane and threaded with the session's cancel token.
+/// via the per-node executors, and the absorb loop, threaded with the
+/// session's cancel token.
 pub(crate) fn run_session(
     core: &Arc<ServerCore>,
     bq: &BoundQuery,
@@ -621,11 +626,7 @@ pub(crate) fn run_session(
         let plans: Vec<dv_layout::NodePlan> = (0..node_count)
             .map(|node| core.compiled.plan_node(&prep, node))
             .collect::<Result<_>>()?;
-        let mut params = CostParams::new(&opts.io, opts.client_processors, bq.predicate.is_some());
-        // The I/O scheduler (run-coalescing reads, scheduled-run
-        // accounting) only runs on the columnar engine; every other
-        // path issues one direct read per AFC entry.
-        params.io_enabled = opts.io.enabled && opts.exec == crate::server::ExecMode::Columnar;
+        let params = CostParams::new(&opts.io, opts.client_processors, bq.predicate.is_some());
         let report = CostReport::analyze_nodes(
             &plans,
             &prep.working,

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use dv_datagen::{ipars, IparsConfig, IparsLayout};
 use dv_layout::plan::compile_from_text;
 use dv_sql::UdfRegistry;
-use dv_storm::{QueryOptions, ServiceConfig, StormServer};
-use dv_types::DvError;
+use dv_storm::{QueryOptions, QueryService, QueryStats, ServiceConfig};
+use dv_types::{DvError, Table};
 
 fn tmpbase(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("dv-storm-cost-{tag}-{}", std::process::id()));
@@ -19,13 +19,23 @@ fn tmpbase(tag: &str) -> PathBuf {
     d
 }
 
-fn servers(tag: &str, config: ServiceConfig) -> (StormServer, StormServer) {
+/// Single-table query with default options.
+fn execute_table(svc: &QueryService, sql: &str) -> dv_types::Result<(Table, QueryStats)> {
+    let (mut tables, stats) = svc.execute(sql, &QueryOptions::default())?;
+    Ok((tables.pop().expect("one client processor"), stats))
+}
+
+fn servers(tag: &str, config: ServiceConfig) -> (QueryService, QueryService) {
     let cfg = IparsConfig::tiny();
     let base = tmpbase(tag);
     let desc = ipars::generate(&base, &cfg, IparsLayout::I).unwrap();
     let compiled = Arc::new(compile_from_text(&desc, &base).unwrap());
-    let plain = StormServer::new(Arc::clone(&compiled), UdfRegistry::with_builtins());
-    let budgeted = StormServer::with_config(compiled, UdfRegistry::with_builtins(), config);
+    let plain = QueryService::new(
+        Arc::clone(&compiled),
+        UdfRegistry::with_builtins(),
+        &ServiceConfig::default(),
+    );
+    let budgeted = QueryService::new(compiled, UdfRegistry::with_builtins(), &config);
     (plain, budgeted)
 }
 
@@ -33,7 +43,7 @@ fn servers(tag: &str, config: ServiceConfig) -> (StormServer, StormServer) {
 fn over_budget_query_rejected_with_dv401() {
     let (_, budgeted) =
         servers("dv401", ServiceConfig { max_plan_bytes: Some(8), ..ServiceConfig::default() });
-    let err = budgeted.execute_table("SELECT * FROM IparsData").unwrap_err();
+    let err = execute_table(&budgeted, "SELECT * FROM IparsData").unwrap_err();
     assert!(err.is_cost_rejected(), "expected cost rejection, got: {err}");
     assert!(err.to_string().contains("[DV401]"), "{err}");
 }
@@ -45,12 +55,12 @@ fn over_budget_group_query_rejected_with_dv404() {
     let (_, budgeted) =
         servers("dv404", ServiceConfig { max_group_memory: Some(16), ..ServiceConfig::default() });
     let err =
-        budgeted.execute_table("SELECT SOIL, COUNT(*) FROM IparsData GROUP BY SOIL").unwrap_err();
+        execute_table(&budgeted, "SELECT SOIL, COUNT(*) FROM IparsData GROUP BY SOIL").unwrap_err();
     assert!(matches!(err, DvError::CostBudget { code: "DV404", .. }), "got: {err}");
 
     // A scan with no aggregation has no group state to bound — the
     // same budget admits it.
-    let (table, _) = budgeted.execute_table("SELECT TIME FROM IparsData WHERE TIME < 0").unwrap();
+    let (table, _) = execute_table(&budgeted, "SELECT TIME FROM IparsData WHERE TIME < 0").unwrap();
     assert_eq!(table.len(), 0);
 }
 

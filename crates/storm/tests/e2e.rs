@@ -7,7 +7,9 @@ use std::sync::Arc;
 use dv_datagen::{ipars, titan, IparsConfig, IparsLayout, TitanConfig};
 use dv_layout::plan::compile_from_text;
 use dv_sql::UdfRegistry;
-use dv_storm::{BandwidthModel, PartitionStrategy, QueryOptions, StormServer};
+use dv_storm::{
+    BandwidthModel, PartitionStrategy, QueryOptions, QueryService, QueryStats, ServiceConfig,
+};
 use dv_types::{Schema, Table, Value};
 
 fn tmpbase(tag: &str) -> PathBuf {
@@ -17,10 +19,19 @@ fn tmpbase(tag: &str) -> PathBuf {
     d
 }
 
-fn ipars_server(base: &Path, cfg: &IparsConfig, layout: IparsLayout) -> StormServer {
+fn service(compiled: dv_layout::CompiledDataset) -> QueryService {
+    QueryService::new(Arc::new(compiled), UdfRegistry::with_builtins(), &ServiceConfig::default())
+}
+/// Single-table query with default options.
+fn execute_table(svc: &QueryService, sql: &str) -> dv_types::Result<(Table, QueryStats)> {
+    let (mut tables, stats) = svc.execute(sql, &QueryOptions::default())?;
+    Ok((tables.pop().expect("one client processor"), stats))
+}
+
+fn ipars_server(base: &Path, cfg: &IparsConfig, layout: IparsLayout) -> QueryService {
     let desc = ipars::generate(base, cfg, layout).unwrap();
     let compiled = compile_from_text(&desc, base).unwrap();
-    StormServer::new(Arc::new(compiled), UdfRegistry::with_builtins())
+    service(compiled)
 }
 
 /// Reference evaluation: filter + project the full logical row set in
@@ -47,7 +58,7 @@ fn full_scan_matches_reference_all_layouts() {
     for layout in IparsLayout::all() {
         let base = tmpbase(&format!("scan-{}", layout.tag()));
         let server = ipars_server(&base, &cfg, layout);
-        let (table, stats) = server.execute_table("SELECT * FROM IparsData").unwrap();
+        let (table, stats) = execute_table(&server, "SELECT * FROM IparsData").unwrap();
         assert_eq!(table.len() as u64, cfg.rows(), "{}", layout.label());
         assert_eq!(stats.rows_scanned, cfg.rows());
         assert_eq!(stats.rows_selected, cfg.rows());
@@ -88,7 +99,7 @@ fn filtered_query_matches_reference_all_layouts() {
     for layout in IparsLayout::all() {
         let base = tmpbase(&format!("filter-{}", layout.tag()));
         let server = ipars_server(&base, &cfg, layout);
-        let (table, _) = server.execute_table(sql).unwrap();
+        let (table, _) = execute_table(&server, sql).unwrap();
         assert!(
             table.same_rows(&reference),
             "{}: got {} rows, reference {}",
@@ -120,7 +131,7 @@ fn udf_filter_matches_reference() {
         },
         &["REL", "TIME"],
     );
-    let (table, stats) = server.execute_table(sql).unwrap();
+    let (table, stats) = execute_table(&server, sql).unwrap();
     assert!(table.same_rows(&reference));
     assert!(stats.rows_selected < stats.rows_scanned);
 }
@@ -130,9 +141,9 @@ fn pruning_reduces_bytes_read() {
     let cfg = IparsConfig::tiny();
     let base = tmpbase("prune");
     let server = ipars_server(&base, &cfg, IparsLayout::L0);
-    let (_, full) = server.execute_table("SELECT * FROM IparsData").unwrap();
+    let (_, full) = execute_table(&server, "SELECT * FROM IparsData").unwrap();
     let (_, pruned) =
-        server.execute_table("SELECT * FROM IparsData WHERE TIME = 1 AND REL = 0").unwrap();
+        execute_table(&server, "SELECT * FROM IparsData WHERE TIME = 1 AND REL = 0").unwrap();
     assert!(pruned.bytes_read < full.bytes_read / 2);
     assert_eq!(pruned.rows_scanned, 8); // 2 dirs × 4 grid points
 }
@@ -215,7 +226,7 @@ fn intra_node_threads_same_result() {
     let server = ipars_server(&base, &cfg, IparsLayout::III);
     let opts = QueryOptions { intra_node_threads: 4, batch_rows: 4, ..Default::default() };
     let (par, _) = server.execute("SELECT * FROM IparsData WHERE SOIL > 0.3", &opts).unwrap();
-    let (seq, _) = server.execute_table("SELECT * FROM IparsData WHERE SOIL > 0.3").unwrap();
+    let (seq, _) = execute_table(&server, "SELECT * FROM IparsData WHERE SOIL > 0.3").unwrap();
     assert!(par[0].same_rows(&seq));
 }
 
@@ -225,11 +236,11 @@ fn titan_box_query_matches_reference() {
     let base = tmpbase("titan");
     let desc = titan::generate(&base, &cfg).unwrap();
     let compiled = compile_from_text(&desc, &base).unwrap();
-    let server = StormServer::new(Arc::new(compiled), UdfRegistry::with_builtins());
+    let server = service(compiled);
 
     let sql = "SELECT * FROM TitanData WHERE X >= 0 AND X <= 30000 AND Y >= 0 AND \
                Y <= 30000 AND Z >= 0 AND Z <= 300";
-    let (table, stats) = server.execute_table(sql).unwrap();
+    let (table, stats) = execute_table(&server, sql).unwrap();
 
     let mut reference = Table::empty(server.model().schema.clone());
     for row in cfg.all_rows() {
@@ -254,9 +265,9 @@ fn titan_sensor_filter_matches_reference() {
     let base = tmpbase("titan-s1");
     let desc = titan::generate(&base, &cfg).unwrap();
     let compiled = compile_from_text(&desc, &base).unwrap();
-    let server = StormServer::new(Arc::new(compiled), UdfRegistry::with_builtins());
+    let server = service(compiled);
 
-    let (table, stats) = server.execute_table("SELECT * FROM TitanData WHERE S1 < 0.25").unwrap();
+    let (table, stats) = execute_table(&server, "SELECT * FROM TitanData WHERE S1 < 0.25").unwrap();
     let expected = cfg.all_rows().filter(|r| r[3].as_f64() < 0.25).count();
     assert_eq!(table.len(), expected);
     // Sensor filters cannot prune chunks: full scan.
@@ -269,11 +280,11 @@ fn titan_distance_udf() {
     let base = tmpbase("titan-dist");
     let desc = titan::generate(&base, &cfg).unwrap();
     let compiled = compile_from_text(&desc, &base).unwrap();
-    let server = StormServer::new(Arc::new(compiled), UdfRegistry::with_builtins());
+    let server = service(compiled);
 
-    let (table, _) = server
-        .execute_table("SELECT X, Y, Z FROM TitanData WHERE DISTANCE(X, Y, Z) < 20000.0")
-        .unwrap();
+    let (table, _) =
+        execute_table(&server, "SELECT X, Y, Z FROM TitanData WHERE DISTANCE(X, Y, Z) < 20000.0")
+            .unwrap();
     let expected = cfg
         .all_rows()
         .filter(|r| {
@@ -290,7 +301,7 @@ fn empty_result_is_clean() {
     let base = tmpbase("empty");
     let server = ipars_server(&base, &cfg, IparsLayout::II);
     let (table, stats) =
-        server.execute_table("SELECT * FROM IparsData WHERE TIME > 100000").unwrap();
+        execute_table(&server, "SELECT * FROM IparsData WHERE TIME > 100000").unwrap();
     assert!(table.is_empty());
     assert_eq!(stats.rows_scanned, 0);
     assert_eq!(stats.bytes_read, 0);
@@ -304,7 +315,7 @@ fn sequential_nodes_same_result_and_busy_times() {
     let opts = QueryOptions { sequential_nodes: true, ..Default::default() };
     let sql = "SELECT * FROM IparsData WHERE SOIL > 0.2";
     let (seq_tables, seq_stats) = server.execute(sql, &opts).unwrap();
-    let (par_table, par_stats) = server.execute_table(sql).unwrap();
+    let (par_table, par_stats) = execute_table(&server, sql).unwrap();
     assert!(seq_tables[0].same_rows(&par_table));
     // One busy sample per node in both modes.
     assert_eq!(seq_stats.node_busy.len(), 2);

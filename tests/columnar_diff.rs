@@ -53,7 +53,7 @@ fn ipars_bench_queries_columnar_row_handwritten() {
 fn ipars_bench_queries_all_layouts() {
     let cfg = ipars_cfg();
     for layout in IparsLayout::all() {
-        let base = scratch(&format!("coldiff-{}", layout.tag()));
+        let base = scratch(&format!("coldiff-all-{}", layout.tag()));
         let descriptor = ipars::generate(&base, &cfg, layout).unwrap();
         let v = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
         for q in ipars_queries("IparsData", cfg.time_steps) {

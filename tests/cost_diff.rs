@@ -27,8 +27,8 @@ fn arm_validation() {
 /// prep (prune/pushdown toggles applied), same per-node plans, same
 /// cost parameters.
 fn static_report(v: &Virtualizer, sql: &str, opts: &QueryOptions) -> CostReport {
-    let bq = v.server().bind_sql(sql).unwrap();
-    let compiled = v.server().compiled();
+    let bq = v.service().bind_sql(sql).unwrap();
+    let compiled = v.service().compiled();
     let mut prep = compiled.prepare_query(&bq).unwrap();
     if opts.no_prune {
         prep.prune_enabled = false;
@@ -38,8 +38,7 @@ fn static_report(v: &Virtualizer, sql: &str, opts: &QueryOptions) -> CostReport 
     }
     let plans: Vec<NodePlan> =
         (0..compiled.model.node_count()).map(|n| compiled.plan_node(&prep, n).unwrap()).collect();
-    let mut params = CostParams::new(&opts.io, opts.client_processors, bq.predicate.is_some());
-    params.io_enabled = opts.io.enabled && opts.exec == ExecMode::Columnar;
+    let params = CostParams::new(&opts.io, opts.client_processors, bq.predicate.is_some());
     CostReport::analyze_nodes(
         &plans,
         &prep.working,
