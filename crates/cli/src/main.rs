@@ -553,7 +553,7 @@ fn cmd_query(a: &args::Args) -> Result<ExitCode, String> {
             stats.groups_pruned, stats.groups_total, stats.groups_full, stats.bytes_avoided,
         );
         eprintln!(
-            "io: {} read syscalls; coalesce ratio: {:.1}; bytes issued/used: {}/{}; cache hit: {:.0}% ({} hit / {} miss bytes); prefetch: {} hits, {} waits ({:?})",
+            "io: {} read syscalls; coalesce ratio: {:.1}; bytes issued/used: {}/{}; cache hit: {:.0}% ({} hit / {} miss bytes); decode: {} calls, {} KiB; prefetch: {} hits, {} waits ({:?})",
             stats.io.read_syscalls,
             stats.io.coalesce_ratio(),
             stats.io.bytes_issued,
@@ -561,6 +561,8 @@ fn cmd_query(a: &args::Args) -> Result<ExitCode, String> {
             stats.io.cache_hit_rate() * 100.0,
             stats.io.cache_hit_bytes,
             stats.io.cache_miss_bytes,
+            stats.io.decode_calls,
+            stats.io.decode_bytes / 1024,
             stats.io.prefetch_hits,
             stats.io.prefetch_waits,
             stats.io.prefetch_wait,

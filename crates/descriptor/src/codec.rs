@@ -22,8 +22,8 @@
 //!   frame (RFC 8878). The encoder emits Raw and RLE blocks only — a
 //!   valid, universally-decodable subset — and the decoder rejects
 //!   entropy-coded blocks with a clean error rather than guessing.
-//!   Decompressed bytes are cached by the I/O layer keyed on logical
-//!   ranges, so warm reads never touch the frame again.
+//!   The I/O layer caches the decompressed image whole, so a cold
+//!   query inflates the frame once and warm reads never touch it.
 
 use std::collections::HashMap;
 
@@ -92,7 +92,11 @@ pub fn decode_physical(
 ) -> Result<Vec<u8>> {
     match kind {
         CodecKind::FixedBinary => Ok(physical.to_vec()),
-        CodecKind::ZstdSegment => zstd_decompress(physical),
+        CodecKind::ZstdSegment => {
+            let promised = typed_size(&typed_layout(&file.layout, attr_types)?);
+            zstd_decompress(physical, Some(promised))
+                .map_err(|e| DvError::Runtime(format!("zstd file `{}`: {e}", file.rel_path)))
+        }
         CodecKind::DelimitedText => {
             let text = std::str::from_utf8(physical).map_err(|e| {
                 DvError::Runtime(format!("CSV file `{}` is not valid UTF-8: {e}", file.rel_path))
@@ -121,28 +125,69 @@ pub fn encode_logical(
 // Record-stream walking
 // ---------------------------------------------------------------------------
 
-/// Walk the resolved layout in storage order, invoking `f` once per
-/// record instance with the record's attribute run. `CHUNKED` layouts
-/// are data-dependent and rejected (they are restricted to the
-/// `binary` codec at resolution time).
-pub fn for_each_record<'a>(
+/// One attribute run of a record: the attributes' names (for error
+/// messages) beside their types, resolved once per decode.
+type Record<'a> = [(&'a str, DataType)];
+
+/// A file's resolved layout with every attribute run typed up front,
+/// so walking the record stream costs no name lookup per cell.
+enum TypedItem<'a> {
+    Record(Vec<(&'a str, DataType)>),
+    Loop { iters: u64, body: Vec<TypedItem<'a>> },
+}
+
+/// Resolve `items` against the attribute table. `CHUNKED` layouts are
+/// data-dependent and rejected (they are restricted to the `binary`
+/// codec at resolution time).
+fn typed_layout<'a>(
     items: &'a [ResolvedItem],
-    f: &mut impl FnMut(&'a [String]) -> Result<()>,
+    attr_types: &HashMap<String, DataType>,
+) -> Result<Vec<TypedItem<'a>>> {
+    items
+        .iter()
+        .map(|item| match item {
+            ResolvedItem::Attrs(attrs) => attrs
+                .iter()
+                .map(|a| Ok((a.as_str(), attr_type(attr_types, a)?)))
+                .collect::<Result<_>>()
+                .map(TypedItem::Record),
+            ResolvedItem::Loop { lo, hi, step, body, .. } => Ok(TypedItem::Loop {
+                iters: ResolvedItem::loop_iterations(*lo, *hi, *step),
+                body: typed_layout(body, attr_types)?,
+            }),
+            ResolvedItem::Chunked { index_path, .. } => Err(DvError::Runtime(format!(
+                "CHUNKED layout (index `{index_path}`) has no record stream; \
+                 only the binary codec supports it"
+            ))),
+        })
+        .collect()
+}
+
+/// Byte size of the logical image `items` describes — the number
+/// [`FileModel::expected_size`] derives from the attribute-size table,
+/// saturating instead of overflowing on a hostile loop nest.
+fn typed_size(items: &[TypedItem<'_>]) -> u64 {
+    items.iter().fold(0u64, |total, item| {
+        total.saturating_add(match item {
+            TypedItem::Record(r) => r.iter().map(|(_, ty)| ty.size() as u64).sum(),
+            TypedItem::Loop { iters, body } => iters.saturating_mul(typed_size(body)),
+        })
+    })
+}
+
+/// Walk the layout in storage order, invoking `f` once per record
+/// instance with the record's typed attribute run.
+fn for_each_record<'a>(
+    items: &[TypedItem<'a>],
+    f: &mut impl FnMut(&Record<'a>) -> Result<()>,
 ) -> Result<()> {
     for item in items {
         match item {
-            ResolvedItem::Attrs(attrs) => f(attrs)?,
-            ResolvedItem::Loop { lo, hi, step, body, .. } => {
-                let iters = ResolvedItem::loop_iterations(*lo, *hi, *step);
-                for _ in 0..iters {
+            TypedItem::Record(r) => f(r)?,
+            TypedItem::Loop { iters, body } => {
+                for _ in 0..*iters {
                     for_each_record(body, f)?;
                 }
-            }
-            ResolvedItem::Chunked { index_path, .. } => {
-                return Err(DvError::Runtime(format!(
-                    "CHUNKED layout (index `{index_path}`) has no record stream; \
-                     only the binary codec supports it"
-                )));
             }
         }
     }
@@ -227,11 +272,11 @@ pub fn csv_encode(
     attr_types: &HashMap<String, DataType>,
     logical: &[u8],
 ) -> Result<String> {
+    let layout = typed_layout(&file.layout, attr_types)?;
     let mut out = String::new();
     let mut cursor = 0usize;
-    for_each_record(&file.layout, &mut |attrs| {
-        for (i, a) in attrs.iter().enumerate() {
-            let ty = attr_type(attr_types, a)?;
+    for_each_record(&layout, &mut |record| {
+        for (i, &(_, ty)) in record.iter().enumerate() {
             let end = cursor + ty.size();
             let bytes = logical.get(cursor..end).ok_or_else(|| {
                 DvError::Runtime(format!(
@@ -265,10 +310,15 @@ pub fn csv_decode(
     attr_types: &HashMap<String, DataType>,
     text: &str,
 ) -> Result<Vec<u8>> {
+    let layout = typed_layout(&file.layout, attr_types)?;
     let mut lines = text.lines();
-    let mut out = Vec::with_capacity(text.len());
+    // Exactly the image's size for a well-formed file; a cell is at
+    // least one character and a delimiter and at most eight bytes, so
+    // a short or hostile text cannot reserve more than 4× its length.
+    let justified = (text.len() as u64 + 1).saturating_mul(4);
+    let mut out = Vec::with_capacity(typed_size(&layout).min(justified) as usize);
     let mut records = 0u64;
-    for_each_record(&file.layout, &mut |attrs| {
+    for_each_record(&layout, &mut |record| {
         records += 1;
         let line = lines.next().ok_or_else(|| {
             DvError::Runtime(format!(
@@ -277,8 +327,7 @@ pub fn csv_decode(
             ))
         })?;
         let mut cells = line.split(',');
-        for a in attrs {
-            let ty = attr_type(attr_types, a)?;
+        for &(a, ty) in record {
             let cell = cells.next().ok_or_else(|| {
                 DvError::Runtime(format!(
                     "CSV file `{}` record {records}: missing field for `{a}`",
@@ -354,8 +403,14 @@ pub fn zstd_compress(data: &[u8]) -> Vec<u8> {
 /// Decompress a single zstd frame. Handles any frame header without a
 /// dictionary; block payloads must be Raw or RLE (entropy-coded blocks
 /// produce a clean error, not a wrong answer). The decoded length is
-/// validated against the frame's declared content size.
-pub fn zstd_decompress(frame: &[u8]) -> Result<Vec<u8>> {
+/// validated against the frame's declared content size, and that size
+/// against `expected` (the layout's promise) when the caller has one.
+///
+/// The declared size is attacker-controlled, so nothing is reserved on
+/// its word alone: a differing `expected` rejects the frame before any
+/// allocation, and the output buffer starts no larger than the frame
+/// itself and grows only as blocks actually arrive.
+pub fn zstd_decompress(frame: &[u8], expected: Option<u64>) -> Result<Vec<u8>> {
     let err = |m: String| DvError::Runtime(format!("zstd: {m}"));
     let need = |n: usize, what: &str| err(format!("truncated frame: missing {what} ({n} bytes)"));
 
@@ -401,7 +456,11 @@ pub fn zstd_decompress(frame: &[u8]) -> Result<Vec<u8>> {
         fcs += 256;
     }
 
-    let mut out = Vec::with_capacity(fcs as usize);
+    if let Some(expected) = expected.filter(|e| *e != fcs) {
+        return Err(err(format!("frame declares {fcs} bytes but the layout promises {expected}")));
+    }
+
+    let mut out = Vec::with_capacity(fcs.min(frame.len() as u64) as usize);
     loop {
         let hdr = frame.get(pos..pos + 3).ok_or_else(|| need(3, "block header"))?;
         pos += 3;
@@ -409,6 +468,12 @@ pub fn zstd_decompress(frame: &[u8]) -> Result<Vec<u8>> {
         let last = word & 1 != 0;
         let ty = (word >> 1) & 3;
         let size = (word >> 3) as usize;
+        let grown = out.len() + size;
+        if grown as u64 > fcs {
+            return Err(err(format!(
+                "decoded {grown} bytes, more than the declared content size {fcs}"
+            )));
+        }
         match ty {
             0 => {
                 let payload =
@@ -423,12 +488,6 @@ pub fn zstd_decompress(frame: &[u8]) -> Result<Vec<u8>> {
             }
             2 => return Err(err("entropy-coded (Compressed) blocks are not supported".into())),
             _ => return Err(err("reserved block type".into())),
-        }
-        if out.len() as u64 > fcs {
-            return Err(err(format!(
-                "decoded {} bytes, more than the declared content size {fcs}",
-                out.len()
-            )));
         }
         if last {
             break;
@@ -455,7 +514,7 @@ mod tests {
 
     fn zstd_roundtrip(data: &[u8]) {
         let frame = zstd_compress(data);
-        let back = zstd_decompress(&frame).unwrap();
+        let back = zstd_decompress(&frame, None).unwrap();
         assert_eq!(back, data);
     }
 
@@ -481,14 +540,49 @@ mod tests {
         // Bad magic.
         let mut bad = frame.clone();
         bad[0] ^= 0xFF;
-        assert!(zstd_decompress(&bad).is_err());
+        assert!(zstd_decompress(&bad, None).is_err());
         // Truncated payload.
         frame.truncate(frame.len() - 3);
-        assert!(zstd_decompress(&frame).is_err());
+        assert!(zstd_decompress(&frame, None).is_err());
         // Entropy-coded block type.
         let mut ent = zstd_compress(b"x");
         ent[13] |= 0b100; // block type 2 in the first header byte
-        assert!(zstd_decompress(&ent).unwrap_err().to_string().contains("entropy"));
+        assert!(zstd_decompress(&ent, None).unwrap_err().to_string().contains("entropy"));
+    }
+
+    #[test]
+    fn zstd_hostile_content_size_is_clean_error() {
+        // A 16-byte frame whose header declares 2^62 bytes: reserving
+        // on the header's word would abort the process in the
+        // allocator, which no `catch_unwind` contains.
+        let mut frame = ZSTD_MAGIC.to_le_bytes().to_vec();
+        frame.push(0xE0);
+        frame.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        frame.extend_from_slice(&[0x01, 0x00, 0x00]); // last, Raw, 0 bytes
+        assert_eq!(frame.len(), 16);
+        let e = zstd_decompress(&frame, None).unwrap_err().to_string();
+        assert!(e.contains("decoded 0 bytes but the frame declares"), "{e}");
+        // A caller that knows the image size never gets as far as a buffer.
+        let e = zstd_decompress(&frame, Some(24)).unwrap_err().to_string();
+        assert!(e.contains("the layout promises 24"), "{e}");
+        // An RLE block cannot inflate past the declared size either.
+        let mut rle = zstd_compress(&[9u8; 4096]);
+        rle[5..13].copy_from_slice(&8u64.to_le_bytes());
+        let e = zstd_decompress(&rle, None).unwrap_err().to_string();
+        assert!(e.contains("more than the declared content size 8"), "{e}");
+    }
+
+    #[test]
+    fn zstd_image_size_is_checked_against_layout() {
+        let (mut file, types) = toy_file();
+        file.codec = CodecKind::ZstdSegment;
+        let image = vec![3u8; 24]; // 3 records of (int, float)
+        let frame = encode_logical(file.codec, &file, &types, &image).unwrap();
+        assert_eq!(decode_physical(file.codec, &file, &types, &frame).unwrap(), image);
+        let short = zstd_compress(&image[..16]);
+        let e = decode_physical(file.codec, &file, &types, &short).unwrap_err().to_string();
+        assert!(e.contains("zstd file `f`"), "{e}");
+        assert!(e.contains("declares 16 bytes but the layout promises 24"), "{e}");
     }
 
     fn toy_file() -> (FileModel, HashMap<String, DataType>) {

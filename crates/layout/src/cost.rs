@@ -304,10 +304,12 @@ impl CostReport {
         };
 
         // All I/O accounting is in *logical* (decoded-image) bytes, so
-        // the upper bounds hold for every codec: a non-affine file
-        // decodes at most once per cache-missed range, and decodes ≤
-        // missed ranges ≤ runs. Coalescing and cache hits only lower
-        // the actuals.
+        // the upper bounds hold for every codec: a fetch call decodes a
+        // non-affine file at most once, and only when it has a range
+        // of that file to serve, so decodes ≤ missed ranges ≤ runs
+        // even when the image is over the cache budget and every call
+        // decodes again. With the image cached, a query decodes each
+        // file once. Coalescing and cache hits only lower the actuals.
         let bytes_issued_hi = bytes.saturating_add(runs.saturating_mul(params.coalesce_gap));
 
         CostReport {

@@ -212,15 +212,39 @@ impl Extractor {
         self.model.files[file].codec
     }
 
+    /// Byte size of `file`'s logical image as the layout promises it
+    /// (an error for `CHUNKED` layouts, whose size is data-dependent
+    /// and which only the binary codec stores).
+    pub(crate) fn logical_size(&self, file: usize) -> Result<u64> {
+        self.model.files[file].expected_size(&self.model.attr_sizes).ok_or_else(|| {
+            DvError::Runtime(format!(
+                "file {} has a data-dependent layout and no logical image",
+                self.paths[file].display()
+            ))
+        })
+    }
+
     /// Read the whole physical file and decode it to its logical
-    /// fixed-stride image (unmemoized — warmth is the segment cache's
-    /// job, and warm reads must not decode at all).
+    /// fixed-stride image. Nothing is remembered here: the scheduler
+    /// keeps the image in the segment cache (one entry per file), so a
+    /// cold query calls this once per non-affine file and a warm one
+    /// not at all. The image is exactly as long as the layout promises
+    /// or this fails — every AFC offset into it was computed from that
+    /// promise.
     pub fn decode_physical_file(&self, file: usize) -> Result<Arc<Vec<u8>>> {
+        let promised = self.logical_size(file)?;
         let len = self.file_generation(file)?.len;
         let mut physical = vec![0u8; len as usize];
         self.read_file_at(file, 0, &mut physical)?;
         let f = &self.model.files[file];
         let logical = codec::decode_physical(f.codec, f, &self.model.attr_types, &physical)?;
+        if logical.len() as u64 != promised {
+            return Err(DvError::Runtime(format!(
+                "file {} decodes to {} bytes but its layout promises {promised}",
+                self.paths[file].display(),
+                logical.len()
+            )));
+        }
         Ok(Arc::new(logical))
     }
 
@@ -680,6 +704,54 @@ DATASET "IparsData" {
     }
 
     #[test]
+    fn racing_fetchers_share_one_decode() {
+        // Eight threads fetch every AFC of the plan as a group of its
+        // own through one scheduler, released together: each CSV/zstd
+        // file is still decoded exactly once, and everyone else is
+        // served the cached image.
+        let base = tmpbase("codec-race");
+        write_dataset(&base);
+        let desc = codec_desc();
+        transcode_dataset(&desc, &base);
+        let compiled = crate::plan::compile_from_text(&desc, &base).unwrap();
+        let q = parse("SELECT * FROM IparsData").unwrap();
+        let b = bind(&q, &compiled.model.schema, &UdfRegistry::with_builtins()).unwrap();
+        let plan = compiled.plan_query(&b).unwrap();
+        let ex = Extractor::new(&compiled, plan.working.attrs.len());
+        let np = &plan.node_plans[0];
+        let expect = extract_all(&ex, &np.afcs, np.node).unwrap();
+
+        let stats = Arc::new(IoStats::default());
+        let sched = IoScheduler::new(
+            ex.clone(),
+            IoOptions::default(),
+            Some(Arc::new(SegmentCache::new(1 << 20))),
+            Arc::clone(&stats),
+        );
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    start.wait();
+                    let mut block = RowBlock::new(np.node);
+                    for afc in &np.afcs {
+                        let fetched = sched.fetch(std::slice::from_ref(afc)).unwrap();
+                        ex.extract_rows_fetched(afc, &mut block, &fetched).unwrap();
+                    }
+                    assert_eq!(block.rows, expect.rows);
+                });
+            }
+        });
+        let snap = stats.snapshot();
+        let files = &compiled.model.files;
+        assert!(files.iter().all(|f| !f.codec.is_affine()));
+        assert_eq!(snap.decode_calls, files.len() as u64, "one decode per file");
+        assert_eq!(snap.decode_bytes, 16 + 48 + 48);
+        assert_eq!(snap.read_syscalls, snap.decode_calls);
+        assert_eq!(snap.cache_insert_bytes, snap.decode_bytes);
+    }
+
+    #[test]
     fn cache_budget_counts_decompressed_bytes() {
         // Regression: the cache must charge the *stored* (decompressed)
         // length against its byte budget. A high-compression-ratio zstd
@@ -773,6 +845,76 @@ DATASET "ZeroData" {
             .collect::<Result<Vec<_>>>()
             .unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn wrong_size_zstd_image_names_file_and_sizes() {
+        // A frame that inflates cleanly but to half the bytes the
+        // layout promises is the file's fault, not the scheduler's:
+        // the error names the file and both sizes.
+        let base = tmpbase("codec-wrong-size");
+        write_dataset(&base);
+        let desc = codec_desc();
+        transcode_dataset(&desc, &base);
+        let data0 = base.join("n0/d/DATA0");
+        std::fs::write(&data0, codec::zstd_compress(&[0u8; 24])).unwrap();
+        let compiled = crate::plan::compile_from_text(&desc, &base).unwrap();
+        let q = parse("SELECT SOIL FROM IparsData WHERE REL = 0").unwrap();
+        let b = bind(&q, &compiled.model.schema, &UdfRegistry::with_builtins()).unwrap();
+        let plan = compiled.plan_query(&b).unwrap();
+        let ex = Extractor::new(&compiled, plan.working.attrs.len());
+        let err = plan
+            .node_plans
+            .iter()
+            .map(|np| extract_all(&ex, &np.afcs, np.node))
+            .collect::<Result<Vec<_>>>()
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("DATA0"), "{err}");
+        assert!(err.contains("24") && err.contains("48"), "{err}");
+        assert!(!err.contains("missed scheduled run"), "{err}");
+    }
+
+    #[test]
+    fn decoded_length_is_checked_against_layout() {
+        // The scheduler keys a file's image by the size the layout
+        // promises, so the extractor refuses an image of any other
+        // length — reached here through a model whose size table
+        // disagrees with its type table.
+        let base = tmpbase("codec-size-check");
+        write_dataset(&base);
+        let desc = codec_desc();
+        transcode_dataset(&desc, &base);
+        let compiled = crate::plan::compile_from_text(&desc, &base).unwrap();
+        let fid = compiled.model.files.iter().find(|f| f.rel_path.ends_with("COORDS")).unwrap().id;
+        let honest = Extractor::new(&compiled, 4);
+        assert_eq!(honest.decode_physical_file(fid).unwrap().len(), 16);
+
+        let mut model = (*compiled.model).clone();
+        model.attr_sizes.insert("X".to_string(), 8);
+        let lying = CompiledDataset::compile(Arc::new(model), compiled.roots.clone()).unwrap();
+        let err = Extractor::new(&lying, 4).decode_physical_file(fid).unwrap_err().to_string();
+        assert!(err.contains("COORDS"), "{err}");
+        assert!(err.contains("16 bytes") && err.contains("promises 32"), "{err}");
+    }
+
+    #[test]
+    fn run_outside_the_fetched_group_is_an_error() {
+        // Decoding an AFC the group was not fetched for must surface
+        // the scheduler's `missed_run`, never read foreign bytes.
+        let base = tmpbase("missed-run");
+        write_dataset(&base);
+        let compiled = crate::plan::compile_from_text(DESC, &base).unwrap();
+        let q = parse("SELECT SOIL FROM IparsData").unwrap();
+        let b = bind(&q, &compiled.model.schema, &UdfRegistry::with_builtins()).unwrap();
+        let plan = compiled.plan_query(&b).unwrap();
+        let ex = Extractor::new(&compiled, plan.working.attrs.len());
+        let afcs = &plan.node_plans[0].afcs;
+        assert!(afcs.len() >= 2);
+        let fetched = fetch_plain(&ex, &afcs[..1]).unwrap();
+        let mut block = RowBlock::new(0);
+        let err = ex.extract_rows_fetched(afcs.last().unwrap(), &mut block, &fetched).unwrap_err();
+        assert!(err.to_string().contains("missed scheduled run"), "{err}");
     }
 
     #[test]

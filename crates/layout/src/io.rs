@@ -15,7 +15,19 @@
 //! the file's `(len, mtime_nanos)` generation and are invalidated when
 //! the file changes on disk — nanosecond mtimes so that two rewrites
 //! within the same second cannot serve stale bytes.
+//!
+//! A file in a non-affine codec (CSV, zstd) has byte offsets only in
+//! its decoded image, so it is fetched whole: the cache holds the
+//! image as one entry `(file, 0, logical size)` and every scheduled
+//! range of the file slices it. However many fetch groups, pool
+//! workers and prefetchers want the file, a cold query decodes it once
+//! — a per-file guard in the node's scheduler makes concurrent missers
+//! wait for one decode — and a warm query not at all. The cache budget
+//! is the only memory bound: an image that does not fit it (or a
+//! scheduler without a cache) is decoded by each fetch call that needs
+//! it and dropped with that call's [`FetchedGroup`].
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -443,6 +455,10 @@ pub struct IoScheduler {
     cache: Option<Arc<SegmentCache>>,
     stats: Arc<IoStats>,
     cancel: CancelToken,
+    /// Per-file decode guards of the non-affine files this scheduler
+    /// has missed on: whoever holds a file's guard is decoding it, and
+    /// everyone else who wants that image waits for the result.
+    decoding: Mutex<HashMap<usize, Arc<Mutex<()>>>>,
 }
 
 impl IoScheduler {
@@ -456,7 +472,14 @@ impl IoScheduler {
         stats: Arc<IoStats>,
     ) -> IoScheduler {
         let cache = if opts.cache_bytes == 0 { None } else { cache };
-        IoScheduler { extractor, opts, cache, stats, cancel: CancelToken::new() }
+        IoScheduler {
+            extractor,
+            opts,
+            cache,
+            stats,
+            cancel: CancelToken::new(),
+            decoding: Mutex::new(HashMap::new()),
+        }
     }
 
     /// Attach a query's cancellation token; [`IoScheduler::fetch`]
@@ -485,12 +508,9 @@ impl IoScheduler {
         self.stats.bytes_used.fetch_add(used, Ordering::Relaxed);
 
         let mut gens: HashMap<usize, FileGen> = HashMap::new();
-        // Whole-file decoded images of non-affine files, shared by all
-        // coalesced ranges of this fetch group (so a group spanning a
-        // CSV/zstd file decodes it once, not once per range). Dropped
-        // at the end of the call: warmth across groups is the segment
-        // cache's job, and it must be measurable.
-        let mut decoded: HashMap<usize, Arc<Vec<u8>>> = HashMap::new();
+        // Whether the non-affine file whose ranges are being walked
+        // was served from the cache (`reads` is sorted by file).
+        let mut image_hit = false;
         let mut segs: FileSegments = HashMap::new();
         for read in &reads {
             self.cancel.check()?;
@@ -508,49 +528,43 @@ impl IoScheduler {
                     g
                 }
             };
+            if !self.extractor.codec(read.file).is_affine() {
+                // Non-affine codec: byte offsets only exist in the
+                // decoded image, so the file's one segment is its whole
+                // image at offset 0 and every scheduled range slices
+                // it. The image comes from the segment cache or from
+                // one decode shared with concurrent fetchers (see
+                // `image`); its ranges are then all hits or all misses,
+                // counted like any other range — in logical
+                // coordinates, the range length and not physical file
+                // bytes, so the static bound `bytes_issued ≤ bytes_used
+                // + runs × gap` holds for every codec. Physical decode
+                // work shows up in `decode_calls`/`decode_bytes`.
+                if let Entry::Vacant(slot) = segs.entry(read.file) {
+                    let (image, hit) = self.image(read.file, generation)?;
+                    slot.insert(vec![(0, image)]);
+                    image_hit = hit;
+                }
+                if image_hit {
+                    self.stats.cache_hit_bytes.fetch_add(read.len, Ordering::Relaxed);
+                } else {
+                    self.stats.bytes_issued.fetch_add(read.len, Ordering::Relaxed);
+                    if self.cache.is_some() {
+                        self.stats.cache_miss_bytes.fetch_add(read.len, Ordering::Relaxed);
+                    }
+                }
+                continue;
+            }
             let data = match self.cache.as_deref().and_then(|c| c.get(read, generation)) {
                 Some(hit) => {
                     self.stats.cache_hit_bytes.fetch_add(read.len, Ordering::Relaxed);
                     hit
                 }
                 None => {
-                    let data = if self.extractor.codec(read.file).is_affine() {
-                        let mut buf = vec![0u8; read.len as usize];
-                        self.extractor.read_file_at(read.file, read.start, &mut buf)?;
-                        self.stats.read_syscalls.fetch_add(1, Ordering::Relaxed);
-                        Arc::new(buf)
-                    } else {
-                        // Non-affine codec: byte offsets only exist in
-                        // the decoded image, so decode the whole file
-                        // (memoized across this fetch group) and slice
-                        // the logical range. The cache stores those
-                        // decompressed slices, so warm reads above hit
-                        // without decoding.
-                        let whole = match decoded.get(&read.file) {
-                            Some(w) => Arc::clone(w),
-                            None => {
-                                let w = self.extractor.decode_physical_file(read.file)?;
-                                self.stats.read_syscalls.fetch_add(1, Ordering::Relaxed);
-                                self.stats.decode_calls.fetch_add(1, Ordering::Relaxed);
-                                self.stats
-                                    .decode_bytes
-                                    .fetch_add(w.len() as u64, Ordering::Relaxed);
-                                decoded.insert(read.file, Arc::clone(&w));
-                                w
-                            }
-                        };
-                        let lo = read.start as usize;
-                        let slice = lo
-                            .checked_add(read.len as usize)
-                            .and_then(|hi| whole.get(lo..hi))
-                            .ok_or_else(|| missed_run(read.file, read.start, read.len))?;
-                        Arc::new(slice.to_vec())
-                    };
-                    // Issued bytes are counted in logical coordinates
-                    // (the range length, not physical file bytes) so
-                    // the static bound `bytes_issued ≤ bytes_used +
-                    // runs × gap` stays valid for every codec;
-                    // physical decode work shows up in decode_bytes.
+                    let mut buf = vec![0u8; read.len as usize];
+                    self.extractor.read_file_at(read.file, read.start, &mut buf)?;
+                    self.stats.read_syscalls.fetch_add(1, Ordering::Relaxed);
+                    let data = Arc::new(buf);
                     self.stats.bytes_issued.fetch_add(read.len, Ordering::Relaxed);
                     if let Some(cache) = self.cache.as_deref() {
                         self.stats.cache_miss_bytes.fetch_add(read.len, Ordering::Relaxed);
@@ -565,6 +579,52 @@ impl IoScheduler {
         // `reads` is sorted by (file, start), so per-file vectors are
         // already in start order.
         Ok(FetchedGroup { segs })
+    }
+
+    /// The whole logical image of non-affine `file`, and whether the
+    /// segment cache served it. The cache is the memo: the image is one
+    /// entry keyed `(file, 0, logical size)` under the same generation
+    /// rule as any range, so a file is decoded once per cold query and
+    /// not at all by a warm one. Fetchers of this scheduler that miss
+    /// together queue on the file's decode guard and re-check the cache
+    /// behind it, so they share one decode instead of racing their own.
+    ///
+    /// Memory stays inside the cache budget: an image the cache will
+    /// not retain (larger than the budget, or no cache at all) is
+    /// decoded by every fetch call that needs it and dropped with that
+    /// call's [`FetchedGroup`]. A failed decode caches nothing.
+    fn image(&self, file: usize, generation: FileGen) -> Result<(Arc<Vec<u8>>, bool)> {
+        let Some(cache) = self.cache.as_deref() else {
+            return Ok((self.decode(file)?, false));
+        };
+        let key = CoalescedRead { file, start: 0, len: self.extractor.logical_size(file)? };
+        if let Some(hit) = cache.get(&key, generation) {
+            return Ok((hit, true));
+        }
+        let guard = {
+            let mut decoding = self.decoding.lock().expect("decode guards poisoned");
+            Arc::clone(decoding.entry(file).or_default())
+        };
+        // The guard protects no data, only the order of decoders; a
+        // holder that panicked leaves nothing half-written behind it.
+        let _turn = guard.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(hit) = cache.get(&key, generation) {
+            return Ok((hit, true));
+        }
+        self.cancel.check()?;
+        let image = self.decode(file)?;
+        self.stats.cache_insert_bytes.fetch_add(key.len, Ordering::Relaxed);
+        cache.insert(&key, generation, Arc::clone(&image));
+        Ok((image, false))
+    }
+
+    /// Read and decode non-affine `file`, counting the work.
+    fn decode(&self, file: usize) -> Result<Arc<Vec<u8>>> {
+        let image = self.extractor.decode_physical_file(file)?;
+        self.stats.read_syscalls.fetch_add(1, Ordering::Relaxed);
+        self.stats.decode_calls.fetch_add(1, Ordering::Relaxed);
+        self.stats.decode_bytes.fetch_add(image.len() as u64, Ordering::Relaxed);
+        Ok(image)
     }
 }
 

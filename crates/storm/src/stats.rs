@@ -167,7 +167,7 @@ impl fmt::Display for QueryStats {
         };
         write!(
             f,
-            "{} rows selected / {} scanned ({} AFCs, {} KiB read, {} KiB moved) in {:?}              (plan {:?}, exec {:?}; simulated cluster {:?}; prune: {}/{} groups pruned, {} full, {} KiB avoided; io: {} syscalls, coalesce {:.1}x, {} KiB issued / {} KiB used, cache hit {:.0}%, prefetch {}/{} waits; mover: {} sends, {} blocked {:?}, peak buffer {}{agg}; morsels: {} planned, {} stolen, {} workers, {}..{} KiB/worker, pool wait {:?}; queued {:?})",
+            "{} rows selected / {} scanned ({} AFCs, {} KiB read, {} KiB moved) in {:?}              (plan {:?}, exec {:?}; simulated cluster {:?}; prune: {}/{} groups pruned, {} full, {} KiB avoided; io: {} syscalls, coalesce {:.1}x, {} KiB issued / {} KiB used, cache hit {:.0}%, decode: {} calls, {} KiB, prefetch {}/{} waits; mover: {} sends, {} blocked {:?}, peak buffer {}{agg}; morsels: {} planned, {} stolen, {} workers, {}..{} KiB/worker, pool wait {:?}; queued {:?})",
             self.rows_selected,
             self.rows_scanned,
             self.afcs,
@@ -186,6 +186,8 @@ impl fmt::Display for QueryStats {
             self.io.bytes_issued / 1024,
             self.io.bytes_used / 1024,
             self.io.cache_hit_rate() * 100.0,
+            self.io.decode_calls,
+            self.io.decode_bytes / 1024,
             self.io.prefetch_hits,
             self.io.prefetch_waits,
             self.mover.sends,
@@ -233,6 +235,8 @@ mod tests {
                 bytes_used: 4096,
                 cache_hit_bytes: 1024,
                 cache_miss_bytes: 1024,
+                decode_calls: 2,
+                decode_bytes: 6144,
                 ..Default::default()
             },
             mover: crate::mover::MoverSnapshot {
@@ -260,7 +264,7 @@ mod tests {
         assert!(text.contains("3 syscalls"), "{text}");
         assert!(text.contains("coalesce 4.0x"), "{text}");
         assert!(text.contains("2 KiB issued / 4 KiB used"), "{text}");
-        assert!(text.contains("cache hit 50%"), "{text}");
+        assert!(text.contains("cache hit 50%, decode: 2 calls, 6 KiB"), "{text}");
         assert!(text.contains("9 sends, 2 blocked"), "{text}");
         assert!(text.contains("peak buffer 5"), "{text}");
         assert!(
