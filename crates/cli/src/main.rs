@@ -514,12 +514,14 @@ fn cmd_query(a: &args::Args) -> Result<ExitCode, String> {
     let (mut tables, stats) =
         v.service().execute_with(sql, &opts, &sub).map_err(|e| e.to_string())?;
     let table = tables.pop().ok_or_else(|| "query produced no client partitions".to_string())?;
+    // `--limit 0` prints everything.
+    let shown = if limit == 0 { table.rows.len() } else { limit };
     match a.option_or("format", "table") {
         "csv" => {
             let names: Vec<&str> =
                 table.schema.attributes().iter().map(|c| c.name.as_str()).collect();
             println!("{}", names.join(","));
-            for row in limited(&table.rows, limit) {
+            for row in table.rows.iter().take(shown) {
                 let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
                 println!("{}", cells.join(","));
             }
@@ -528,7 +530,7 @@ fn cmd_query(a: &args::Args) -> Result<ExitCode, String> {
             let names: Vec<&str> =
                 table.schema.attributes().iter().map(|c| c.name.as_str()).collect();
             println!("{}", names.join(" | "));
-            for row in limited(&table.rows, limit) {
+            for row in table.rows.iter().take(shown) {
                 let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
                 println!("{}", cells.join(" | "));
             }
@@ -577,8 +579,11 @@ fn cmd_query(a: &args::Args) -> Result<ExitCode, String> {
             stats.morsels.pool_wait,
         );
         eprintln!(
-            "mover: {} sends, {} blocked; peak reorder buffer: {} blocks",
-            stats.mover.sends, stats.mover.blocked_sends, stats.mover.peak_buffered_blocks
+            "mover: {} sends, {} blocked ({} rebuilt into rows by the sender); peak reorder buffer: {} blocks",
+            stats.mover.sends,
+            stats.mover.blocked_sends,
+            stats.mover.sender_rebuilds,
+            stats.mover.peak_buffered_blocks
         );
         if stats.mover.agg_blocks > 0 {
             let reduction = stats
@@ -593,14 +598,6 @@ fn cmd_query(a: &args::Args) -> Result<ExitCode, String> {
         }
     }
     Ok(ExitCode::SUCCESS)
-}
-
-fn limited(rows: &[dv_core::Row], limit: usize) -> &[dv_core::Row] {
-    if limit == 0 || rows.len() <= limit {
-        rows
-    } else {
-        &rows[..limit]
-    }
 }
 
 /// Run a workload file (one SQL query per line; `#` comments and

@@ -45,7 +45,7 @@ pub use dv_storm::{
     BandwidthModel, CancelReason, CancelToken, ExecMode, IoOptions, IoSnapshot, PartitionStrategy,
     QueryId, QueryOptions, QueryService, QueryStats, ServiceConfig, SessionHandle, SubmitOptions,
 };
-pub use dv_types::{DvError, Result, Row, Schema, Table, Value};
+pub use dv_types::{DvError, Result, Row, Rows, Schema, Table, Value};
 
 /// Builder for a [`Virtualizer`].
 pub struct VirtualizerBuilder {

@@ -195,7 +195,10 @@ pub struct CostReport {
     pub agg_groups: CostBound,
     /// High-water mark of the absorber's reorder buffer, in blocks.
     pub peak_buffered_blocks: CostBound,
-    /// Peak absorber memory attributable to shipped payloads.
+    /// Peak absorber memory attributable to shipped payloads, in
+    /// *wire* bytes (packed attribute widths, as `mover_bytes`) — not
+    /// resident memory: a delivered row occupies 16 B per cell as
+    /// `Value`s, whatever the attribute's type.
     pub absorber_bytes: CostBound,
     /// Width in bytes of one serialized output row.
     pub out_row_bytes: u64,

@@ -786,8 +786,12 @@ impl NodeWorker {
 
         block.project(&self.output_positions);
 
+        // A plain scan delivers these rows, so a sender facing a full
+        // channel may rebuild them; an aggregate query without
+        // pushdown has the absorber fold the block column-wise.
+        let rows_for = self.agg.is_none().then_some(&self.cancel);
         if self.opts.client_processors == 1 {
-            let bytes = send_columns(tx, 0, seq, block, &self.mover_stats)?;
+            let bytes = send_columns(tx, 0, seq, block, rows_for, &self.mover_stats)?;
             self.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
         } else {
             let parts =
@@ -796,7 +800,7 @@ impl NodeWorker {
                 if part.is_empty() {
                     continue;
                 }
-                let bytes = send_columns(tx, p, seq, part, &self.mover_stats)?;
+                let bytes = send_columns(tx, p, seq, part, rows_for, &self.mover_stats)?;
                 self.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
             }
         }

@@ -164,7 +164,8 @@ mod tests {
         let sel = cols.selection().expect("partial filter installs a selection");
         assert_eq!(kept, sel.to_vec());
 
-        let survivors: Vec<Value> = cols.columns[0].values(cols.selection());
+        let survivors: Vec<Value> =
+            sel.iter().map(|&i| cols.columns[0].value_at(i as usize)).collect();
         let expected: Vec<Value> = rows.rows.iter().map(|r| r[0]).collect();
         assert_eq!(survivors, expected);
     }

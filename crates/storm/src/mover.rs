@@ -6,6 +6,15 @@
 //! `QueryOptions::mover_capacity`, so a slow absorber back-pressures
 //! the node pipelines instead of buffering unboundedly; send-side
 //! blocking is counted in [`MoverStats`] (queue-wait observability).
+//! A full channel means the absorber — one thread, rebuilding rows out
+//! of every columnar block — is what the query is waiting for, so a
+//! sender that finds it full does that block's share of the absorber's
+//! work before it waits: [`send_columns`] runs the column→row kernel
+//! ([`ColumnBlock::to_rows`]) on the block it is holding and ships the
+//! finished [`Rows`], which the absorber adopts by pointer. Nothing
+//! else about the block changes (destination, sequence tag, wire
+//! bytes, send count), so results and every counter but
+//! [`MoverStats::sender_rebuilds`] are the same whoever transposed.
 //! Local clients receive blocks at memory speed; remote clients (the
 //! paper's Figure 8 query 5, "accessing the data from a remote
 //! client") go through a [`BandwidthModel`] that delays each block
@@ -22,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Sender, TrySendError};
-use dv_types::{AggBlock, CancelToken, ColumnBlock, DvError, Result, RowBlock};
+use dv_types::{AggBlock, CancelToken, ColumnBlock, DvError, Result, RowBlock, Rows};
 
 /// Longest uninterruptible slice of a simulated transfer sleep.
 const SLEEP_SLICE: Duration = Duration::from_millis(10);
@@ -65,6 +74,9 @@ pub struct MoverStats {
     pub blocked_sends: AtomicU64,
     /// Total time senders spent blocked on a full channel.
     pub send_wait_ns: AtomicU64,
+    /// Columnar blocks whose rows the sending worker rebuilt because
+    /// the channel was full (the rest are rebuilt by the absorber).
+    pub sender_rebuilds: AtomicU64,
     /// Partial-aggregate blocks shipped (aggregation pushdown).
     pub agg_blocks: AtomicU64,
     /// Rows folded into node-side accumulators before shipping.
@@ -83,6 +95,7 @@ impl MoverStats {
             sends: self.sends.load(Ordering::Relaxed),
             blocked_sends: self.blocked_sends.load(Ordering::Relaxed),
             send_wait: Duration::from_nanos(self.send_wait_ns.load(Ordering::Relaxed)),
+            sender_rebuilds: self.sender_rebuilds.load(Ordering::Relaxed),
             agg_blocks: self.agg_blocks.load(Ordering::Relaxed),
             agg_rows_in: self.agg_rows_in.load(Ordering::Relaxed),
             agg_groups_out: self.agg_groups_out.load(Ordering::Relaxed),
@@ -107,6 +120,9 @@ pub struct MoverSnapshot {
     pub blocked_sends: u64,
     /// Total sender time spent blocked on a full channel.
     pub send_wait: Duration,
+    /// Columnar blocks whose rows the sending worker rebuilt because
+    /// the channel was full.
+    pub sender_rebuilds: u64,
     /// Partial-aggregate blocks shipped (aggregation pushdown).
     pub agg_blocks: u64,
     /// Rows folded into node-side accumulators before shipping.
@@ -142,6 +158,11 @@ pub enum MoverMessage {
     /// A columnar block destined for client processor `processor`
     /// (rows are reconstituted only when the client absorbs it).
     Columns { processor: usize, seq: u64, block: ColumnBlock },
+    /// A columnar block of `node` whose rows the sender already
+    /// rebuilt (it found the channel full). `wire_bytes` is the
+    /// payload of the columnar block it came from — what the link
+    /// model charges, unchanged by who transposed.
+    Rows { processor: usize, node: usize, seq: u64, wire_bytes: usize, rows: Rows },
     /// A partial-aggregate block (aggregation pushdown). Entries carry
     /// their own per-AFC sequence tags, so no message-level `seq`.
     Agg { processor: usize, block: AggBlock },
@@ -171,22 +192,43 @@ fn sleep_cancellable(total: Duration, cancel: &CancelToken) -> Result<()> {
     cancel.check()
 }
 
-/// Hand one message to the transport: a non-blocking attempt first so
-/// a full channel is observed (and its wait timed) rather than folded
-/// silently into the blocking send.
-fn send_msg(tx: &Sender<MoverMessage>, msg: MoverMessage, stats: &MoverStats) -> Result<()> {
-    let disconnected = || DvError::Runtime("client disconnected during data transfer".into());
+fn disconnected() -> DvError {
+    DvError::Runtime("client disconnected during data transfer".into())
+}
+
+/// Offer one message to the transport without blocking, so a full
+/// channel is observed (and counted) rather than folded silently into
+/// a blocking send. Returns the message when the channel refused it.
+fn offer(
+    tx: &Sender<MoverMessage>,
+    msg: MoverMessage,
+    stats: &MoverStats,
+) -> Result<Option<MoverMessage>> {
     stats.sends.fetch_add(1, Ordering::Relaxed);
     match tx.try_send(msg) {
-        Ok(()) => Ok(()),
+        Ok(()) => Ok(None),
         Err(TrySendError::Disconnected(_)) => Err(disconnected()),
         Err(TrySendError::Full(msg)) => {
             stats.blocked_sends.fetch_add(1, Ordering::Relaxed);
-            let wait_start = Instant::now();
-            let sent = tx.send(msg);
-            stats.send_wait_ns.fetch_add(wait_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            sent.map_err(|_| disconnected())
+            Ok(Some(msg))
         }
+    }
+}
+
+/// Wait for room for a message the channel refused; `send_wait` times
+/// exactly this wait.
+fn send_refused(tx: &Sender<MoverMessage>, msg: MoverMessage, stats: &MoverStats) -> Result<()> {
+    let wait_start = Instant::now();
+    let sent = tx.send(msg);
+    stats.send_wait_ns.fetch_add(wait_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    sent.map_err(|_| disconnected())
+}
+
+/// Hand one message to the transport: offer it, wait if refused.
+fn send_msg(tx: &Sender<MoverMessage>, msg: MoverMessage, stats: &MoverStats) -> Result<()> {
+    match offer(tx, msg, stats)? {
+        Some(refused) => send_refused(tx, refused, stats),
+        None => Ok(()),
     }
 }
 
@@ -221,15 +263,38 @@ pub fn send_block(
 /// source block's scanned ordinal. Only *selected* rows count toward
 /// the payload — exactly what a serializing mover would put on the
 /// wire.
+///
+/// `rows_for` says what the client does with the block. `Some(cancel)`:
+/// it delivers the rows, so a sender that finds the channel full
+/// rebuilds them itself before waiting (see the module docs) — unless
+/// the query is already cancelled, when there is nobody to rebuild
+/// them for. `None`: the absorber folds the block column-wise
+/// (aggregation without pushdown), so it always travels columnar.
 pub fn send_columns(
     tx: &Sender<MoverMessage>,
     processor: usize,
     seq: u64,
     block: ColumnBlock,
+    rows_for: Option<&CancelToken>,
     stats: &MoverStats,
 ) -> Result<usize> {
     let bytes = block.wire_bytes();
-    send_msg(tx, MoverMessage::Columns { processor, seq, block }, stats)?;
+    let node = block.source_node;
+    let Some(refused) = offer(tx, MoverMessage::Columns { processor, seq, block }, stats)? else {
+        return Ok(bytes);
+    };
+    // The full-channel rule: ship what the absorber would otherwise
+    // have to produce from the block. A cancelled query gets an error
+    // instead — no work for a dead query.
+    let msg = match (refused, rows_for) {
+        (MoverMessage::Columns { block, .. }, Some(cancel)) => {
+            cancel.check()?;
+            stats.sender_rebuilds.fetch_add(1, Ordering::Relaxed);
+            MoverMessage::Rows { processor, node, seq, wire_bytes: bytes, rows: block.to_rows() }
+        }
+        (refused, _) => refused,
+    };
+    send_refused(tx, msg, stats)?;
     Ok(bytes)
 }
 
@@ -261,8 +326,7 @@ pub fn send_morsel_done(
     base: u64,
     rows: u64,
 ) -> Result<()> {
-    tx.send(MoverMessage::MorselDone { node, base, rows })
-        .map_err(|_| DvError::Runtime("client disconnected during data transfer".into()))
+    tx.send(MoverMessage::MorselDone { node, base, rows }).map_err(|_| disconnected())
 }
 
 #[cfg(test)]
@@ -301,18 +365,25 @@ mod tests {
         assert_eq!(snap.blocked_sends, 0, "unbounded channel never blocks");
     }
 
-    #[test]
-    fn send_columns_counts_selected_payload() {
-        use dv_types::{DataType, Value};
-        let (tx, rx) = unbounded();
-        let mut b = ColumnBlock::with_dtypes(0, &[DataType::Int, DataType::Double]);
+    /// Four `(Int, Double)` rows from node 5, rows 1 and 3 selected.
+    fn selected_columns() -> ColumnBlock {
+        use dv_types::DataType;
+        let mut b = ColumnBlock::with_dtypes(5, &[DataType::Int, DataType::Double]);
         for i in 0..4 {
             b.columns[0].append_data().push_value(Value::Int(i));
             b.columns[1].append_data().push_value(Value::Double(i as f64));
         }
         b.advance_rows(4);
         b.set_selection(Some(vec![1, 3]));
-        let bytes = send_columns(&tx, 2, 8, b, &MoverStats::default()).unwrap();
+        b
+    }
+
+    #[test]
+    fn send_columns_counts_selected_payload() {
+        let (tx, rx) = unbounded();
+        let cancel = CancelToken::new();
+        let stats = MoverStats::default();
+        let bytes = send_columns(&tx, 2, 8, selected_columns(), Some(&cancel), &stats).unwrap();
         assert_eq!(bytes, 2 * 12);
         match rx.recv().unwrap() {
             MoverMessage::Columns { processor, seq, block } => {
@@ -322,6 +393,91 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        assert_eq!(stats.snapshot().sender_rebuilds, 0, "a channel with room ships columns");
+    }
+
+    /// Fill a capacity-1 channel, then send `selected_columns()` into
+    /// it while a consumer (released by the returned sender having
+    /// observed the full channel — `blocked_sends` — not by a sleep)
+    /// drains both messages. Returns the second message and the stats.
+    fn send_into_full_channel(rows_for: Option<&CancelToken>) -> (MoverMessage, MoverSnapshot) {
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let stats = MoverStats::default();
+        send_block(&tx, 0, 0, RowBlock::new(0), &stats).unwrap();
+        let second = std::thread::scope(|scope| {
+            let stats = &stats;
+            let consumer = scope.spawn(move || {
+                while stats.blocked_sends.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
+                rx.recv().unwrap();
+                rx.recv().unwrap()
+            });
+            let bytes = send_columns(&tx, 1, 8, selected_columns(), rows_for, stats).unwrap();
+            assert_eq!(bytes, 2 * 12);
+            consumer.join().unwrap()
+        });
+        (second, stats.snapshot())
+    }
+
+    #[test]
+    fn full_channel_makes_the_sender_rebuild_rows() {
+        let cancel = CancelToken::new();
+        let (msg, snap) = send_into_full_channel(Some(&cancel));
+        match msg {
+            MoverMessage::Rows { processor, node, seq, wire_bytes, rows } => {
+                assert_eq!((processor, node, seq, wire_bytes), (1, 5, 8, 2 * 12));
+                let want: Rows = [
+                    vec![Value::Int(1), Value::Double(1.0)],
+                    vec![Value::Int(3), Value::Double(3.0)],
+                ]
+                .into_iter()
+                .collect();
+                assert_eq!(rows, want);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!((snap.sends, snap.blocked_sends, snap.sender_rebuilds), (2, 1, 1));
+    }
+
+    #[test]
+    fn full_channel_keeps_aggregate_blocks_columnar() {
+        let (msg, snap) = send_into_full_channel(None);
+        assert!(matches!(msg, MoverMessage::Columns { .. }), "unexpected {msg:?}");
+        assert_eq!((snap.sends, snap.blocked_sends, snap.sender_rebuilds), (2, 1, 0));
+    }
+
+    #[test]
+    fn client_vanishing_under_a_blocked_sender_errors() {
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let stats = MoverStats::default();
+        send_block(&tx, 0, 0, RowBlock::new(0), &stats).unwrap();
+        let cancel = CancelToken::new();
+        let err = std::thread::scope(|scope| {
+            let stats = &stats;
+            scope.spawn(move || {
+                while stats.blocked_sends.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
+                drop(rx);
+            });
+            send_columns(&tx, 0, 1, selected_columns(), Some(&cancel), stats).unwrap_err()
+        });
+        assert!(err.to_string().contains("client disconnected"), "{err}");
+    }
+
+    #[test]
+    fn cancelled_sender_rebuilds_nothing_on_a_full_channel() {
+        let (tx, _rx) = crossbeam::channel::bounded(1);
+        let stats = MoverStats::default();
+        send_block(&tx, 0, 0, RowBlock::new(0), &stats).unwrap();
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        // Nobody drains: a sender that waited would hang here.
+        let err = send_columns(&tx, 0, 1, selected_columns(), Some(&cancel), &stats).unwrap_err();
+        assert!(err.is_cancelled(), "{err}");
+        let snap = stats.snapshot();
+        assert_eq!((snap.blocked_sends, snap.sender_rebuilds), (1, 0));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use dv_layout::{
 };
 use dv_sql::{bind, parse, AggOutput, BoundExpr, BoundQuery, UdfRegistry};
 use dv_types::{
-    AggBlock, AggTable, CancelToken, ColumnBlock, DvError, Result, RowBlock, Schema, Table,
+    AggBlock, AggTable, CancelToken, ColumnBlock, DvError, Result, RowBlock, Rows, Schema, Table,
 };
 
 use crate::admission::Admission;
@@ -397,6 +397,9 @@ impl Drop for SessionHandle {
 enum Shipped {
     Rows(RowBlock),
     Cols(ColumnBlock),
+    /// Rows the sender already rebuilt from its columnar block (it
+    /// found the mover channel full); adopted as they are.
+    Built(Rows),
 }
 
 /// Aggregation half of the absorber: per-AFC partials collected from
@@ -487,6 +490,7 @@ impl<'a> Absorber<'a> {
                 Shipped::Cols(b) => {
                     agg.scratch.fold_block(b, &agg.group_pos, &agg.arg_pos);
                 }
+                Shipped::Built(_) => unreachable!("aggregate blocks are never sender-rebuilt"),
             }
             let mut out = AggBlock::new(node, agg.scratch.key_width(), agg.scratch.funcs());
             agg.scratch.drain_into(seq, &mut out);
@@ -533,6 +537,7 @@ impl<'a> Absorber<'a> {
                 match shipped {
                     Shipped::Rows(b) => self.runs[p][node].absorb(b),
                     Shipped::Cols(b) => self.runs[p][node].absorb_columns(b),
+                    Shipped::Built(mut rows) => self.runs[p][node].rows.append(&mut rows),
                 }
             }
         }
@@ -810,6 +815,10 @@ pub(crate) fn run_session(
                 MoverMessage::Columns { processor, seq, block } => {
                     let _ = absorb_transfer(opts.bandwidth.as_ref(), block.wire_bytes(), cancel);
                     absorber.on_data(processor, block.source_node, seq, Shipped::Cols(block));
+                }
+                MoverMessage::Rows { processor, node, seq, wire_bytes, rows } => {
+                    let _ = absorb_transfer(opts.bandwidth.as_ref(), wire_bytes, cancel);
+                    absorber.on_data(processor, node, seq, Shipped::Built(rows));
                 }
                 MoverMessage::Agg { block, .. } => {
                     let _ = absorb_transfer(opts.bandwidth.as_ref(), block.wire_bytes(), cancel);

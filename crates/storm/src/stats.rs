@@ -167,7 +167,7 @@ impl fmt::Display for QueryStats {
         };
         write!(
             f,
-            "{} rows selected / {} scanned ({} AFCs, {} KiB read, {} KiB moved) in {:?}              (plan {:?}, exec {:?}; simulated cluster {:?}; prune: {}/{} groups pruned, {} full, {} KiB avoided; io: {} syscalls, coalesce {:.1}x, {} KiB issued / {} KiB used, cache hit {:.0}%, decode: {} calls, {} KiB, prefetch {}/{} waits; mover: {} sends, {} blocked {:?}, peak buffer {}{agg}; morsels: {} planned, {} stolen, {} workers, {}..{} KiB/worker, pool wait {:?}; queued {:?})",
+            "{} rows selected / {} scanned ({} AFCs, {} KiB read, {} KiB moved) in {:?}              (plan {:?}, exec {:?}; simulated cluster {:?}; prune: {}/{} groups pruned, {} full, {} KiB avoided; io: {} syscalls, coalesce {:.1}x, {} KiB issued / {} KiB used, cache hit {:.0}%, decode: {} calls, {} KiB, prefetch {}/{} waits; mover: {} sends, {} blocked {:?}, {} rebuilt by sender, peak buffer {}{agg}; morsels: {} planned, {} stolen, {} workers, {}..{} KiB/worker, pool wait {:?}; queued {:?})",
             self.rows_selected,
             self.rows_scanned,
             self.afcs,
@@ -193,6 +193,7 @@ impl fmt::Display for QueryStats {
             self.mover.sends,
             self.mover.blocked_sends,
             self.mover.send_wait,
+            self.mover.sender_rebuilds,
             self.mover.peak_buffered_blocks,
             self.morsels.planned,
             self.morsels.stolen,
@@ -242,6 +243,7 @@ mod tests {
             mover: crate::mover::MoverSnapshot {
                 sends: 9,
                 blocked_sends: 2,
+                sender_rebuilds: 1,
                 peak_buffered_blocks: 5,
                 agg_blocks: 6,
                 agg_rows_in: 1200,
@@ -266,7 +268,7 @@ mod tests {
         assert!(text.contains("2 KiB issued / 4 KiB used"), "{text}");
         assert!(text.contains("cache hit 50%, decode: 2 calls, 6 KiB"), "{text}");
         assert!(text.contains("9 sends, 2 blocked"), "{text}");
-        assert!(text.contains("peak buffer 5"), "{text}");
+        assert!(text.contains("1 rebuilt by sender, peak buffer 5"), "{text}");
         assert!(
             text.contains("6 blocks, 1200 rows in -> 48 groups out (25.0x reduction)"),
             "{text}"

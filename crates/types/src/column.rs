@@ -6,8 +6,10 @@
 //! filtering. Services operate column-at-a-time: extraction decodes
 //! fields straight from read buffers into typed vectors, filtering
 //! produces a [`Bitmap`] and stores it as a selection (no data moves),
-//! and rows are only reconstituted at the client boundary
-//! ([`crate::Table::absorb_columns`]).
+//! and rows are reconstituted exactly once, by the one column→row
+//! kernel ([`ColumnBlock::to_rows`]) — at the client boundary
+//! ([`crate::Table::absorb_columns`]), or on a mover sender that found
+//! its channel full.
 //!
 //! Implicit attributes (constant over an AFC, or affine in the row
 //! ordinal) are kept as *lazy runs* — generator descriptions appended
@@ -15,6 +17,7 @@
 //! enumerates their values.
 
 use crate::datatype::DataType;
+use crate::row::Rows;
 use crate::value::Value;
 
 /// A dense, typed vector of cell values — one physical column.
@@ -97,6 +100,82 @@ impl ColumnData {
             ColumnData::Float(v) => v.reserve(n),
             ColumnData::Double(v) => v.reserve(n),
         }
+    }
+
+    /// Transpose kernel, dense part: one typed loop per (type, pick
+    /// kind), no per-cell dispatch.
+    fn scatter(&self, picks: Picks<'_>, out: &mut [Value], stride: usize) {
+        macro_rules! typed {
+            ($v:expr, $wrap:expr) => {
+                match picks {
+                    Picks::Range(a, b) => scatter(out, stride, $v[a..b].iter().copied(), $wrap),
+                    Picks::Sel(idx) => {
+                        scatter(out, stride, idx.iter().map(|&i| $v[i as usize]), $wrap)
+                    }
+                }
+            };
+        }
+        match self {
+            ColumnData::Char(v) => typed!(v, Value::Char),
+            ColumnData::Short(v) => typed!(v, Value::Short),
+            ColumnData::Int(v) => typed!(v, Value::Int),
+            ColumnData::Long(v) => typed!(v, Value::Long),
+            ColumnData::Float(v) => typed!(v, Value::Float),
+            ColumnData::Double(v) => typed!(v, Value::Double),
+        }
+    }
+}
+
+/// The block rows one tile of the transpose reads, ascending: a
+/// contiguous range when every row is selected, else a piece of the
+/// selection vector.
+#[derive(Clone, Copy)]
+enum Picks<'a> {
+    Range(usize, usize),
+    Sel(&'a [u32]),
+}
+
+impl<'a> Picks<'a> {
+    fn len(self) -> usize {
+        match self {
+            Picks::Range(a, b) => b - a,
+            Picks::Sel(idx) => idx.len(),
+        }
+    }
+
+    fn first(self) -> Option<usize> {
+        match self {
+            Picks::Range(a, b) => (a < b).then_some(a),
+            Picks::Sel(idx) => idx.first().map(|&i| i as usize),
+        }
+    }
+
+    /// The picks below block row `row`, and the rest.
+    fn split_at_row(self, row: usize) -> (Picks<'a>, Picks<'a>) {
+        match self {
+            Picks::Range(a, b) => {
+                let mid = row.clamp(a, b);
+                (Picks::Range(a, mid), Picks::Range(mid, b))
+            }
+            Picks::Sel(idx) => {
+                let (lo, hi) = idx.split_at(idx.partition_point(|&i| (i as usize) < row));
+                (Picks::Sel(lo), Picks::Sel(hi))
+            }
+        }
+    }
+}
+
+/// Write `wrap(x)` for each `x` of `src` into every `stride`-th cell of
+/// `out` — one column's share of a row-major tile.
+#[inline]
+fn scatter<T>(
+    out: &mut [Value],
+    stride: usize,
+    src: impl Iterator<Item = T>,
+    wrap: impl Fn(T) -> Value,
+) {
+    for (cell, x) in out.iter_mut().step_by(stride).zip(src) {
+        *cell = wrap(x);
     }
 }
 
@@ -245,12 +324,30 @@ impl Column {
         out
     }
 
-    /// Selected values in order: the whole column when `sel` is
-    /// `None`, otherwise the rows the (ascending) selection names.
-    pub fn values(&self, sel: Option<&[u32]>) -> Vec<Value> {
-        match sel {
-            None => (0..self.len()).map(|i| self.value_at(i)).collect(),
-            Some(idx) => idx.iter().map(|&i| self.value_at(i as usize)).collect(),
+    /// Transpose kernel, one column of one tile: the `k`-th picked row
+    /// lands in `out[k * stride]`. The dense prefix goes through its
+    /// typed slice; each lazy run the picks reach is filled from its
+    /// generator, never materialized.
+    fn scatter(&self, picks: Picks<'_>, out: &mut [Value], stride: usize) {
+        let (dense, mut lazy) = picks.split_at_row(self.data.len());
+        // A tile wholly past the dense prefix leaves an empty range
+        // that need not lie inside the dense slice.
+        if dense.len() > 0 {
+            self.data.scatter(dense, out, stride);
+        }
+        let mut done = dense.len();
+        while let Some(row) = lazy.first() {
+            let run = &self.runs[self.runs.partition_point(|r| r.start + r.len <= row)];
+            let (here, rest) = lazy.split_at_row(run.start + run.len);
+            let cells = &mut out[done * stride..];
+            let at = |row: usize| run.gen.value_at(row - run.start, self.dtype);
+            match (run.gen, here) {
+                (ColumnGen::Const(v), _) => scatter(cells, stride, 0..here.len(), |_| v),
+                (_, Picks::Range(a, b)) => scatter(cells, stride, a..b, at),
+                (_, Picks::Sel(idx)) => scatter(cells, stride, idx.iter(), |&i| at(i as usize)),
+            }
+            done += here.len();
+            lazy = rest;
         }
     }
 
@@ -283,6 +380,24 @@ impl Column {
         Column { dtype: self.dtype, data, runs: Vec::new() }
     }
 }
+
+/// Cells per tile of the transpose kernel (16 KiB of `Value`s): small
+/// enough that a tile stays in L1 while every column writes into it.
+/// Measured on `dv_e2e` `scan_deliver` (EXPERIMENTS.md, "Result
+/// delivery"): `types.absorb_ms` 127 tiled, 197 with one whole-block
+/// tile, 295 filling row by row through per-column cursors.
+const TILE_CELLS: usize = 1024;
+
+/// Tiles per slab the kernel hands out: at most 64 KiB of `Value`s, so
+/// a slab is always an ordinary heap chunk. One slab per block (0.7–1.4
+/// MB) is at or above glibc's `mmap` threshold, which moves with what
+/// the process freed before: the same query then either recycles its
+/// result memory or unmaps and re-faults it every time, run by run
+/// (EXPERIMENTS.md, "Result delivery": `window_manyfiles` 43–713 page
+/// faults per query and ten runs' `queries_per_s` spread over 18.8 /s,
+/// against 30–41 faults and 6.0 /s with 64 KiB slabs; `scan_deliver`
+/// reads the same either way).
+const SLAB_TILES: usize = 4;
 
 /// A batch of rows in columnar form — the columnar sibling of
 /// [`crate::RowBlock`].
@@ -377,6 +492,41 @@ impl ColumnBlock {
         self.selected() * row_bytes
     }
 
+    /// The one column→row kernel: transpose the selected rows into
+    /// exact-capacity row-major slabs of [`SLAB_TILES`] tiles each (the
+    /// last one shorter). Works a tile of rows at a time so the strided
+    /// writes of each column stay in cache: the tile is appended as
+    /// filler, then every column overwrites its cells through
+    /// [`Column::scatter`].
+    pub fn to_rows(&self) -> Rows {
+        let width = self.columns.len();
+        let n = self.selected();
+        assert!(width > 0 || n == 0, "a block without columns has no rows to deliver");
+        let tile_rows = (TILE_CELLS / width.max(1)).max(1);
+        let mut rows = Rows::new(width);
+        let mut done = 0;
+        while done < n {
+            let slab_end = n.min(done + SLAB_TILES * tile_rows);
+            let mut cells: Vec<Value> = Vec::with_capacity((slab_end - done) * width);
+            while done < slab_end {
+                let t = tile_rows.min(slab_end - done);
+                let picks = match &self.sel {
+                    None => Picks::Range(done, done + t),
+                    Some(sel) => Picks::Sel(&sel[done..done + t]),
+                };
+                let base = cells.len();
+                cells.resize(base + t * width, Value::Char(0));
+                let tile = &mut cells[base..];
+                for (c, col) in self.columns.iter().enumerate() {
+                    col.scatter(picks, &mut tile[c..], width);
+                }
+                done += t;
+            }
+            rows.push_slab(cells);
+        }
+        rows
+    }
+
     /// Project working columns to output order, in place. Duplicated
     /// positions clone; the selection is untouched (it indexes rows,
     /// not columns).
@@ -459,10 +609,22 @@ impl Bitmap {
         self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Set every bit in `[start, end)` (constant-run fast path).
+    /// Set every bit in `[start, end)` (constant-run fast path): whole
+    /// words, with a masked head and tail.
     pub fn set_range(&mut self, start: usize, end: usize) {
-        for i in start..end {
-            self.set(i);
+        debug_assert!(end <= self.len);
+        if start >= end {
+            return;
+        }
+        let (first, last) = (start / 64, (end - 1) / 64);
+        let head = u64::MAX << (start % 64);
+        let tail = u64::MAX >> (63 - (end - 1) % 64);
+        if first == last {
+            self.words[first] |= head & tail;
+        } else {
+            self.words[first] |= head;
+            self.words[first + 1..last].fill(u64::MAX);
+            self.words[last] |= tail;
         }
     }
 
@@ -514,6 +676,10 @@ impl Bitmap {
 mod tests {
     use super::*;
 
+    fn values(c: &Column) -> Vec<Value> {
+        (0..c.len()).map(|i| c.value_at(i)).collect()
+    }
+
     #[test]
     fn bitmap_ops() {
         let mut a = Bitmap::new_false(70);
@@ -534,6 +700,30 @@ mod tests {
         assert_eq!(o.count(), 70);
         o.and(&a);
         assert_eq!(o.indices(), vec![0, 65]);
+    }
+
+    #[test]
+    fn set_range_equals_the_per_bit_loop() {
+        // Starts and ends on and off word boundaries, inside one word
+        // and across several, empty and full.
+        let len = 200;
+        let edges = [0, 1, 5, 63, 64, 65, 100, 127, 128, 129, 191, 192, 199, 200];
+        for &start in &edges {
+            for &end in &edges {
+                let mut fast = Bitmap::new_false(len);
+                fast.set(7);
+                fast.set(150);
+                let mut slow = fast.clone();
+                fast.set_range(start, end);
+                for i in start..end {
+                    slow.set(i);
+                }
+                assert_eq!(fast, slow, "[{start}, {end})");
+            }
+        }
+        let mut full = Bitmap::new_false(len);
+        full.set_range(0, len);
+        assert_eq!(full, Bitmap::new_true(len));
     }
 
     #[test]
@@ -569,10 +759,7 @@ mod tests {
         c.append_data().push_value(Value::Double(1.5));
         c.push_run(3, ColumnGen::Affine { start: 10, step: 5 });
         let g = c.gather(&[1, 2, 4]);
-        assert_eq!(
-            g.values(None),
-            vec![Value::Double(1.5), Value::Double(10.0), Value::Double(20.0)]
-        );
+        assert_eq!(values(&g), vec![Value::Double(1.5), Value::Double(10.0), Value::Double(20.0)]);
         // Pure constant column stays lazy under gather.
         let mut k = Column::new(DataType::Int);
         k.push_run(100, ColumnGen::Const(Value::Int(3)));
@@ -580,7 +767,7 @@ mod tests {
         let (data, runs) = gk.parts();
         assert!(data.is_empty());
         assert_eq!(runs.len(), 1);
-        assert_eq!(gk.values(None), vec![Value::Int(3), Value::Int(3)]);
+        assert_eq!(values(&gk), vec![Value::Int(3), Value::Int(3)]);
     }
 
     #[test]
@@ -596,7 +783,11 @@ mod tests {
         assert_eq!(b.selected(), 2);
         assert_eq!(b.wire_bytes(), 2 * 12);
         assert_eq!(b.selected_rows(), vec![1, 3]);
-        assert_eq!(b.columns[0].values(b.selection()), vec![Value::Int(1), Value::Int(3)]);
+        let want: Rows =
+            [vec![Value::Int(1), Value::Double(1.0)], vec![Value::Int(3), Value::Double(3.0)]]
+                .into_iter()
+                .collect();
+        assert_eq!(b.to_rows(), want);
     }
 
     #[test]
@@ -621,5 +812,165 @@ mod tests {
         b.project(&[0, 1]);
         assert_eq!(b.columns.len(), 2);
         assert_eq!(b.columns[0].value_at(0), Value::Int(1));
+    }
+
+    /// The transpose kernel against `Column::value_at`, cell by cell,
+    /// over random blocks.
+    mod kernel {
+        use super::*;
+        use proptest::prelude::*;
+
+        const DTYPES: [DataType; 6] = [
+            DataType::Char,
+            DataType::Short,
+            DataType::Int,
+            DataType::Long,
+            DataType::Float,
+            DataType::Double,
+        ];
+
+        fn mix(seed: u64, k: u64) -> i64 {
+            let mut h = seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h ^= h >> 31;
+            h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            (h ^ (h >> 29)) as i64
+        }
+
+        /// One column, independent of the block length it will be cut
+        /// to: type, quarters of the block that are dense, the lazy
+        /// runs that share the rest by weight, a seed for dense cells.
+        #[derive(Debug, Clone)]
+        struct ColRecipe {
+            dtype: DataType,
+            dense_quarters: usize,
+            runs: Vec<(usize, ColumnGen)>,
+            seed: u64,
+        }
+
+        impl ColRecipe {
+            fn build(&self, n: usize) -> Column {
+                let mut c = Column::new(self.dtype);
+                let dense = n * self.dense_quarters / 4;
+                for k in 0..dense {
+                    // Floats take raw bit patterns (NaNs, infinities,
+                    // signed zeros included).
+                    let raw = mix(self.seed, k as u64);
+                    c.append_data().push_value(match self.dtype {
+                        DataType::Float => Value::Float(f32::from_bits(raw as u32)),
+                        DataType::Double => Value::Double(f64::from_bits(raw as u64)),
+                        dtype => Value::from_i64(dtype, raw),
+                    });
+                }
+                let lazy = n - dense;
+                let total: usize = self.runs.iter().map(|r| r.0).sum();
+                let mut left = lazy;
+                for (i, &(weight, gen)) in self.runs.iter().enumerate() {
+                    let len = if i + 1 == self.runs.len() {
+                        left
+                    } else {
+                        (lazy * weight / total).min(left)
+                    };
+                    let gen = match gen {
+                        ColumnGen::Const(v) => {
+                            ColumnGen::Const(Value::from_i64(self.dtype, v.as_i64().unwrap()))
+                        }
+                        affine => affine,
+                    };
+                    c.push_run(len, gen);
+                    left -= len;
+                }
+                assert_eq!(c.len(), n);
+                c
+            }
+        }
+
+        fn arb_gen() -> impl Strategy<Value = ColumnGen> {
+            // Starts around the `Short` limits make `Affine` wrap.
+            let start = prop_oneof![-100i64..100, 32_700i64..32_800, 65_500i64..65_600];
+            prop_oneof![
+                any::<i32>().prop_map(|v| ColumnGen::Const(Value::Long(v as i64))),
+                (start, -3i64..4).prop_map(|(start, step)| ColumnGen::Affine { start, step }),
+            ]
+        }
+
+        fn arb_col() -> impl Strategy<Value = ColRecipe> {
+            (
+                0usize..6,
+                0usize..5,
+                prop::collection::vec((1usize..50, arb_gen()), 1..5),
+                any::<u64>(),
+            )
+                .prop_map(|(d, dense_quarters, runs, seed)| ColRecipe {
+                    dtype: DTYPES[d],
+                    dense_quarters,
+                    runs,
+                    seed,
+                })
+        }
+
+        /// `None`, nothing, everything spelled out, or every row whose
+        /// hash is divisible by `m`.
+        #[derive(Debug, Clone, Copy)]
+        enum SelRecipe {
+            None,
+            Empty,
+            All,
+            Sparse(u64, u64),
+        }
+
+        fn arb_sel() -> impl Strategy<Value = SelRecipe> {
+            prop_oneof![
+                Just(SelRecipe::None),
+                Just(SelRecipe::Empty),
+                Just(SelRecipe::All),
+                (2u64..40, any::<u64>()).prop_map(|(m, seed)| SelRecipe::Sparse(m, seed)),
+            ]
+        }
+
+        fn same_cell(a: Value, b: Value) -> bool {
+            a.data_type() == b.data_type()
+                && match (a, b) {
+                    (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                    (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
+                    _ => a.as_i64().unwrap() == b.as_i64().unwrap(),
+                }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 6 } else { 192 }))]
+
+            // Up to 2000 rows: several tiles at every width and several
+            // slabs from three columns up, the last of each partial.
+            #[test]
+            fn transpose_equals_value_at(
+                n in 0usize..2000,
+                cols in prop::collection::vec(arb_col(), 1..6),
+                sel in arb_sel(),
+            ) {
+                let mut block =
+                    ColumnBlock::from_columns(3, cols.iter().map(|c| c.build(n)).collect());
+                block.set_selection(match sel {
+                    SelRecipe::None => None,
+                    SelRecipe::Empty => Some(Vec::new()),
+                    SelRecipe::All => Some((0..n as u32).collect()),
+                    SelRecipe::Sparse(m, seed) => Some(
+                        (0..n as u32).filter(|&i| (mix(seed, i as u64) as u64).is_multiple_of(m)).collect(),
+                    ),
+                });
+                let picked = block.selected_rows();
+                let rows = block.to_rows();
+                prop_assert_eq!(rows.len(), picked.len());
+                for (row, &i) in rows.iter().zip(&picked) {
+                    prop_assert_eq!(row.len(), cols.len());
+                    for (c, &cell) in row.iter().enumerate() {
+                        let want = block.columns[c].value_at(i as usize);
+                        prop_assert!(
+                            same_cell(cell, want),
+                            "row {i} column {c}: kernel {cell:?}, value_at {want:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

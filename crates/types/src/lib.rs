@@ -13,7 +13,8 @@
 //!   ordering and on-disk (little-endian) encode/decode;
 //! * [`Schema`] / [`Attribute`] — the virtual relational table schema
 //!   (Component I of the meta-data descriptor);
-//! * [`Row`] / [`Table`] — materialized query results;
+//! * [`Row`] / [`Rows`] / [`Table`] — materialized query results
+//!   (rows stored row-major in slabs of at most 64 KiB);
 //! * [`ColumnBlock`] / [`Bitmap`] — struct-of-arrays batches and
 //!   selection bitmaps, the unit of data flow on the vectorized
 //!   execution path;
@@ -42,7 +43,7 @@ pub use column::{Bitmap, Column, ColumnBlock, ColumnData, ColumnGen, LazyRun};
 pub use datatype::DataType;
 pub use error::{DvError, Result};
 pub use interval::{Interval, IntervalSet};
-pub use row::{Row, RowBlock, Table};
+pub use row::{Row, RowBlock, Rows, Table};
 pub use schema::{Attribute, Schema};
 pub use span::Span;
 pub use value::Value;

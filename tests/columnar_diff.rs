@@ -119,8 +119,8 @@ fn partitioned_columnar_unions_to_row_result() {
         let (tables, _) = v.query_with(sql, &opts).unwrap();
         assert_eq!(tables.len(), 3);
         let mut merged = Table::empty(tables[0].schema.clone());
-        for t in tables {
-            merged.rows.extend(t.rows);
+        for mut t in tables {
+            merged.rows.append(&mut t.rows);
         }
         assert!(merged.same_rows(&single), "{partition:?}: partitioned union diverges");
     }

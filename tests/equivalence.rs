@@ -148,8 +148,8 @@ fn partitioned_results_union_to_oracle() {
     let sql = "SELECT TIME, SOIL FROM IparsData WHERE SOIL > 0.2";
     let (tables, _) = v.query_with(sql, &opts).unwrap();
     let mut merged = Table::empty(tables[0].schema.clone());
-    for t in tables {
-        merged.rows.extend(t.rows);
+    for mut t in tables {
+        merged.rows.append(&mut t.rows);
     }
     let (single, _) = v.query(sql).unwrap();
     assert!(merged.same_rows(&single));

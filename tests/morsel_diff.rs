@@ -1,23 +1,64 @@
 //! Morsel-parallelism differential tests: results must be
 //! *bit-identical* — same rows in the same order per client partition
 //! — across thread counts, steal orders (shuffled with injected
-//! per-morsel jitter), layouts, engines, and prune on/off. Plus: a
-//! cancelled parallel scan leaves no orphaned workers, and a skewed
-//! schedule spreads bytes evenly over the pool (the bug the morsel
-//! scheduler replaces: count-based chunking serialized behind the
-//! biggest file).
+//! per-morsel jitter), layouts, engines, prune on/off, and mover
+//! back-pressure (a sender that finds the channel full rebuilds its
+//! block's rows itself; the absorber adopts them in `(node, seq)`
+//! order). Plus: a cancelled parallel scan leaves no orphaned workers,
+//! and a skewed schedule spreads bytes evenly over the pool (the bug
+//! the morsel scheduler replaces: count-based chunking serialized
+//! behind the biggest file).
 
 use std::io::Write;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
+use dv_bench::queries::ipars_queries;
 use dv_core::{
     BandwidthModel, ExecMode, PartitionStrategy, QueryOptions, SubmitOptions, Virtualizer,
 };
 use dv_datagen::{ipars, IparsConfig, IparsLayout};
+use dv_handwritten::HandIparsL0;
 use dv_integration::scratch;
+use dv_sql::{bind, parse, UdfRegistry};
 
 fn cfg() -> IparsConfig {
     IparsConfig { realizations: 2, time_steps: 40, grid_per_dir: 50, dirs: 2, nodes: 2, seed: 41 }
+}
+
+/// The executor's test hooks are environment variables, so they are
+/// process-wide: the tests that set them take turns, and each puts back
+/// what it found (CI exports `DV_MORSEL_JITTER` for the whole binary) —
+/// no test clears a hook under another.
+static HOOKS: Mutex<()> = Mutex::new(());
+
+struct Hooks {
+    found: Vec<(&'static str, Option<String>)>,
+    _turn: MutexGuard<'static, ()>,
+}
+
+fn set_hooks(vars: &[(&'static str, &str)]) -> Hooks {
+    let turn = HOOKS.lock().unwrap_or_else(PoisonError::into_inner);
+    let found = vars
+        .iter()
+        .map(|&(name, value)| {
+            let was = std::env::var(name).ok();
+            std::env::set_var(name, value);
+            (name, was)
+        })
+        .collect();
+    Hooks { found, _turn: turn }
+}
+
+impl Drop for Hooks {
+    fn drop(&mut self) {
+        for (name, was) in &self.found {
+            match was {
+                Some(value) => std::env::set_var(name, value),
+                None => std::env::remove_var(name),
+            }
+        }
+    }
 }
 
 fn opts(threads: usize, exec: ExecMode, no_prune: bool) -> QueryOptions {
@@ -36,7 +77,7 @@ fn parallel_results_bit_match_serial_across_layouts_and_engines() {
         "SELECT * FROM IparsData",
         "SELECT REL, TIME, SOIL, PGAS FROM IparsData WHERE TIME <= 25 AND SOIL > 0.3",
     ];
-    std::env::set_var("DV_MORSEL_JITTER", "2");
+    let _hooks = set_hooks(&[("DV_MORSEL_JITTER", "2")]);
     for layout in IparsLayout::all() {
         let base = scratch(&format!("morsel-diff-{}", layout.tag()));
         let descriptor = ipars::generate(&base, &cfg(), layout).unwrap();
@@ -67,7 +108,6 @@ fn parallel_results_bit_match_serial_across_layouts_and_engines() {
             }
         }
     }
-    std::env::remove_var("DV_MORSEL_JITTER");
 }
 
 /// Partitioned delivery is also steal-order independent: with several
@@ -150,6 +190,194 @@ fn mid_scan_cancellation_stops_all_workers_and_frees_slot() {
     assert_eq!(v.service().running(), 0, "cancelled query must release its slot");
     let (table, _) = v.query("SELECT REL, TIME FROM IparsData WHERE TIME = 1").unwrap();
     assert!(!table.rows.is_empty());
+}
+
+/// A client link that costs the absorber a fixed 200 µs per block and
+/// nothing per byte: with `mover_capacity: 1` every sender that has a
+/// second block ready finds the channel full, whatever the host's
+/// speed.
+fn slow_absorber() -> Option<BandwidthModel> {
+    Some(BandwidthModel { bytes_per_sec: 1e15, latency: Duration::from_micros(200) })
+}
+
+/// Forced back-pressure: a full mover channel changes *who* rebuilds a
+/// block's rows (the blocked sender instead of the absorber), never
+/// the result. Every (capacity × batch × threads × engine) run returns
+/// the tables of the serial, never-blocked columnar run and of the row
+/// engine, row for row per client processor; senders rebuild rows only
+/// when they were blocked; and the static cost bounds hold throughout
+/// (validation armed as in `cost_diff`).
+#[test]
+fn back_pressure_changes_who_rebuilds_rows_not_the_result() {
+    let _hooks = set_hooks(&[("DV_MORSEL_JITTER", "2"), ("DV_COST_VALIDATE", "1")]);
+    let deliveries = [
+        (1usize, PartitionStrategy::RoundRobin),
+        (4, PartitionStrategy::RoundRobin),
+        (4, PartitionStrategy::HashAttr { position: 2 }),
+    ];
+    for layout in [IparsLayout::I, IparsLayout::L0] {
+        let base = scratch(&format!("morsel-backpressure-{}", layout.tag()));
+        let descriptor = ipars::generate(&base, &cfg(), layout).unwrap();
+        let v = Virtualizer::builder(&descriptor)
+            .storage_base(&base)
+            .max_intra_node_threads(8)
+            .build()
+            .unwrap();
+        // Figure 8: the full scan and the three filter shapes.
+        for q in ipars_queries("IparsData", cfg().time_steps).iter().take(4) {
+            for (processors, partition) in &deliveries {
+                let run = |capacity: usize, batch_rows: usize, threads: usize, exec: ExecMode| {
+                    let opts = QueryOptions {
+                        client_processors: *processors,
+                        partition: partition.clone(),
+                        mover_capacity: capacity,
+                        batch_rows,
+                        intra_node_threads: threads,
+                        exec,
+                        bandwidth: if capacity == 1 { slow_absorber() } else { None },
+                        ..QueryOptions::default()
+                    };
+                    v.query_with(&q.sql, &opts).unwrap()
+                };
+                let (oracle, stats) = run(64, 4096, 1, ExecMode::Columnar);
+                assert_eq!(stats.mover.sender_rebuilds, 0, "one thread never fills 64 slots");
+                assert!(oracle.iter().any(|t| !t.rows.is_empty()), "q{}: degenerate diff", q.no);
+                let (row_oracle, _) = run(64, 4096, 1, ExecMode::RowAtATime);
+                for (t, o) in row_oracle.iter().zip(&oracle) {
+                    assert_eq!(t.rows, o.rows, "q{}: row engine vs columnar", q.no);
+                }
+
+                for capacity in [1usize, 64] {
+                    for batch_rows in [256usize, 4096] {
+                        for threads in [1usize, 2, 8] {
+                            for exec in [ExecMode::Columnar, ExecMode::RowAtATime] {
+                                let what = format!(
+                                    "{} q{} x{processors} {partition:?} capacity={capacity} \
+                                     batch={batch_rows} threads={threads} {exec:?}",
+                                    layout.tag(),
+                                    q.no
+                                );
+                                let (tables, stats) = run(capacity, batch_rows, threads, exec);
+                                assert_eq!(tables.len(), oracle.len(), "{what}");
+                                for (p, (t, o)) in tables.iter().zip(&oracle).enumerate() {
+                                    assert_eq!(t.rows, o.rows, "{what}: processor {p} diverged");
+                                }
+                                let m = &stats.mover;
+                                assert!(
+                                    m.sender_rebuilds <= m.blocked_sends,
+                                    "{what}: {} rebuilds, {} blocked sends",
+                                    m.sender_rebuilds,
+                                    m.blocked_sends
+                                );
+                                if exec == ExecMode::RowAtATime {
+                                    assert_eq!(
+                                        m.sender_rebuilds, 0,
+                                        "{what}: row blocks ship as is"
+                                    );
+                                }
+                                // The full scan in small blocks through
+                                // one slot behind a slow absorber: the
+                                // senders must have been put to work.
+                                if (q.no, capacity, batch_rows, exec)
+                                    == (1, 1, 256, ExecMode::Columnar)
+                                {
+                                    assert!(m.sends > 8, "{what}: {} sends", m.sends);
+                                    assert!(
+                                        m.sender_rebuilds > 0,
+                                        "{what}: no sender rebuilt rows"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Aggregation without pushdown ships filtered columnar blocks for the
+/// absorber to fold column-wise; those stay columnar however full the
+/// channel is, and the result still matches the hand-written fold.
+#[test]
+fn blocked_aggregate_senders_keep_their_blocks_columnar() {
+    let base = scratch("morsel-backpressure-agg");
+    let descriptor = ipars::generate(&base, &cfg(), IparsLayout::L0).unwrap();
+    let v = Virtualizer::builder(&descriptor)
+        .storage_base(&base)
+        .max_intra_node_threads(8)
+        .build()
+        .unwrap();
+    let sql = "SELECT REL, TIME, COUNT(*), SUM(SOIL), MIN(PGAS), MAX(PGAS), AVG(SOIL) \
+               FROM IparsData GROUP BY REL, TIME";
+    let hand = HandIparsL0::new(base, cfg(), UdfRegistry::with_builtins());
+    let bq = bind(&parse(sql).unwrap(), v.schema(), &UdfRegistry::with_builtins()).unwrap();
+    let expect = hand.execute_agg(&bq).unwrap();
+    let opts = QueryOptions {
+        no_agg_pushdown: true,
+        mover_capacity: 1,
+        intra_node_threads: 8,
+        bandwidth: slow_absorber(),
+        ..QueryOptions::default()
+    };
+    let (tables, stats) = v.query_with(sql, &opts).unwrap();
+    assert_eq!(tables[0].rows, expect.rows);
+    for (got, want) in tables[0].rows.iter().zip(&expect.rows) {
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(a.as_f64().to_bits(), b.as_f64().to_bits(), "{got:?} vs {want:?}");
+        }
+    }
+    assert!(stats.mover.blocked_sends > 0, "the channel must have filled");
+    assert_eq!(stats.mover.sender_rebuilds, 0, "aggregate blocks are folded column-wise");
+}
+
+/// Cancelling while every sender sits behind a full one-slot channel:
+/// the blocked senders give up without first rebuilding the rows of a
+/// dead query, the query ends `Cancelled`, its slot comes back, and
+/// the same `Virtualizer` then answers exactly as before.
+#[test]
+fn cancellation_with_blocked_senders_frees_slot_and_leaves_server_intact() {
+    let base = scratch("morsel-cancel-blocked");
+    let descriptor = ipars::generate(&base, &cfg(), IparsLayout::L0).unwrap();
+    let v = Virtualizer::builder(&descriptor)
+        .storage_base(&base)
+        .max_concurrent(1)
+        .max_intra_node_threads(8)
+        .build()
+        .unwrap();
+    let sql = "SELECT * FROM IparsData";
+    let opts = QueryOptions {
+        intra_node_threads: 8,
+        mover_capacity: 1,
+        batch_rows: 256,
+        ..QueryOptions::default()
+    };
+    let (before, _) = v.query_with(sql, &opts).unwrap();
+
+    // A link so slow the absorber spends seconds on its first block:
+    // all 2 × 8 senders pile up behind the single slot.
+    let stalled = QueryOptions {
+        bandwidth: Some(BandwidthModel {
+            bytes_per_sec: 16.0 * 1024.0,
+            latency: Duration::from_millis(1),
+        }),
+        ..opts.clone()
+    };
+    let handle = v.submit(sql, &stalled, &SubmitOptions::default()).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    handle.cancel();
+    let err = handle.wait().unwrap_err();
+    assert!(err.is_cancelled(), "expected cancellation, got: {err}");
+
+    for _ in 0..200 {
+        if v.service().running() == 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(v.service().running(), 0, "cancelled query must release its slot");
+    let (after, _) = v.query_with(sql, &opts).unwrap();
+    assert_eq!(after[0].rows, before[0].rows, "the server answers as before the cancellation");
 }
 
 /// Build a single-node dataset whose per-directory extents shrink
