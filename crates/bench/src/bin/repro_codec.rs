@@ -9,9 +9,9 @@
 //! stored three ways:
 //!
 //! 1. **Decode overhead per codec** — cold full-scan latency on a
-//!    fresh server for fixed binary (affine, unchecked decode under a
-//!    Safe certificate), CSV (parse + checked decode), and zstd
-//!    (decompress + checked decode), plus each encoding's physical
+//!    fresh server for fixed binary (affine, read in place), CSV
+//!    (parse, then column decode), and zstd (decompress, then column
+//!    decode), plus each encoding's physical
 //!    footprint. All three must return identical rows — the codecs are
 //!    purely a storage choice.
 //! 2. **Warm-read speedup vs re-decode** — on the zstd encoding, a

@@ -53,7 +53,6 @@ pub struct VirtualizerBuilder {
     storage_base: Option<PathBuf>,
     explicit_roots: Option<Vec<PathBuf>>,
     udfs: UdfRegistry,
-    verify: bool,
     service: ServiceConfig,
 }
 
@@ -92,16 +91,6 @@ impl VirtualizerBuilder {
         f: impl Fn(&[f64]) -> f64 + Send + Sync + 'static,
     ) -> Self {
         self.udfs.register_with_implicit_args(name, arity, implicit_args, f);
-        self
-    }
-
-    /// Run (or skip) the `dv-verify` semantic pass at build time.
-    /// Enabled by default: a descriptor whose extent maps are proved
-    /// overlap-free, in-bounds and aligned earns a
-    /// [`Certificate::Safe`], which lets the extractor use the
-    /// unchecked columnar decode path.
-    pub fn verify(mut self, on: bool) -> Self {
-        self.verify = on;
         self
     }
 
@@ -150,21 +139,6 @@ impl VirtualizerBuilder {
             }
         };
         let compiled = Arc::new(CompiledDataset::compile(model, roots)?);
-        if self.verify {
-            if let Ok(ast) = dv_descriptor::parse_descriptor(&self.descriptor) {
-                let m = &compiled.model;
-                let mut sizes = dv_lint::verify::ObservedSizes::new();
-                for f in &m.files {
-                    // Missing files leave no entry, which keeps the
-                    // bounds property unproven (never falsely safe).
-                    if let Ok(md) = std::fs::metadata(compiled.file_path(f.id)) {
-                        sizes.insert((m.nodes[f.node].clone(), f.rel_path.clone()), md.len());
-                    }
-                }
-                let report = dv_lint::verify_ast(&ast, Some(m), Some(&sizes));
-                compiled.set_certificate(report.certificate());
-            }
-        }
         Ok(Virtualizer { service: QueryService::new(compiled, self.udfs, &self.service) })
     }
 }
@@ -183,7 +157,6 @@ impl Virtualizer {
             storage_base: None,
             explicit_roots: None,
             udfs: UdfRegistry::with_builtins(),
-            verify: true,
             service: ServiceConfig::default(),
         }
     }
@@ -280,12 +253,6 @@ impl Virtualizer {
     /// discrepancies (missing files, size mismatches, chunk overruns).
     pub fn verify_files(&self) -> Vec<FileIssue> {
         self.service.compiled().verify_files()
-    }
-
-    /// The verification certificate computed at build time (or
-    /// [`Certificate::Unverified`] when verification was disabled).
-    pub fn certificate(&self) -> Certificate {
-        self.service.compiled().certificate()
     }
 }
 
@@ -385,20 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn build_verifies_and_certifies() {
-        let (base, desc) = setup("certify");
-        let v = Virtualizer::builder(&desc).storage_base(&base).build().unwrap();
-        assert_eq!(v.certificate(), Certificate::Safe);
-        assert!(v.render_generated_code().contains("certificate: safe"));
-        // Queries still answer correctly through the unchecked path.
-        let (table, _) = v.query("SELECT REL, TIME FROM IparsData WHERE TIME = 1").unwrap();
-        assert!(!table.rows.is_empty());
-        // Opting out of verification leaves the checked path in place.
-        let v = Virtualizer::builder(&desc).storage_base(&base).verify(false).build().unwrap();
-        assert_eq!(v.certificate(), Certificate::Unverified);
-    }
-
-    #[test]
     fn session_submit_wait_and_timeout() {
         let (base, desc) = setup("session");
         let v = Virtualizer::builder(&desc).storage_base(&base).max_concurrent(2).build().unwrap();
@@ -431,14 +384,31 @@ mod tests {
     #[test]
     fn truncated_file_refutes_certificate() {
         let (base, desc) = setup("refute");
-        // Chop bytes off one data file: verification must refuse the
-        // Safe certificate and fall back to checked decode.
+        // Chop bytes off one data file. The verifier, a diagnostic,
+        // refutes the layout; building does not consult it, and the
+        // scan's own read checks turn the short file into a clean
+        // error that releases the admission slot.
         let victim = walkdir_first_data(&base);
         let len = std::fs::metadata(&victim).unwrap().len();
         let f = std::fs::OpenOptions::new().write(true).open(&victim).unwrap();
         f.set_len(len - 3).unwrap();
         let v = Virtualizer::builder(&desc).storage_base(&base).build().unwrap();
-        assert_eq!(v.certificate(), Certificate::Refuted);
+
+        let m = v.model();
+        let sizes: dv_lint::verify::ObservedSizes = m
+            .files
+            .iter()
+            .map(|f| {
+                let md = std::fs::metadata(v.service().compiled().file_path(f.id)).unwrap();
+                ((m.nodes[f.node].clone(), f.rel_path.clone()), md.len())
+            })
+            .collect();
+        let report = dv_lint::verify_descriptor(&desc, Some(&sizes)).unwrap();
+        assert_eq!(report.certificate(), Certificate::Refuted);
+
+        let err = v.query("SELECT * FROM IparsData").unwrap_err();
+        assert!(matches!(err, DvError::Io { .. }), "{err}");
+        assert_eq!(v.service().running(), 0, "failed query must release its slot");
     }
 
     fn walkdir_first_data(base: &Path) -> PathBuf {

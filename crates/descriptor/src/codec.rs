@@ -17,7 +17,7 @@
 //! * [`CodecKind::DelimitedText`] — one CSV line per record instance,
 //!   fields in layout order, typed by the descriptor's attribute
 //!   table. Physical size is data-dependent, so verification can only
-//!   certify it `Unverified` and decode is always checked.
+//!   certify it `Unverified`.
 //! * [`CodecKind::ZstdSegment`] — the logical image stored as a zstd
 //!   frame (RFC 8878). The encoder emits Raw and RLE blocks only — a
 //!   valid, universally-decodable subset — and the decoder rejects

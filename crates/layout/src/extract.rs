@@ -22,7 +22,7 @@ use std::sync::RwLock;
 
 use crate::afc::{Afc, ImplicitValue};
 use crate::io::{missed_run, FetchedGroup, FileGen};
-use crate::plan::{Certificate, CompiledDataset};
+use crate::plan::CompiledDataset;
 
 /// Maximum open file handles pooled per extractor.
 const HANDLE_CACHE_CAP: usize = 256;
@@ -117,11 +117,6 @@ pub struct Extractor {
     /// Working-row width (number of attributes to materialize).
     row_width: usize,
     handles: Arc<HandlePool>,
-    /// True when the compiled dataset carries a `Safe` verification
-    /// certificate: per-row bounds checks in the columnar decode are
-    /// provably redundant and the unchecked kernel runs instead.
-    /// [`Extractor::with_unchecked`] overrides it (ablation).
-    unchecked: bool,
     /// Per-query cancellation flag, polled once per AFC decode so an
     /// abort or deadline takes effect mid-extraction.
     cancel: CancelToken,
@@ -137,16 +132,8 @@ impl Extractor {
             model: Arc::clone(&compiled.model),
             row_width,
             handles: Arc::new(HandlePool::new(HANDLE_CACHE_CAP)),
-            unchecked: compiled.certificate() == Certificate::Safe,
             cancel: CancelToken::new(),
         }
-    }
-
-    /// Force the decode path, overriding the certificate (ablation
-    /// harnesses and differential tests).
-    pub fn with_unchecked(mut self, on: bool) -> Extractor {
-        self.unchecked = on;
-        self
     }
 
     /// Attach a query's cancellation token; extraction checkpoints
@@ -161,11 +148,6 @@ impl Extractor {
     pub fn with_shared_handles(mut self, shared: &SharedHandles) -> Extractor {
         self.handles = Arc::clone(&shared.pool);
         self
-    }
-
-    /// Whether the certificate-gated unchecked decode path is active.
-    pub fn uses_unchecked_decode(&self) -> bool {
-        self.unchecked
     }
 
     fn open(&self, file: usize) -> Result<Arc<File>> {
@@ -341,76 +323,17 @@ impl Extractor {
         self.decode_columns(afc, block, &bufs)
     }
 
-    /// The columnar decode kernel. Each scheduled field runs one tight
-    /// strided-copy loop from its run's bytes into its native `Vec`
-    /// (no per-row `Vec<Value>` allocation, no placeholder pre-fill);
-    /// implicit attributes append lazy generator runs instead of
-    /// materializing anything.
+    /// The columnar decode kernel — the one place a run becomes a
+    /// column. Per (field, run), one length guard bounds every strided
+    /// read (a run too short for the AFC's rows is an error, never a
+    /// panic), and the field's native `Vec` then grows by a single
+    /// `extend` over the guarded run: no per-row `Vec<Value>`, no
+    /// placeholder pre-fill, no per-push capacity check. Implicit
+    /// attributes append lazy generator runs instead of materializing
+    /// anything.
     fn decode_columns(&self, afc: &Afc, block: &mut ColumnBlock, bufs: &[&[u8]]) -> Result<()> {
         debug_assert_eq!(block.columns.len(), self.row_width);
         self.cancel.check()?;
-        if self.unchecked {
-            return self.decode_columns_unchecked(afc, block, bufs);
-        }
-        let n = afc.num_rows as usize;
-        for f in &afc.fields {
-            let stride = afc.entries[f.entry].stride as usize;
-            let buf = bufs[f.entry];
-            let off = f.byte_off;
-            let col = block.columns[f.working_pos].append_data();
-            macro_rules! fill {
-                ($variant:ident, $ty:ty, $size:expr) => {{
-                    let ColumnData::$variant(v) = col else {
-                        return Err(DvError::Runtime(format!(
-                            "column {} type mismatch decoding {:?}",
-                            f.working_pos, f.dtype
-                        )));
-                    };
-                    v.reserve(n);
-                    for r in 0..n {
-                        let at = r * stride + off;
-                        v.push(<$ty>::from_le_bytes(buf[at..at + $size].try_into().unwrap()));
-                    }
-                }};
-            }
-            match f.dtype {
-                dv_types::DataType::Char => {
-                    let ColumnData::Char(v) = col else {
-                        return Err(DvError::Runtime(format!(
-                            "column {} type mismatch decoding Char",
-                            f.working_pos
-                        )));
-                    };
-                    v.reserve(n);
-                    for r in 0..n {
-                        v.push(buf[r * stride + off]);
-                    }
-                }
-                dv_types::DataType::Short => fill!(Short, i16, 2),
-                dv_types::DataType::Int => fill!(Int, i32, 4),
-                dv_types::DataType::Long => fill!(Long, i64, 8),
-                dv_types::DataType::Float => fill!(Float, f32, 4),
-                dv_types::DataType::Double => fill!(Double, f64, 8),
-            }
-        }
-        Self::append_implicits(afc, block, n);
-        Ok(())
-    }
-
-    /// The certificate-gated decode kernel: one amortized length guard
-    /// per (field, run) replaces the per-row slice bounds checks, and
-    /// raw-pointer appends replace the per-push capacity checks.
-    ///
-    /// A `Safe` certificate proves the descriptor's extents are
-    /// consistent — it says nothing about how many bytes a particular
-    /// run actually holds, so the up-front guard below is what keeps
-    /// this path memory-safe even against a lying filesystem.
-    fn decode_columns_unchecked(
-        &self,
-        afc: &Afc,
-        block: &mut ColumnBlock,
-        bufs: &[&[u8]],
-    ) -> Result<()> {
         let n = afc.num_rows as usize;
         for f in &afc.fields {
             let stride = afc.entries[f.entry].stride as usize;
@@ -427,27 +350,17 @@ impl Extractor {
                     };
                     if n > 0 {
                         let need = (n - 1) * stride + off + $size;
-                        if buf.len() < need {
+                        let Some(run) = buf.get(..need) else {
                             return Err(DvError::Runtime(format!(
                                 "run of {} bytes too short for {n} rows (need {need})",
                                 buf.len()
                             )));
-                        }
-                        v.reserve(n);
-                        let base = v.len();
-                        // SAFETY: the guard above bounds every strided
-                        // read (`r < n` ⇒ `r*stride + off + $size <=
-                        // need <= buf.len()`), and `reserve(n)` backs
-                        // the writes finalized by `set_len`.
-                        unsafe {
-                            let src = buf.as_ptr();
-                            let dst = v.as_mut_ptr().add(base);
-                            for r in 0..n {
-                                let p = src.add(r * stride + off) as *const [u8; $size];
-                                dst.add(r).write(<$ty>::from_le_bytes(std::ptr::read_unaligned(p)));
-                            }
-                            v.set_len(base + n);
-                        }
+                        };
+                        v.extend((0..n).map(|r| {
+                            <$ty>::from_le_bytes(
+                                run[r * stride + off..][..$size].try_into().unwrap(),
+                            )
+                        }));
                     }
                 }};
             }
@@ -464,8 +377,7 @@ impl Extractor {
         Ok(())
     }
 
-    /// Append implicit-attribute generator runs and advance the block
-    /// (shared tail of both decode kernels).
+    /// Append implicit-attribute generator runs and advance the block.
     fn append_implicits(afc: &Afc, block: &mut ColumnBlock, n: usize) {
         for (pos, imp) in &afc.implicits {
             let gen = match imp {
@@ -1033,44 +945,116 @@ DATASET "ZeroData" {
         }
     }
 
-    #[test]
-    fn unchecked_decode_matches_checked() {
-        let base = tmpbase("unchecked");
-        write_dataset(&base);
-        let compiled = crate::plan::compile_from_text(DESC, &base).unwrap();
-        assert_eq!(compiled.certificate(), crate::plan::Certificate::Unverified);
-        let sqls = [
-            "SELECT * FROM IparsData",
-            "SELECT SOIL FROM IparsData WHERE REL = 0 AND TIME = 1",
-            "SELECT X FROM IparsData WHERE TIME = 2",
-        ];
-        for sql in sqls {
-            let q = parse(sql).unwrap();
-            let b = bind(&q, &compiled.model.schema, &UdfRegistry::with_builtins()).unwrap();
-            let plan = compiled.plan_query(&b).unwrap();
-            let checked = Extractor::new(&compiled, plan.working.attrs.len());
-            let unchecked = checked.clone().with_unchecked(true);
-            assert!(!checked.uses_unchecked_decode());
-            assert!(unchecked.uses_unchecked_decode());
-            for np in &plan.node_plans {
-                let a = extract_all_columns(&checked, &np.afcs, np.node, &plan.working.dtypes);
-                let b = extract_all_columns(&unchecked, &np.afcs, np.node, &plan.working.dtypes);
-                let (a, b) = (a.unwrap(), b.unwrap());
-                assert_eq!(a.len(), b.len(), "{sql}");
-                for i in 0..a.len() {
-                    let ra: Row = a.columns.iter().map(|c| c.value_at(i)).collect();
-                    let rb: Row = b.columns.iter().map(|c| c.value_at(i)).collect();
-                    assert_eq!(ra, rb, "{sql} row {i}");
+    /// Every `DataType` stored in one interleaved record, so each
+    /// field's stride (27 bytes) exceeds its size; `REL` and `TIME`
+    /// arrive as implicit runs.
+    const ALL_TYPES_DESC: &str = r#"
+[ALL]
+REL = short int
+TIME = int
+C = char
+S = short int
+I = int
+L = long int
+F = float
+D = double
+
+[AllData]
+DatasetDescription = ALL
+DIR[0] = n0/d
+
+DATASET "AllData" {
+  DATATYPE { ALL }
+  DATAINDEX { REL TIME }
+  DATA { DATASET recs }
+  DATASET "recs" {
+    DATASPACE {
+      LOOP TIME 1:3:1 {
+        LOOP GRID 1:5:1 { C S I L F D }
+      }
+    }
+    DATA { DIR[0]/REC$REL REL = 0:1:1 }
+  }
+}
+"#;
+
+    fn write_all_types(base: &Path) {
+        let dir = base.join("n0/d");
+        std::fs::create_dir_all(&dir).unwrap();
+        for rel in 0..2i64 {
+            let mut f = std::fs::File::create(dir.join(format!("REC{rel}"))).unwrap();
+            for t in 1..=3i64 {
+                for g in 1..=5i64 {
+                    let x = rel * 100 + t * 10 + g;
+                    let mut rec = Vec::new();
+                    Value::Char((x * 7) as u8).encode(&mut rec);
+                    Value::Short(-(x as i16) * 200).encode(&mut rec);
+                    Value::Int(-(x as i32) * 1_000_003).encode(&mut rec);
+                    Value::Long((x << 40) - 7).encode(&mut rec);
+                    Value::Float(x as f32 * -0.375).encode(&mut rec);
+                    Value::Double(x as f64 * 1e9 + 0.125).encode(&mut rec);
+                    f.write_all(&rec).unwrap();
                 }
             }
         }
     }
 
+    /// A cell's exact type and bytes (`Value`'s `==` compares across
+    /// types by numeric value).
+    fn cell(v: Value) -> (dv_types::DataType, Vec<u8>) {
+        let mut bytes = Vec::new();
+        v.encode(&mut bytes);
+        (v.data_type(), bytes)
+    }
+
     #[test]
-    fn unchecked_decode_guards_short_runs() {
-        // Even with the per-row checks gone, a run shorter than the
-        // AFC demands must error — never read out of bounds.
-        let base = tmpbase("unchecked-short");
+    fn decode_kernel_matches_row_oracle() {
+        // The columnar kernel equals the row oracle cell by cell for
+        // all six types, at n = 0, 1 and every row of each AFC.
+        let base = tmpbase("kernel-oracle");
+        write_all_types(&base);
+        let compiled = crate::plan::compile_from_text(ALL_TYPES_DESC, &base).unwrap();
+        let q = parse("SELECT * FROM AllData").unwrap();
+        let b = bind(&q, &compiled.model.schema, &UdfRegistry::with_builtins()).unwrap();
+        let plan = compiled.plan_query(&b).unwrap();
+        let ex = Extractor::new(&compiled, plan.working.attrs.len());
+        let mut decoded = Vec::new();
+        for np in &plan.node_plans {
+            let fetched = fetch_plain(&ex, &np.afcs).unwrap();
+            for full in &np.afcs {
+                assert!(full.num_rows > 1, "fixture must have multi-row AFCs");
+                for f in &full.fields {
+                    assert!(full.entries[f.entry].stride as usize > f.dtype.size());
+                    decoded.push(f.dtype);
+                }
+                for n in [0, 1, full.num_rows] {
+                    let afc = Afc { num_rows: n, ..full.clone() };
+                    let mut rows = RowBlock::new(np.node);
+                    let mut cols = ColumnBlock::with_dtypes(np.node, &plan.working.dtypes);
+                    ex.extract_rows_fetched(&afc, &mut rows, &fetched).unwrap();
+                    ex.extract_columns_fetched(&afc, &mut cols, &fetched).unwrap();
+                    assert_eq!(rows.rows.len(), n as usize);
+                    assert_eq!(cols.len(), n as usize);
+                    for (i, row) in rows.rows.iter().enumerate() {
+                        for (c, want) in row.iter().enumerate() {
+                            let got = cols.columns[c].value_at(i);
+                            assert_eq!(cell(got), cell(*want), "n={n} row {i} column {c}");
+                        }
+                    }
+                }
+            }
+        }
+        use dv_types::DataType::*;
+        for t in [Char, Short, Int, Long, Float, Double] {
+            assert!(decoded.contains(&t), "{t:?} never decoded: {decoded:?}");
+        }
+    }
+
+    #[test]
+    fn decode_kernel_guards_short_runs() {
+        // A run shorter than the AFC demands must error — through a
+        // truncated file and at the kernel's own length guard.
+        let base = tmpbase("kernel-short");
         write_dataset(&base);
         let full = std::fs::read(base.join("n0/d/DATA0")).unwrap();
         std::fs::write(base.join("n0/d/DATA0"), &full[..full.len() / 2]).unwrap();
@@ -1078,7 +1062,7 @@ DATASET "ZeroData" {
         let q = parse("SELECT * FROM IparsData WHERE REL = 0").unwrap();
         let b = bind(&q, &compiled.model.schema, &UdfRegistry::with_builtins()).unwrap();
         let plan = compiled.plan_query(&b).unwrap();
-        let ex = Extractor::new(&compiled, plan.working.attrs.len()).with_unchecked(true);
+        let ex = Extractor::new(&compiled, plan.working.attrs.len());
         let result: Result<Vec<ColumnBlock>> = plan
             .node_plans
             .iter()
@@ -1095,19 +1079,6 @@ DATASET "ZeroData" {
         let mut block = ColumnBlock::with_dtypes(0, &plan.working.dtypes);
         let err = ex.decode_columns(afc, &mut block, &bufs).unwrap_err();
         assert!(err.to_string().contains("too short"), "{err}");
-    }
-
-    #[test]
-    fn certificate_enables_unchecked_path() {
-        let base = tmpbase("cert");
-        write_dataset(&base);
-        let compiled = crate::plan::compile_from_text(DESC, &base).unwrap();
-        compiled.set_certificate(crate::plan::Certificate::Safe);
-        let ex = Extractor::new(&compiled, 4);
-        assert!(ex.uses_unchecked_decode());
-        compiled.set_certificate(crate::plan::Certificate::Refuted);
-        let ex = Extractor::new(&compiled, 4);
-        assert!(!ex.uses_unchecked_decode());
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use dv_descriptor::{DatasetModel, ResolvedItem};
@@ -85,16 +84,14 @@ impl QueryPlan {
     }
 }
 
-/// Verdict of the `dv-verify` semantic analysis over the descriptor
-/// this dataset was compiled from.
+/// Verdict of the `dv-verify` semantic analysis over a descriptor.
 ///
 /// `Safe` certifies that every layout property was proved (no
 /// overlapping DATA extents, all accesses in-bounds, aligned file
-/// groups agree on iteration counts, no dead regions), so the
-/// extractor may run the unchecked columnar decode path. `Refuted`
-/// and `Unverified` keep today's per-row checked path. The
-/// certificate never weakens memory safety: the unchecked path still
-/// validates each run's total length before any raw reads.
+/// groups agree on iteration counts, no dead regions). The verdict is
+/// a diagnostic (`datavirt verify`): the runtime decodes every layout
+/// through one kernel that checks each run's length, whatever the
+/// verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Certificate {
     /// No verification pass has run (or it could not decide).
@@ -104,24 +101,6 @@ pub enum Certificate {
     Safe,
     /// At least one property refuted with a counterexample.
     Refuted,
-}
-
-impl Certificate {
-    fn from_u8(v: u8) -> Certificate {
-        match v {
-            1 => Certificate::Safe,
-            2 => Certificate::Refuted,
-            _ => Certificate::Unverified,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            Certificate::Unverified => 0,
-            Certificate::Safe => 1,
-            Certificate::Refuted => 2,
-        }
-    }
 }
 
 impl std::fmt::Display for Certificate {
@@ -144,9 +123,6 @@ pub struct CompiledDataset {
     pub roots: Vec<PathBuf>,
     /// Loaded chunk indexes, keyed by file id (only chunked files).
     chunk_indexes: HashMap<usize, Arc<LoadedChunkIndex>>,
-    /// Verification verdict (atomic so it can be stamped after
-    /// compilation, before the dataset is shared across threads).
-    certificate: AtomicU8,
 }
 
 impl CompiledDataset {
@@ -189,20 +165,13 @@ impl CompiledDataset {
                 chunk_indexes.insert(f.id, loaded);
             }
         }
-        Ok(CompiledDataset { model, roots, chunk_indexes, certificate: AtomicU8::new(0) })
+        Ok(CompiledDataset { model, roots, chunk_indexes })
     }
 
-    /// The verification verdict attached to this dataset.
-    pub fn certificate(&self) -> Certificate {
-        Certificate::from_u8(self.certificate.load(Ordering::Relaxed))
-    }
-
-    /// Attach a verification verdict. Normally called once, right
-    /// after `dv-verify` ran over the descriptor this was compiled
-    /// from; extractors read it at construction.
-    pub fn set_certificate(&self, cert: Certificate) {
-        self.certificate.store(cert.as_u8(), Ordering::Relaxed);
-    }
+    /// Accepts a verification verdict and does nothing with it: the
+    /// decode kernel is the same for every verdict. Kept so existing
+    /// callers (the `dv_e2e` replay) still compile.
+    pub fn set_certificate(&self, _cert: Certificate) {}
 
     /// The chunk index of a file, if it has one.
     pub fn chunk_index(&self, file: usize) -> Option<&LoadedChunkIndex> {

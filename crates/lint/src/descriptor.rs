@@ -7,7 +7,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use dv_descriptor::ast::{DataAst, DatasetAst, DescriptorAst, FileBinding, SpaceItem};
+use dv_descriptor::ast::{DataAst, DatasetAst, DescriptorAst, SpaceItem};
 use dv_descriptor::expr::{Env, Expr};
 use dv_descriptor::model::{items_byte_size, ResolvedItem, VarExtent};
 use dv_descriptor::DatasetModel;
@@ -588,60 +588,7 @@ fn check_tiny_runs(ast: &DescriptorAst, model: &DatasetModel) -> Vec<Diagnostic>
     diags
 }
 
-/// DV107: a non-affine codec (CSV/zstd) on a DATA binding inside a
-/// layout that is otherwise fully verifiable — the codec alone
-/// forfeits the `Safe` certificate, so every query over these files
-/// pays checked-decode throughput it would not pay with fixed binary.
-fn check_nonaffine_codecs(ast: &DescriptorAst, diags: &mut Vec<Diagnostic>) {
-    let mut datasets = Vec::new();
-    all_datasets(&ast.layout, &mut datasets);
-    let mut nonaffine: Vec<(&DatasetAst, &FileBinding)> = Vec::new();
-    for ds in &datasets {
-        if ds.dataspace.is_none() {
-            continue;
-        }
-        if let DataAst::Files(bindings) = &ds.data {
-            for b in bindings {
-                if !b.codec.is_affine() {
-                    nonaffine.push((ds, b));
-                }
-            }
-        }
-    }
-    if nonaffine.is_empty() {
-        return;
-    }
-    // Each non-affine binding contributes exactly one unproven reason
-    // to the elaboration; any reason beyond those means the layout
-    // would not have verified `Safe` with the binary codec either, so
-    // the codec is not what the workload loses the certificate to.
-    let e = crate::verify::extent::elaborate(ast);
-    if e.unproven.len() != nonaffine.len() {
-        return;
-    }
-    for (ds, b) in nonaffine {
-        diags.push(
-            Diagnostic::new(
-                Code::Dv107,
-                b.span,
-                format!(
-                    "dataset \"{}\" stores files with CODEC {} inside a layout that would \
-                     otherwise verify Safe: the codec alone forfeits the certificate, so \
-                     every query runs the slower checked decode",
-                    ds.name,
-                    b.codec.descriptor_name()
-                ),
-            )
-            .with_help(
-                "re-encode as fixed binary to regain unchecked-decode throughput, or keep \
-                 the codec if storage footprint or interchange matters more",
-            ),
-        );
-    }
-}
-
-/// Run DV001–DV007 (plus the DV107 codec note) over a parsed
-/// descriptor.
+/// Run DV001–DV007 over a parsed descriptor.
 pub fn descriptor_lints(ast: &DescriptorAst) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
@@ -660,6 +607,5 @@ pub fn descriptor_lints(ast: &DescriptorAst) -> Vec<Diagnostic> {
     }
     check_dead_attrs(ast, &mut diags);
     check_unreferenced_dirs(ast, &mut diags);
-    check_nonaffine_codecs(ast, &mut diags);
     diags
 }

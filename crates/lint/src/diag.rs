@@ -43,10 +43,6 @@ pub enum Code {
     /// argument is a non-stored coordinate the descriptor pins to a
     /// single value.
     Dv106,
-    /// Non-affine codec (CSV/zstd) on a DATA binding whose layout
-    /// would otherwise have earned a `Safe` certificate — every query
-    /// pays checked-decode throughput for it.
-    Dv107,
     /// Two DATA items claim overlapping byte ranges of one file.
     Dv201,
     /// A layout access is out of bounds w.r.t. the observed file size.
@@ -250,7 +246,6 @@ mod tests {
             Code::Dv103,
             Code::Dv104,
             Code::Dv106,
-            Code::Dv107,
             Code::Dv201,
             Code::Dv202,
             Code::Dv203,

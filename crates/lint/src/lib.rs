@@ -36,8 +36,9 @@
 //!   *refutes* overlap-freedom, in-boundedness, group alignment,
 //!   region liveness, and predicate satisfiability. Refutations carry
 //!   concrete counterexamples; a fully proved descriptor earns a
-//!   `Safe` certificate that lets the executor drop per-row bounds
-//!   checks (see `dv-layout::Certificate`).
+//!   `Safe` certificate (see `dv-layout::Certificate`). The verdict is
+//!   a diagnostic only: the executor decodes every layout through one
+//!   kernel that checks each run's length, whatever the verdict.
 //! * [`prune_query`] — the dv-prune static pass (DV301..DV305):
 //!   three-valued abstract interpretation of the WHERE clause over the
 //!   dataset's per-attribute extent hulls. It reports statically-empty
@@ -152,12 +153,6 @@ pub const CODE_REGISTRY: &[CodeInfo] = &[
         "DV106",
         Severity::Warning,
         "aggregate keyed by or computed over a never-varying coordinate",
-    ),
-    row(
-        Code::Dv107,
-        "DV107",
-        Severity::Note,
-        "non-affine codec on a layout that would otherwise verify Safe",
     ),
     row(Code::Dv201, "DV201", Severity::Error, "two DATA items overlap within one file"),
     row(Code::Dv202, "DV202", Severity::Error, "layout access out of bounds of the file size"),

@@ -19,9 +19,10 @@
 //! satisfiable in isolation but provably empty against the layout.
 //!
 //! A descriptor with no refutations and no undecided properties earns
-//! a [`dv_layout::Certificate::Safe`] certificate, which the executor
-//! uses to skip per-record bounds re-checks in the columnar decode
-//! hot loop; see `DESIGN.md` §9.
+//! a [`dv_layout::Certificate::Safe`] certificate. The certificate is
+//! a diagnostic (`datavirt verify`), not a runtime switch: the
+//! executor's one decode kernel checks each run's length whatever the
+//! verdict; see `DESIGN.md` §9.
 
 pub mod align;
 pub mod domain;

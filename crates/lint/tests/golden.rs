@@ -131,28 +131,6 @@ fn dv104_tiny_afc_runs() {
 }
 
 #[test]
-fn dv107_nonaffine_codec_on_safe_layout() {
-    let (diags, rendered) = run_descriptor("dv107");
-    assert_eq!(codes(&diags), [Code::Dv107], "{rendered}");
-    assert_eq!(diags.len(), 1, "one note per non-affine binding:\n{rendered}");
-    assert_eq!(diags[0].severity, Severity::Note, "{rendered}");
-    check_golden(&rendered, "dv107.expected");
-}
-
-#[test]
-fn dv107_quiet_when_layout_is_unverifiable_anyway() {
-    // dv104's layout verifies, but a CHUNKED one does not — gate the
-    // check on clean.desc with an unevaluable binding range instead.
-    let text = fs::read_to_string(fixture("dv107.desc")).unwrap();
-    let broken = text.replace("LOOP TIME 1:500:1", "LOOP TIME 1:$UNBOUND:1");
-    let diags = lint_descriptor(&broken).unwrap();
-    assert!(
-        !diags.iter().any(|d| d.code == Code::Dv107),
-        "DV107 must stay quiet when Safe was out of reach regardless of codec"
-    );
-}
-
-#[test]
 fn dv101_unsatisfiable_predicate() {
     let (diags, rendered) = run_query("SELECT X FROM D WHERE T > 10 AND T < 5");
     assert_eq!(codes(&diags), [Code::Dv101], "{rendered}");

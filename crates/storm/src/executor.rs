@@ -29,7 +29,7 @@ use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::Sender;
@@ -350,12 +350,24 @@ impl<'a> SharedPrefetcher<'a> {
         }
     }
 
-    /// Wake and retire the prefetcher thread (idempotent).
+    /// Wake and retire the prefetcher thread (idempotent). Runs while
+    /// a panic unwinds, so a poisoned lock is taken over, not a
+    /// second panic.
     fn shutdown(&self) {
-        let mut st = self.state.lock().expect("prefetch state poisoned");
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.shutdown = true;
         self.space.notify_all();
         self.ready.notify_all();
+    }
+}
+
+/// Calls [`SharedPrefetcher::shutdown`] when dropped, so every way out
+/// of the pool — including unwinding — releases the prefetcher thread.
+struct ShutdownOnDrop<'p, 'a>(&'p SharedPrefetcher<'a>);
+
+impl Drop for ShutdownOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.shutdown();
     }
 }
 
@@ -489,14 +501,14 @@ impl NodeWorker {
         std::thread::scope(|scope| {
             let pf = &prefetcher;
             scope.spawn(move || pf.run());
+            // Worker 0 runs on this thread: however `run_pool` exits —
+            // return or unwind — the prefetcher must be woken out of
+            // its condvar waits, or the scope never joins it.
+            let _shutdown = ShutdownOnDrop(pf);
             let fetch = |gi: usize| pf.take(gi);
-            let result = self.run_pool(&plan, workers, &|m: &Morsel| {
+            self.run_pool(&plan, workers, &|m: &Morsel| {
                 self.run_morsel(afcs, verdicts, &plan, m, &fetch, tx)
-            });
-            // Wake the prefetcher out of any condvar wait so the scope
-            // can join it — on success, error, and cancellation alike.
-            pf.shutdown();
-            result
+            })
         })
     }
 

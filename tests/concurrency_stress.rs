@@ -10,9 +10,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dv_bench::queries::ipars_queries;
-use dv_core::{BandwidthModel, QueryOptions, SubmitOptions, Virtualizer};
+use dv_core::{BandwidthModel, DvError, IoOptions, QueryOptions, SubmitOptions, Virtualizer};
 use dv_datagen::{ipars, IparsConfig, IparsLayout};
 use dv_integration::scratch;
+use dv_layout::MorselPlan;
 
 fn cfg() -> IparsConfig {
     IparsConfig { realizations: 2, time_steps: 40, grid_per_dir: 50, dirs: 2, nodes: 2, seed: 99 }
@@ -244,6 +245,77 @@ fn panicking_udf_is_a_query_error_not_a_dead_server() {
     assert_eq!(v.service().running(), 0, "failed query must release its slot");
     let (table, _) = v.query("SELECT REL, TIME FROM IparsData WHERE TIME = 1").unwrap();
     assert!(!table.rows.is_empty(), "server must survive a panicking fragment");
+}
+
+/// A panic on pool worker 0 — which runs on the node's fragment thread,
+/// inside the scope that owns the readahead prefetcher — must not wedge
+/// the node. Worker 0 dies holding a morsel of several fetch groups, so
+/// the prefetcher parks one no worker will ever take and sleeps for
+/// room; only a shutdown on the unwind path lets the scope join it. The
+/// query must end in an error naming the panic, its admission slot must
+/// come back, and the same server must answer the next query exactly
+/// as before. A watchdog turns a regression into a failure, not a hang.
+#[test]
+fn worker_zero_panic_with_readahead_is_a_query_error() {
+    let base = scratch("stress-panic-worker0");
+    let descriptor = ipars::generate(&base, &cfg(), IparsLayout::L0).unwrap();
+    let v = Arc::new(
+        Virtualizer::builder(&descriptor)
+            .storage_base(&base)
+            .max_intra_node_threads(2)
+            .udf("BOOM0", Some(1), |a| {
+                // Pool peers are unnamed threads; worker 0 is the
+                // cluster node's own `storm-node-N` thread.
+                if std::thread::current().name().is_some_and(|n| n.starts_with("storm-node-")) {
+                    panic!("worker zero exploded");
+                }
+                a[0]
+            })
+            .build()
+            .unwrap(),
+    );
+    let opts = QueryOptions {
+        intra_node_threads: 2,
+        morsel_bytes: 4096,
+        io: IoOptions {
+            group_bytes: 1024,
+            readahead: true,
+            prefetch_depth: 1,
+            ..IoOptions::default()
+        },
+        ..QueryOptions::default()
+    };
+    let boom = "SELECT REL, TIME, SOIL FROM IparsData WHERE BOOM0(SOIL) > 0.5";
+    let plain = "SELECT REL, TIME, SOIL FROM IparsData WHERE SOIL > 0.5";
+
+    // The schedule the executor will build: two workers per node, and
+    // worker 0's first morsel spans several fetch groups.
+    let plan = v.service().compiled().plan_query(&v.service().bind_sql(boom).unwrap()).unwrap();
+    for np in &plan.node_plans {
+        let mp = MorselPlan::build(&np.afcs, opts.io.group_bytes, 2, opts.morsel_bytes);
+        assert_eq!(mp.worker_count(2), 2, "node {}: {} morsels", np.node, mp.morsels.len());
+        assert!(mp.morsels[0].groups.len() >= 3, "node {}: {:?}", np.node, mp.morsels[0]);
+    }
+
+    let (before, _) = v.query_with(plain, &opts).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let server = Arc::clone(&v);
+    let query_opts = opts.clone();
+    let client = std::thread::spawn(move || {
+        let _ = tx.send(server.query_with(boom, &query_opts).map(|_| ()));
+    });
+    let result = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("query hung after a worker-0 panic with readahead on");
+    client.join().expect("client thread");
+    let err = result.unwrap_err();
+    assert!(matches!(err, DvError::Runtime(_)), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("panicked") && msg.contains("worker zero exploded"), "{msg}");
+
+    deadline_assert(|| v.service().running() == 0, "failed query releases its slot");
+    let (after, _) = v.query_with(plain, &opts).unwrap();
+    assert_eq!(after[0].rows, before[0].rows, "the server answers as before the panic");
 }
 
 /// The absorber streams: with in-order per-node block arrival
