@@ -5,13 +5,12 @@
 //!    (1 file) — the dominant layout effect in Figure 9;
 //! 3. extraction batch size;
 //! 4. per-query plan cost (phase 2) by layout complexity — validates
-//!    the one-time-compile design;
-//! 5. execution mode: columnar blocks vs the row-at-a-time pipeline.
+//!    the one-time-compile design.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use dv_bench::stage::{stage_ipars, stage_titan};
-use dv_core::{ExecMode, QueryOptions, Virtualizer};
+use dv_core::{QueryOptions, Virtualizer};
 use dv_datagen::{IparsConfig, IparsLayout, TitanConfig};
 use dv_index::Rect;
 use dv_layout::segment::LoadedChunkIndex;
@@ -88,28 +87,5 @@ fn bench_plan_cost(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_exec_mode(c: &mut Criterion) {
-    // The tentpole ablation: same query, same layout, columnar block
-    // pipeline vs the original row pipeline.
-    let cfg = small_cfg();
-    let (base, desc) = stage_ipars("bench-exec-mode", &cfg, IparsLayout::I);
-    let v = Virtualizer::builder(&desc).storage_base(&base).build().unwrap();
-    let sql = "SELECT * FROM IparsData WHERE SOIL > 0.5";
-    let mut group = c.benchmark_group("ablation-exec-mode");
-    group.sample_size(10);
-    for (name, exec) in [("row", ExecMode::RowAtATime), ("columnar", ExecMode::Columnar)] {
-        let opts = QueryOptions { exec, ..Default::default() };
-        group.bench_function(name, |b| b.iter(|| v.query_with(sql, &opts).unwrap().0[0].len()));
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_index_ablation,
-    bench_fanin,
-    bench_batch_size,
-    bench_plan_cost,
-    bench_exec_mode
-);
+criterion_group!(benches, bench_index_ablation, bench_fanin, bench_batch_size, bench_plan_cost);
 criterion_main!(benches);

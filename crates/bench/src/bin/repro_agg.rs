@@ -11,8 +11,8 @@
 //! key+accumulator blocks; without it the filtered projected rows
 //! cross the wire and the absorber aggregates client-side. Both modes
 //! fold the same plan-time AFC units in the same (node, seq) order, so
-//! the results are asserted *bit*-identical — across both execution
-//! engines and thread counts {1, 2, 8} — while the mover traffic drops
+//! the results are asserted *bit*-identical — across thread counts
+//! {1, 2, 8} — while the mover traffic drops
 //! from O(rows) to O(groups). The headline acceptance bar is a >= 5x
 //! mover-bytes reduction on the multi-aggregate GROUP BY. Results go
 //! to `BENCH_AGG.json` at the repo root (override with
@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use dv_bench::stage::stage_ipars;
 use dv_bench::{ms, print_table, ratio, scaled};
-use dv_core::{BandwidthModel, ExecMode, IoOptions, QueryOptions, QueryStats, Virtualizer};
+use dv_core::{BandwidthModel, IoOptions, QueryOptions, QueryStats, Virtualizer};
 use dv_datagen::{IparsConfig, IparsLayout};
 use dv_types::{Table, Value};
 
@@ -67,13 +67,12 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-fn opts(threads: usize, exec: ExecMode, no_agg_pushdown: bool) -> QueryOptions {
+fn opts(threads: usize, no_agg_pushdown: bool) -> QueryOptions {
     // Segment cache off: repeat timing runs must re-issue their reads.
     let io = IoOptions { cache_bytes: 0, ..IoOptions::default() };
     QueryOptions {
         sequential_nodes: true,
         intra_node_threads: threads,
-        exec,
         no_agg_pushdown,
         io,
         ..Default::default()
@@ -84,17 +83,16 @@ fn run_once(
     v: &Virtualizer,
     sql: &str,
     threads: usize,
-    exec: ExecMode,
     no_push: bool,
 ) -> (Table, QueryStats, Duration) {
-    let (mut tables, stats) = v.query_with(sql, &opts(threads, exec, no_push)).unwrap();
+    let (mut tables, stats) = v.query_with(sql, &opts(threads, no_push)).unwrap();
     let t = stats.simulated_parallel_time();
     (tables.remove(0), stats, t)
 }
 
 fn run_timed(v: &Virtualizer, sql: &str, no_push: bool) -> (Table, QueryStats, Duration) {
     let ((table, stats), time) = dv_bench::min_over(3, || {
-        let (table, stats, time) = run_once(v, sql, 1, ExecMode::Columnar, no_push);
+        let (table, stats, time) = run_once(v, sql, 1, no_push);
         ((table, stats), time)
     });
     (table, stats, time)
@@ -153,17 +151,15 @@ fn main() {
         assert_eq!(shipped.mover.agg_blocks, 0, "{}: ablation must ship rows", case.name);
         assert!(pushed.mover.agg_blocks > 0, "{}: pushdown must ship partials", case.name);
 
-        // Bit-identity across engines and thread counts, both modes.
-        for exec in [ExecMode::Columnar, ExecMode::RowAtATime] {
-            for threads in [1usize, 2, 8] {
-                for no_push in [false, true] {
-                    let (t, _, _) = run_once(&v, case.sql, threads, exec, no_push);
-                    assert!(
-                        bits_equal(&t, &t_push),
-                        "{}: {exec:?} threads={threads} no_push={no_push} diverges",
-                        case.name
-                    );
-                }
+        // Bit-identity across thread counts, both modes.
+        for threads in [1usize, 2, 8] {
+            for no_push in [false, true] {
+                let (t, _, _) = run_once(&v, case.sql, threads, no_push);
+                assert!(
+                    bits_equal(&t, &t_push),
+                    "{}: threads={threads} no_push={no_push} diverges",
+                    case.name
+                );
             }
         }
         results.push(Measurement {
@@ -225,7 +221,7 @@ fn main() {
     let sql = cases()[0].sql;
     let v = Virtualizer::builder(&desc).storage_base(&base).build().unwrap();
     let run_link = |no_push: bool| {
-        let mut o = opts(1, ExecMode::Columnar, no_push);
+        let mut o = opts(1, no_push);
         o.bandwidth = Some(link);
         let (_, stats) = v.query_with(sql, &o).unwrap();
         stats.simulated_parallel_time()

@@ -42,8 +42,8 @@ pub use dv_layout::{
 pub use dv_lint::{CostBudgets, LinkBudget, VerifyReport};
 pub use dv_sql::{BoundQuery, UdfRegistry};
 pub use dv_storm::{
-    BandwidthModel, CancelReason, CancelToken, ExecMode, IoOptions, IoSnapshot, PartitionStrategy,
-    QueryId, QueryOptions, QueryService, QueryStats, ServiceConfig, SessionHandle, SubmitOptions,
+    BandwidthModel, CancelReason, CancelToken, IoOptions, IoSnapshot, PartitionStrategy, QueryId,
+    QueryOptions, QueryService, QueryStats, ServiceConfig, SessionHandle, SubmitOptions,
 };
 pub use dv_types::{DvError, Result, Row, Rows, Schema, Table, Value};
 

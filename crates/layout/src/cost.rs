@@ -48,11 +48,12 @@
 //!   only ever holds blocks in flight, so the send bounds cap it;
 //!   aggregate queries fold arrivals immediately and buffer nothing.
 //!
-//! The bounds are *contracts*, not estimates: `dv_storm` re-checks
-//! every runtime counter against them at drain time under
-//! `DV_COST_VALIDATE=1`, and the `cost_diff` differential suite
-//! sweeps layouts × queries × prune/pushdown/thread settings
-//! asserting no counter ever exceeds its bound.
+//! The bounds are *contracts*, not estimates: every query of the
+//! eight differential suites under `tests/` is checked against them at
+//! the test edge (`dv_integration::query_checked`), and `cost_diff`
+//! sweeps layouts × queries × prune/pushdown/thread settings asserting
+//! no counter ever exceeds its bound. The runtime itself consults the
+//! report only for cost-based admission.
 
 use std::fmt;
 

@@ -4,8 +4,8 @@
 //! For each AFC, the extractor obtains one contiguous byte run per
 //! entry (`num_rows × stride` bytes starting at the entry offset —
 //! exactly the access pattern the paper describes) and then assembles
-//! working rows or columns by decoding scheduled fields and supplying
-//! implicit values. Runs always arrive as slices of an
+//! working columns by decoding scheduled fields and supplying implicit
+//! values. Runs always arrive as slices of an
 //! [`crate::io::IoScheduler`]'s fetched segments; the scheduler in
 //! turn reads files only through [`Extractor::read_file_at`].
 
@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::SystemTime;
 
 use dv_descriptor::{codec, CodecKind, DatasetModel};
-use dv_types::{CancelToken, ColumnBlock, ColumnData, ColumnGen, DvError, Result, RowBlock, Value};
+use dv_types::{CancelToken, ColumnBlock, ColumnData, ColumnGen, DvError, Result};
 use std::sync::RwLock;
 
 use crate::afc::{Afc, ImplicitValue};
@@ -247,74 +247,6 @@ impl Extractor {
             .collect()
     }
 
-    /// Decode one AFC into rows out of a fetched group, appending to
-    /// `block` — the row engine's counterpart of
-    /// [`Extractor::extract_columns_fetched`], kept as the oracle the
-    /// columnar decode is differentially tested against.
-    pub fn extract_rows_fetched(
-        &self,
-        afc: &Afc,
-        block: &mut RowBlock,
-        group: &FetchedGroup,
-    ) -> Result<()> {
-        self.cancel.check()?;
-        let bufs = self.fetched_runs(afc, group)?;
-
-        let n = afc.num_rows as usize;
-        let start = block.rows.len();
-        block.rows.reserve(n);
-        let placeholder = Value::Char(0);
-        for _ in 0..n {
-            block.rows.push(vec![placeholder; self.row_width]);
-        }
-        let rows = &mut block.rows[start..];
-
-        // Column-major, type-specialized decode: the dtype match and
-        // entry lookups are hoisted out of the per-row loop.
-        for f in &afc.fields {
-            let stride = afc.entries[f.entry].stride as usize;
-            let buf = bufs[f.entry];
-            let pos = f.working_pos;
-            let off = f.byte_off;
-            macro_rules! fill {
-                ($ctor:path, $ty:ty, $size:expr) => {{
-                    for (r, row) in rows.iter_mut().enumerate() {
-                        let at = r * stride + off;
-                        row[pos] =
-                            $ctor(<$ty>::from_le_bytes(buf[at..at + $size].try_into().unwrap()));
-                    }
-                }};
-            }
-            match f.dtype {
-                dv_types::DataType::Char => {
-                    for (r, row) in rows.iter_mut().enumerate() {
-                        row[pos] = Value::Char(buf[r * stride + off]);
-                    }
-                }
-                dv_types::DataType::Short => fill!(Value::Short, i16, 2),
-                dv_types::DataType::Int => fill!(Value::Int, i32, 4),
-                dv_types::DataType::Long => fill!(Value::Long, i64, 8),
-                dv_types::DataType::Float => fill!(Value::Float, f32, 4),
-                dv_types::DataType::Double => fill!(Value::Double, f64, 8),
-            }
-        }
-        for (pos, imp) in &afc.implicits {
-            match imp {
-                ImplicitValue::Const(v) => {
-                    for row in rows.iter_mut() {
-                        row[*pos] = *v;
-                    }
-                }
-                ImplicitValue::Affine { start, step, dtype } => {
-                    for (r, row) in rows.iter_mut().enumerate() {
-                        row[*pos] = Value::from_i64(*dtype, start + r as i64 * step);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Decode one AFC into typed columns out of an I/O scheduler's
     /// fetched group. Runs are sliced out of the coalesced segments
     /// without copying.
@@ -428,7 +360,7 @@ mod tests {
     use super::*;
     use crate::io::{group_afcs, IoOptions, IoScheduler, IoStats, SegmentCache};
     use dv_sql::{bind, parse, UdfRegistry};
-    use dv_types::Row;
+    use dv_types::{DataType, Row, Value};
     use std::io::Write;
     use std::path::Path;
 
@@ -490,27 +422,27 @@ DATASET "IparsData" {
             .fetch(afcs)
     }
 
-    fn extract_all(ex: &Extractor, afcs: &[Afc], node: usize) -> Result<RowBlock> {
-        let fetched = fetch_plain(ex, afcs)?;
-        let mut block = RowBlock::new(node);
-        for afc in afcs {
-            ex.extract_rows_fetched(afc, &mut block, &fetched)?;
-        }
-        Ok(block)
-    }
-
     fn extract_all_columns(
         ex: &Extractor,
         afcs: &[Afc],
-        node: usize,
-        dtypes: &[dv_types::DataType],
+        dtypes: &[DataType],
     ) -> Result<ColumnBlock> {
         let fetched = fetch_plain(ex, afcs)?;
-        let mut block = ColumnBlock::with_dtypes(node, dtypes);
+        let mut block = ColumnBlock::with_dtypes(0, dtypes);
         for afc in afcs {
             ex.extract_columns_fetched(afc, &mut block, &fetched)?;
         }
         Ok(block)
+    }
+
+    /// The rows of a decoded block.
+    fn rows_of(block: &ColumnBlock) -> Vec<Row> {
+        block.to_rows().iter().map(<[Value]>::to_vec).collect()
+    }
+
+    /// Decode `afcs` through a plain fetch and return their rows.
+    fn extract_all(ex: &Extractor, afcs: &[Afc], dtypes: &[DataType]) -> Result<Vec<Row>> {
+        extract_all_columns(ex, afcs, dtypes).map(|b| rows_of(&b))
     }
 
     fn run(sql: &str, base: &Path) -> Vec<Row> {
@@ -551,8 +483,7 @@ DATASET "IparsData" {
         let ex = Extractor::new(&compiled, plan.working.attrs.len());
         let mut rows = Vec::new();
         for np in &plan.node_plans {
-            let block = extract_all(&ex, &np.afcs, np.node).unwrap();
-            rows.extend(block.rows);
+            rows.extend(extract_all(&ex, &np.afcs, &plan.working.dtypes).unwrap());
         }
         rows.sort();
         rows
@@ -603,7 +534,7 @@ DATASET "IparsData" {
                 let sched =
                     IoScheduler::new(ex.clone(), opts.clone(), cache.clone(), Arc::clone(&stats));
                 // Reference: rows decoded under the plain configuration.
-                let plain = extract_all(&ex, &np.afcs, np.node).unwrap();
+                let plain = extract_all(&ex, &np.afcs, &plan.working.dtypes).unwrap();
                 let mut via = ColumnBlock::with_dtypes(np.node, &plan.working.dtypes);
                 for g in group_afcs(&np.afcs, opts.group_bytes) {
                     let fetched = sched.fetch(&np.afcs[g.clone()]).unwrap();
@@ -611,11 +542,7 @@ DATASET "IparsData" {
                         ex.extract_columns_fetched(afc, &mut via, &fetched).unwrap();
                     }
                 }
-                assert_eq!(via.len(), plain.len());
-                for (i, a) in plain.rows.iter().enumerate() {
-                    let b: Row = via.columns.iter().map(|c| c.value_at(i)).collect();
-                    assert_eq!(a, &b, "row {i} round {round}");
-                }
+                assert_eq!(rows_of(&via), plain, "round {round}");
             }
             let snap = stats.snapshot();
             if round == 0 {
@@ -647,7 +574,7 @@ DATASET "IparsData" {
         let plan = compiled.plan_query(&b).unwrap();
         let ex = Extractor::new(&compiled, plan.working.attrs.len());
         let np = &plan.node_plans[0];
-        let expect = extract_all(&ex, &np.afcs, np.node).unwrap();
+        let expect = extract_all(&ex, &np.afcs, &plan.working.dtypes).unwrap();
 
         let stats = Arc::new(IoStats::default());
         let sched = IoScheduler::new(
@@ -661,12 +588,12 @@ DATASET "IparsData" {
             for _ in 0..8 {
                 scope.spawn(|| {
                     start.wait();
-                    let mut block = RowBlock::new(np.node);
+                    let mut block = ColumnBlock::with_dtypes(np.node, &plan.working.dtypes);
                     for afc in &np.afcs {
                         let fetched = sched.fetch(std::slice::from_ref(afc)).unwrap();
-                        ex.extract_rows_fetched(afc, &mut block, &fetched).unwrap();
+                        ex.extract_columns_fetched(afc, &mut block, &fetched).unwrap();
                     }
-                    assert_eq!(block.rows, expect.rows);
+                    assert_eq!(rows_of(&block), expect);
                 });
             }
         });
@@ -769,7 +696,7 @@ DATASET "ZeroData" {
         let err = plan
             .node_plans
             .iter()
-            .map(|np| extract_all(&ex, &np.afcs, np.node))
+            .map(|np| extract_all(&ex, &np.afcs, &plan.working.dtypes))
             .collect::<Result<Vec<_>>>()
             .unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
@@ -794,7 +721,7 @@ DATASET "ZeroData" {
         let err = plan
             .node_plans
             .iter()
-            .map(|np| extract_all(&ex, &np.afcs, np.node))
+            .map(|np| extract_all(&ex, &np.afcs, &plan.working.dtypes))
             .collect::<Result<Vec<_>>>()
             .unwrap_err()
             .to_string();
@@ -840,8 +767,9 @@ DATASET "ZeroData" {
         let afcs = &plan.node_plans[0].afcs;
         assert!(afcs.len() >= 2);
         let fetched = fetch_plain(&ex, &afcs[..1]).unwrap();
-        let mut block = RowBlock::new(0);
-        let err = ex.extract_rows_fetched(afcs.last().unwrap(), &mut block, &fetched).unwrap_err();
+        let mut block = ColumnBlock::with_dtypes(0, &plan.working.dtypes);
+        let err =
+            ex.extract_columns_fetched(afcs.last().unwrap(), &mut block, &fetched).unwrap_err();
         assert!(err.to_string().contains("missed scheduled run"), "{err}");
     }
 
@@ -892,35 +820,40 @@ DATASET "ZeroData" {
 
     #[test]
     fn columnar_extraction_matches_rows() {
+        // Every decoded cell is the value `write_dataset` wrote: X =
+        // grid * 10, SOIL = rel * 1000 + time * 10 + grid.
         let base = tmpbase("columnar");
         write_dataset(&base);
-        let compiled = crate::plan::compile_from_text(DESC, &base).unwrap();
-        let sqls = [
-            "SELECT * FROM IparsData",
-            "SELECT SOIL FROM IparsData WHERE REL = 0 AND TIME = 1",
-            "SELECT X FROM IparsData WHERE TIME = 2",
-        ];
-        for sql in sqls {
-            let q = parse(sql).unwrap();
-            let b = bind(&q, &compiled.model.schema, &UdfRegistry::with_builtins()).unwrap();
-            let plan = compiled.plan_query(&b).unwrap();
-            let ex = Extractor::new(&compiled, plan.working.attrs.len());
-            for np in &plan.node_plans {
-                // Both decoders read the same fetched group.
-                let fetched = fetch_plain(&ex, &np.afcs).unwrap();
-                let mut rows = RowBlock::new(np.node);
-                let mut cols = ColumnBlock::with_dtypes(np.node, &plan.working.dtypes);
-                for afc in &np.afcs {
-                    ex.extract_rows_fetched(afc, &mut rows, &fetched).unwrap();
-                    ex.extract_columns_fetched(afc, &mut cols, &fetched).unwrap();
+        let written = |keep: &dyn Fn(i16, i32) -> bool, cols: &[usize]| -> Vec<Row> {
+            let mut rows = Vec::new();
+            for rel in 0..2i16 {
+                for t in 1..=3i32 {
+                    for g in 1..=4i32 {
+                        let row = [
+                            Value::Short(rel),
+                            Value::Int(t),
+                            Value::Float(g as f32 * 10.0),
+                            Value::Float((rel as i32 * 1000 + t * 10 + g) as f32),
+                        ];
+                        if keep(rel, t) {
+                            rows.push(cols.iter().map(|&c| row[c]).collect());
+                        }
+                    }
                 }
-                assert_eq!(cols.len(), rows.len(), "{sql}");
-                let rebuilt: Vec<Row> = (0..cols.len())
-                    .map(|i| cols.columns.iter().map(|c| c.value_at(i)).collect())
-                    .collect();
-                assert_eq!(rebuilt, rows.rows, "{sql}");
             }
-        }
+            rows.sort();
+            rows
+        };
+        assert_eq!(run("SELECT * FROM IparsData", &base), written(&|_, _| true, &[0, 1, 2, 3]));
+        // Working sets: {REL, TIME, SOIL} and {TIME, X}.
+        assert_eq!(
+            run("SELECT SOIL FROM IparsData WHERE REL = 0 AND TIME = 1", &base),
+            written(&|r, t| r == 0 && t == 1, &[0, 1, 3])
+        );
+        assert_eq!(
+            run("SELECT X FROM IparsData WHERE TIME = 2", &base),
+            written(&|_, t| t == 2, &[1, 2])
+        );
     }
 
     #[test]
@@ -941,7 +874,7 @@ DATASET "ZeroData" {
             for np in &plan.node_plans {
                 let sched =
                     IoScheduler::new(ex.clone(), opts.clone(), cache.clone(), Arc::clone(&stats));
-                let plain = extract_all(&ex, &np.afcs, np.node).unwrap();
+                let plain = extract_all(&ex, &np.afcs, &plan.working.dtypes).unwrap();
                 let mut via_sched = ColumnBlock::with_dtypes(np.node, &plan.working.dtypes);
                 for g in group_afcs(&np.afcs, opts.group_bytes) {
                     let fetched = sched.fetch(&np.afcs[g.clone()]).unwrap();
@@ -949,11 +882,7 @@ DATASET "ZeroData" {
                         ex.extract_columns_fetched(afc, &mut via_sched, &fetched).unwrap();
                     }
                 }
-                assert_eq!(via_sched.len(), plain.len());
-                for (i, a) in plain.rows.iter().enumerate() {
-                    let b: Row = via_sched.columns.iter().map(|c| c.value_at(i)).collect();
-                    assert_eq!(a, &b, "row {i} gap={gap} cache={cache_bytes}");
-                }
+                assert_eq!(rows_of(&via_sched), plain, "gap={gap} cache={cache_bytes}");
             }
             let snap = stats.snapshot();
             assert!(snap.read_syscalls > 0);
@@ -1017,17 +946,33 @@ DATASET "AllData" {
 
     /// A cell's exact type and bytes (`Value`'s `==` compares across
     /// types by numeric value).
-    fn cell(v: Value) -> (dv_types::DataType, Vec<u8>) {
+    fn cell(v: Value) -> (DataType, Vec<u8>) {
         let mut bytes = Vec::new();
         v.encode(&mut bytes);
         (v.data_type(), bytes)
     }
 
+    /// The record `write_all_types` wrote for `x = rel*100 + t*10 + g`,
+    /// behind its implicit `REL` and `TIME`.
+    fn written_record(x: i64) -> Vec<Value> {
+        vec![
+            Value::Short((x / 100) as i16),
+            Value::Int((x / 10 % 10) as i32),
+            Value::Char((x * 7) as u8),
+            Value::Short(-(x as i16) * 200),
+            Value::Int(-(x as i32) * 1_000_003),
+            Value::Long((x << 40) - 7),
+            Value::Float(x as f32 * -0.375),
+            Value::Double(x as f64 * 1e9 + 0.125),
+        ]
+    }
+
     #[test]
-    fn decode_kernel_matches_row_oracle() {
-        // The columnar kernel equals the row oracle cell by cell for
-        // all six types, at n = 0, 1 and every row of each AFC.
-        let base = tmpbase("kernel-oracle");
+    fn decode_kernel_matches_written_cells() {
+        // The columnar kernel returns, cell by cell and type by type,
+        // the records the fixture wrote — for all six types, at n = 0,
+        // 1 and every row of each AFC.
+        let base = tmpbase("kernel-cells");
         write_all_types(&base);
         let compiled = crate::plan::compile_from_text(ALL_TYPES_DESC, &base).unwrap();
         let q = parse("SELECT * FROM AllData").unwrap();
@@ -1035,6 +980,7 @@ DATASET "AllData" {
         let plan = compiled.plan_query(&b).unwrap();
         let ex = Extractor::new(&compiled, plan.working.attrs.len());
         let mut decoded = Vec::new();
+        let mut seen = Vec::new();
         for np in &plan.node_plans {
             let fetched = fetch_plain(&ex, &np.afcs).unwrap();
             for full in &np.afcs {
@@ -1043,23 +989,35 @@ DATASET "AllData" {
                     assert!(full.entries[f.entry].stride as usize > f.dtype.size());
                     decoded.push(f.dtype);
                 }
+                let mut first = None;
                 for n in [0, 1, full.num_rows] {
                     let afc = Afc { num_rows: n, ..full.clone() };
-                    let mut rows = RowBlock::new(np.node);
                     let mut cols = ColumnBlock::with_dtypes(np.node, &plan.working.dtypes);
-                    ex.extract_rows_fetched(&afc, &mut rows, &fetched).unwrap();
                     ex.extract_columns_fetched(&afc, &mut cols, &fetched).unwrap();
-                    assert_eq!(rows.rows.len(), n as usize);
-                    assert_eq!(cols.len(), n as usize);
-                    for (i, row) in rows.rows.iter().enumerate() {
-                        for (c, want) in row.iter().enumerate() {
-                            let got = cols.columns[c].value_at(i);
-                            assert_eq!(cell(got), cell(*want), "n={n} row {i} column {c}");
+                    let rows = rows_of(&cols);
+                    assert_eq!(rows.len(), n as usize);
+                    for (i, row) in rows.iter().enumerate() {
+                        // `L = (x << 40) - 7` names the record; every
+                        // other cell must be that record's.
+                        let x = (row[5].as_i64().unwrap() + 7) >> 40;
+                        for (c, want) in written_record(x).into_iter().enumerate() {
+                            assert_eq!(cell(row[c]), cell(want), "n={n} row {i} column {c}");
+                        }
+                        if n == full.num_rows {
+                            seen.push(x);
                         }
                     }
+                    first = first.or(rows.first().cloned());
+                    assert_eq!(rows.first(), first.as_ref(), "n={n}: a prefix of the AFC");
                 }
             }
         }
+        // Every written record decoded exactly once.
+        seen.sort_unstable();
+        let all: Vec<i64> = (0..2)
+            .flat_map(|rel| (1..=3).flat_map(move |t| (1..=5).map(move |g| rel * 100 + t * 10 + g)))
+            .collect();
+        assert_eq!(seen, all);
         use dv_types::DataType::*;
         for t in [Char, Short, Int, Long, Float, Double] {
             assert!(decoded.contains(&t), "{t:?} never decoded: {decoded:?}");
@@ -1082,7 +1040,7 @@ DATASET "AllData" {
         let result: Result<Vec<ColumnBlock>> = plan
             .node_plans
             .iter()
-            .map(|np| extract_all_columns(&ex, &np.afcs, np.node, &plan.working.dtypes))
+            .map(|np| extract_all_columns(&ex, &np.afcs, &plan.working.dtypes))
             .collect();
         assert!(result.is_err());
 
@@ -1130,7 +1088,7 @@ DATASET "AllData" {
         let ex = Extractor::new(&compiled, plan.working.attrs.len());
         let mut failed = false;
         for np in &plan.node_plans {
-            if extract_all(&ex, &np.afcs, np.node).is_err() {
+            if extract_all(&ex, &np.afcs, &plan.working.dtypes).is_err() {
                 failed = true;
             }
         }
@@ -1150,8 +1108,11 @@ DATASET "AllData" {
         let b = bind(&q, &compiled.model.schema, &UdfRegistry::with_builtins()).unwrap();
         let plan = compiled.plan_query(&b).unwrap();
         let ex = Extractor::new(&compiled, plan.working.attrs.len());
-        let result: Result<Vec<RowBlock>> =
-            plan.node_plans.iter().map(|np| extract_all(&ex, &np.afcs, np.node)).collect();
+        let result: Result<Vec<Vec<Row>>> = plan
+            .node_plans
+            .iter()
+            .map(|np| extract_all(&ex, &np.afcs, &plan.working.dtypes))
+            .collect();
         assert!(result.is_err());
     }
 

@@ -10,8 +10,8 @@
 //! Two evaluators share one context:
 //!
 //! * [`EvalContext::eval`] — row-at-a-time, over `&[Value]` working
-//!   rows (the legacy path, the oracle in differential tests, and the
-//!   minidb engine);
+//!   rows (the hand-written baselines, the serial reference executor
+//!   of the differential tests, and the minidb engine);
 //! * [`EvalContext::eval_block`] — column-at-a-time over a
 //!   [`ColumnBlock`]: comparisons run as typed kernels producing
 //!   selection [`Bitmap`]s, boolean connectives combine bitmaps

@@ -18,9 +18,10 @@
 //!
 //! Pipeline: [`parse`] → [`bind::bind`] (resolve names against a
 //! [`dv_types::Schema`] + [`udf::UdfRegistry`]) → either
-//! [`eval`] (row-at-a-time predicate evaluation in the filtering
-//! service) or [`analysis::attribute_ranges`] (sound per-attribute
-//! interval extraction used by the indexing service for pruning).
+//! [`eval`] (vectorized predicate evaluation in the filtering service,
+//! row-at-a-time for UDF subtrees and reference executors) or
+//! [`analysis::attribute_ranges`] (sound per-attribute interval
+//! extraction used by the indexing service for pruning).
 
 pub mod analysis;
 pub mod ast;

@@ -24,6 +24,12 @@
 //! one shared [`IoScheduler`], so I/O and decode overlap across the
 //! pool with no thread of their own. Workers checkpoint the query's
 //! [`CancelToken`] in the claim/steal loop and at every block boundary.
+//!
+//! This is the only engine: every block is columnar from decode to
+//! delivery. What it is checked against lives outside the production
+//! crates — the serial row-at-a-time reference executor of the
+//! differential suites (`tests/reference.rs`), which shares nothing
+//! with it but planning.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,17 +42,13 @@ use dv_layout::io::{FetchedGroup, IoScheduler, IoStats};
 use dv_layout::{Afc, Extractor, Morsel, MorselPlan, PruneCertificate, PruneVerdict, SegmentCache};
 use dv_sql::eval::EvalContext;
 use dv_sql::{BoundExpr, UdfRegistry};
-use dv_types::{
-    AggBlock, AggFunc, AggTable, CancelToken, ColumnBlock, DataType, DvError, Result, RowBlock,
-};
+use dv_types::{AggBlock, AggFunc, AggTable, CancelToken, ColumnBlock, DataType, DvError, Result};
 
 use crate::cluster::Cluster;
-use crate::filter::{filter_block, filter_columns, project_block};
-use crate::mover::{
-    send_agg, send_block, send_columns, send_morsel_done, MoverMessage, MoverStats,
-};
-use crate::options::{ExecMode, QueryOptions};
-use crate::partition::{partition_block, partition_columns};
+use crate::filter::filter_columns;
+use crate::mover::{send_agg, send_columns, send_morsel_done, MoverMessage, MoverStats};
+use crate::options::QueryOptions;
+use crate::partition::partition_columns;
 use crate::stats::MorselStats;
 
 /// One node's executor: dispatches plan fragments onto the node's
@@ -101,20 +103,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Per-morsel jitter for the steal-order shuffling test hook
-/// (`DV_MORSEL_JITTER=<ms>`): a deterministic pseudo-random sleep in
-/// `0..budget_ms`, keyed by `(node, morsel seq)` so runs are
+/// (`QueryOptions::morsel_jitter_ms`): a deterministic pseudo-random
+/// sleep in `0..budget_ms`, keyed by `(node, morsel seq)` so runs are
 /// reproducible while execution interleaving varies wildly.
-fn morsel_jitter_ms(node: usize, seq: usize, budget_ms: u64) -> u64 {
+fn jitter_ms(node: usize, seq: usize, budget_ms: u64) -> u64 {
     let mut h = (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (seq as u64).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;
     h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
     h ^= h >> 29;
     h % budget_ms.max(1)
-}
-
-fn jitter_budget_ms() -> u64 {
-    std::env::var("DV_MORSEL_JITTER").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
 /// Work-stealing morsel queues for one node's pool.
@@ -303,7 +301,7 @@ impl NodeWorker {
         self.morsel_stats.target_bytes.fetch_max(plan.target_bytes, Ordering::Relaxed);
 
         // One shared [`IoScheduler`] per node — the only source of
-        // bytes for either engine; every pool worker fetches through it.
+        // bytes; every pool worker fetches through it.
         let scheduler = IoScheduler::new(
             self.extractor.clone(),
             self.opts.io.clone(),
@@ -326,19 +324,16 @@ impl NodeWorker {
         F: Fn(&Morsel) -> Result<()> + Sync,
     {
         let queue = StealQueue::new(plan, workers);
-        let jitter_ms = jitter_budget_ms();
         if workers == 1 {
-            return self.worker_loop(0, &queue, plan, jitter_ms, run_morsel);
+            return self.worker_loop(0, &queue, plan, run_morsel);
         }
         std::thread::scope(|scope| {
             let queue = &queue;
             let mut handles = Vec::with_capacity(workers - 1);
             for wid in 1..workers {
-                handles.push(
-                    scope.spawn(move || self.worker_loop(wid, queue, plan, jitter_ms, run_morsel)),
-                );
+                handles.push(scope.spawn(move || self.worker_loop(wid, queue, plan, run_morsel)));
             }
-            let mut first = self.worker_loop(0, queue, plan, jitter_ms, run_morsel).err();
+            let mut first = self.worker_loop(0, queue, plan, run_morsel).err();
             for h in handles {
                 match h.join() {
                     Ok(Ok(())) => {}
@@ -371,7 +366,6 @@ impl NodeWorker {
         wid: usize,
         queue: &StealQueue,
         plan: &MorselPlan,
-        jitter_ms: u64,
         run_morsel: &F,
     ) -> Result<()>
     where
@@ -392,10 +386,9 @@ impl NodeWorker {
                 self.morsel_stats.stolen.fetch_add(1, Ordering::Relaxed);
             }
             let morsel = &plan.morsels[m];
-            if jitter_ms > 0 {
-                std::thread::sleep(Duration::from_millis(morsel_jitter_ms(
-                    self.node, morsel.seq, jitter_ms,
-                )));
+            let jitter = self.opts.morsel_jitter_ms;
+            if jitter > 0 {
+                std::thread::sleep(Duration::from_millis(jitter_ms(self.node, morsel.seq, jitter)));
             }
             let work_start = Instant::now();
             let r = run_morsel(morsel);
@@ -417,10 +410,9 @@ impl NodeWorker {
         result
     }
 
-    /// One morsel of either engine: fetch each of its coalesce groups
-    /// through the node's scheduler and hand the bytes to the engine's
-    /// block body. The scanned-ordinal cursor starts at the morsel's
-    /// plan-time base.
+    /// One morsel: fetch each of its coalesce groups through the node's
+    /// scheduler and decode and ship its blocks. The scanned-ordinal
+    /// cursor starts at the morsel's plan-time base.
     fn run_morsel(
         &self,
         afcs: &[Afc],
@@ -438,20 +430,7 @@ impl NodeWorker {
             let g = plan.groups[gi].clone();
             let fetched = scheduler.fetch(&afcs[g.clone()])?;
             let (afcs, verdicts) = (&afcs[g.clone()], &verdicts[g]);
-            match self.opts.exec {
-                ExecMode::Columnar => {
-                    self.decode_and_ship(afcs, verdicts, &fetched, &cx, &mut cursor, &mut sink, tx)?
-                }
-                ExecMode::RowAtATime => self.decode_and_ship_rows(
-                    afcs,
-                    verdicts,
-                    &fetched,
-                    &cx,
-                    &mut cursor,
-                    &mut sink,
-                    tx,
-                )?,
-            }
+            self.decode_and_ship(afcs, verdicts, &fetched, &cx, &mut cursor, &mut sink, tx)?;
         }
         self.finish_morsel(m, cursor, sink, tx)
     }
@@ -623,92 +602,6 @@ impl NodeWorker {
         }
         Ok(())
     }
-
-    /// The row-at-a-time block body (the differential oracle): decode
-    /// one fetched group into row blocks and filter → project →
-    /// partition → move each. Same scanned-ordinal semantics as the
-    /// columnar body: the filter reports survivors' pre-filter indices
-    /// and partition assignment keys on them.
-    #[allow(clippy::too_many_arguments)]
-    fn decode_and_ship_rows(
-        &self,
-        afcs: &[Afc],
-        verdicts: &[PruneVerdict],
-        fetched: &FetchedGroup,
-        cx: &EvalContext,
-        cursor: &mut u64,
-        sink: &mut Option<AggSink>,
-        tx: &Sender<MoverMessage>,
-    ) -> Result<()> {
-        let batch_cap = if self.agg.is_some() { 0 } else { self.opts.batch_rows as u64 };
-        let mut i = 0usize;
-        while i < afcs.len() {
-            self.cancel.check()?;
-            // Batch AFCs until the block reaches the target row count
-            // (aggregate queries: exactly one AFC per block).
-            let mut block = RowBlock::new(self.node);
-            let mut batched_rows = 0u64;
-            let mut all_full = true;
-            while i < afcs.len() && (batched_rows == 0 || batched_rows < batch_cap) {
-                let afc = &afcs[i];
-                self.extractor.extract_rows_fetched(afc, &mut block, fetched)?;
-                self.bytes_read.fetch_add(afc.bytes_read(), Ordering::Relaxed);
-                self.afc_count.fetch_add(1, Ordering::Relaxed);
-                all_full &= verdicts[i] == PruneVerdict::Full;
-                batched_rows += afc.num_rows;
-                i += 1;
-            }
-            let seq = *cursor;
-            *cursor += batched_rows;
-            self.rows_scanned.fetch_add(block.len() as u64, Ordering::Relaxed);
-
-            let predicate = if all_full { None } else { self.predicate.as_ref().as_ref() };
-            let kept = filter_block(&mut block, predicate, cx);
-            self.rows_selected.fetch_add(block.len() as u64, Ordering::Relaxed);
-            if block.is_empty() {
-                continue;
-            }
-
-            if let Some(s) = sink.as_mut() {
-                // Row-engine fold: same rows, same scan order, same
-                // fold tree as the columnar kernel.
-                let agg = self.agg.as_ref().expect("sink implies aggregation context");
-                s.table.clear();
-                for row in &block.rows {
-                    s.table.fold_values(row, &agg.group_pos, &agg.arg_pos);
-                }
-                s.rows_in += block.rows.len() as u64;
-                s.table.drain_into(seq, &mut s.out);
-                if s.out.len() >= AGG_FLUSH_ENTRIES {
-                    self.flush_agg(s, tx)?;
-                }
-                continue;
-            }
-
-            project_block(&mut block, &self.output_positions);
-
-            if self.opts.client_processors == 1 {
-                let bytes = send_block(tx, 0, seq, block, &self.mover_stats)?;
-                self.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
-            } else {
-                let parts = partition_block(
-                    block,
-                    &self.opts.partition,
-                    self.opts.client_processors,
-                    seq,
-                    Some(&kept),
-                );
-                for (p, part) in parts.into_iter().enumerate() {
-                    if part.is_empty() {
-                        continue;
-                    }
-                    let bytes = send_block(tx, p, seq, part, &self.mover_stats)?;
-                    self.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -801,14 +694,14 @@ mod tests {
     #[test]
     fn jitter_is_deterministic_and_bounded() {
         for seq in 0..64 {
-            let a = morsel_jitter_ms(3, seq, 7);
-            let b = morsel_jitter_ms(3, seq, 7);
+            let a = jitter_ms(3, seq, 7);
+            let b = jitter_ms(3, seq, 7);
             assert_eq!(a, b);
             assert!(a < 7);
         }
         // Different morsels actually shuffle.
         let distinct: std::collections::HashSet<u64> =
-            (0..64).map(|s| morsel_jitter_ms(0, s, 1000)).collect();
+            (0..64).map(|s| jitter_ms(0, s, 1000)).collect();
         assert!(distinct.len() > 8);
     }
 }

@@ -10,10 +10,10 @@
 //!   every stage;
 //! * **data source service** — the generated extraction function,
 //!   executed per node by [`executor::ExecutorService`]s running plan
-//!   fragments off the [`cluster::Cluster`] workers. There is one scan
-//!   path: every morsel of either engine walks its coalesce groups,
+//!   fragments off the [`cluster::Cluster`] workers. There is one
+//!   engine and one scan path: every morsel walks its coalesce groups,
 //!   obtains bytes through [`dv_layout::io::IoScheduler::fetch`], and
-//!   decodes them with [`dv_layout::Extractor`];
+//!   decodes them into columnar blocks with [`dv_layout::Extractor`];
 //! * **indexing service** — embedded in plan generation
 //!   (`dv-layout` file/chunk pruning with implicit extents + R-trees);
 //! * **filtering service** ([`filter`]) — evaluates the residual
@@ -47,7 +47,7 @@ pub use dv_layout::{IoOptions, IoSnapshot};
 pub use dv_types::{CancelReason, CancelToken};
 pub use executor::ExecutorService;
 pub use mover::{BandwidthModel, MoverSnapshot};
-pub use options::{default_intra_node_threads, ExecMode, QueryOptions};
+pub use options::{default_intra_node_threads, QueryOptions};
 pub use partition::PartitionStrategy;
 pub use service::{QueryId, QueryService, ServiceConfig, SessionHandle, SubmitOptions};
 pub use stats::{MorselSnapshot, QueryStats};

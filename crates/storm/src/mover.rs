@@ -1,6 +1,6 @@
 //! Data mover service.
 //!
-//! Transfers selected row blocks from node workers to client
+//! Transfers selected columnar blocks from node workers to client
 //! processors — the only inter-stage transport in the service plane.
 //! Blocks flow over *bounded* channels sized by
 //! `QueryOptions::mover_capacity`, so a slow absorber back-pressures
@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Sender, TrySendError};
-use dv_types::{AggBlock, CancelToken, ColumnBlock, DvError, Result, RowBlock, Rows};
+use dv_types::{AggBlock, CancelToken, ColumnBlock, DvError, Result, Rows};
 
 /// Longest uninterruptible slice of a simulated transfer sleep.
 const SLEEP_SLICE: Duration = Duration::from_millis(10);
@@ -153,8 +153,6 @@ impl MoverSnapshot {
 /// the work that produced the blocks.
 #[derive(Debug)]
 pub enum MoverMessage {
-    /// A block destined for client processor `processor`.
-    Block { processor: usize, seq: u64, block: RowBlock },
     /// A columnar block destined for client processor `processor`
     /// (rows are reconstituted only when the client absorbs it).
     Columns { processor: usize, seq: u64, block: ColumnBlock },
@@ -245,20 +243,6 @@ pub fn absorb_transfer(
     }
 }
 
-/// Send one block into the bounded transport, tagged with its source
-/// block's scanned ordinal. Returns the wire bytes of the payload.
-pub fn send_block(
-    tx: &Sender<MoverMessage>,
-    processor: usize,
-    seq: u64,
-    block: RowBlock,
-    stats: &MoverStats,
-) -> Result<usize> {
-    let bytes = block.wire_bytes();
-    send_msg(tx, MoverMessage::Block { processor, seq, block }, stats)?;
-    Ok(bytes)
-}
-
 /// Send one columnar block into the bounded transport, tagged with its
 /// source block's scanned ordinal. Only *selected* rows count toward
 /// the payload — exactly what a serializing mover would put on the
@@ -344,27 +328,6 @@ mod tests {
         assert_eq!(with_lat.delay_for(0), Duration::from_millis(5));
     }
 
-    #[test]
-    fn send_block_counts_payload() {
-        let (tx, rx) = unbounded();
-        let stats = MoverStats::default();
-        let mut b = RowBlock::new(0);
-        b.rows.push(vec![Value::Int(1), Value::Double(2.0)]);
-        let bytes = send_block(&tx, 3, 40, b, &stats).unwrap();
-        assert_eq!(bytes, 12);
-        match rx.recv().unwrap() {
-            MoverMessage::Block { processor, seq, block } => {
-                assert_eq!(processor, 3);
-                assert_eq!(seq, 40);
-                assert_eq!(block.len(), 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let snap = stats.snapshot();
-        assert_eq!(snap.sends, 1);
-        assert_eq!(snap.blocked_sends, 0, "unbounded channel never blocks");
-    }
-
     /// Four `(Int, Double)` rows from node 5, rows 1 and 3 selected.
     fn selected_columns() -> ColumnBlock {
         use dv_types::DataType;
@@ -376,6 +339,11 @@ mod tests {
         b.advance_rows(4);
         b.set_selection(Some(vec![1, 3]));
         b
+    }
+
+    /// Occupy the one slot of a capacity-1 channel.
+    fn fill(tx: &Sender<MoverMessage>, stats: &MoverStats) {
+        send_columns(tx, 0, 0, selected_columns(), None, stats).unwrap();
     }
 
     #[test]
@@ -393,7 +361,9 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(stats.snapshot().sender_rebuilds, 0, "a channel with room ships columns");
+        let snap = stats.snapshot();
+        assert_eq!((snap.sends, snap.blocked_sends), (1, 0), "unbounded channel never blocks");
+        assert_eq!(snap.sender_rebuilds, 0, "a channel with room ships columns");
     }
 
     /// Fill a capacity-1 channel, then send `selected_columns()` into
@@ -403,7 +373,7 @@ mod tests {
     fn send_into_full_channel(rows_for: Option<&CancelToken>) -> (MoverMessage, MoverSnapshot) {
         let (tx, rx) = crossbeam::channel::bounded(1);
         let stats = MoverStats::default();
-        send_block(&tx, 0, 0, RowBlock::new(0), &stats).unwrap();
+        fill(&tx, &stats);
         let second = std::thread::scope(|scope| {
             let stats = &stats;
             let consumer = scope.spawn(move || {
@@ -451,7 +421,7 @@ mod tests {
     fn client_vanishing_under_a_blocked_sender_errors() {
         let (tx, rx) = crossbeam::channel::bounded(1);
         let stats = MoverStats::default();
-        send_block(&tx, 0, 0, RowBlock::new(0), &stats).unwrap();
+        fill(&tx, &stats);
         let cancel = CancelToken::new();
         let err = std::thread::scope(|scope| {
             let stats = &stats;
@@ -470,7 +440,7 @@ mod tests {
     fn cancelled_sender_rebuilds_nothing_on_a_full_channel() {
         let (tx, _rx) = crossbeam::channel::bounded(1);
         let stats = MoverStats::default();
-        send_block(&tx, 0, 0, RowBlock::new(0), &stats).unwrap();
+        fill(&tx, &stats);
         let cancel = CancelToken::new();
         cancel.cancel();
         // Nobody drains: a sender that waited would hang here.
@@ -484,8 +454,8 @@ mod tests {
     fn send_to_disconnected_client_errors() {
         let (tx, rx) = unbounded();
         drop(rx);
-        let b = RowBlock::new(0);
-        assert!(send_block(&tx, 0, 0, b, &MoverStats::default()).is_err());
+        let stats = MoverStats::default();
+        assert!(send_columns(&tx, 0, 0, selected_columns(), None, &stats).is_err());
     }
 
     #[test]
@@ -516,12 +486,7 @@ mod tests {
     fn full_bounded_channel_counts_blocked_send() {
         let (tx, rx) = crossbeam::channel::bounded(1);
         let stats = MoverStats::default();
-        let mk = || {
-            let mut b = RowBlock::new(0);
-            b.rows.push(vec![Value::Int(1)]);
-            b
-        };
-        send_block(&tx, 0, 0, mk(), &stats).unwrap();
+        fill(&tx, &stats);
         // The channel is full: the next send must block until the
         // consumer drains one message.
         let consumer = std::thread::spawn(move || {
@@ -530,7 +495,7 @@ mod tests {
             let second = rx.recv();
             (first.is_ok(), second.is_ok())
         });
-        send_block(&tx, 0, 1, mk(), &stats).unwrap();
+        send_columns(&tx, 0, 1, selected_columns(), None, &stats).unwrap();
         let (first, second) = consumer.join().unwrap();
         assert!(first && second);
         let snap = stats.snapshot();

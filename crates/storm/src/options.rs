@@ -1,30 +1,18 @@
 //! Per-query execution options.
+//!
+//! Everything that shapes one query's execution is a field here; the
+//! runtime reads no environment variables. The differential suites set
+//! `morsel_jitter_ms` explicitly, and the CLI exposes `--threads` for
+//! `intra_node_threads`.
 
 use dv_layout::IoOptions;
 
 use crate::mover::BandwidthModel;
 use crate::partition::PartitionStrategy;
 
-/// The default per-node worker count: the host's available
-/// parallelism, overridable with `DV_THREADS=<n>`.
+/// The default per-node worker count: the host's available parallelism.
 pub fn default_intra_node_threads() -> usize {
-    if let Some(n) = std::env::var("DV_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
-        return n.max(1);
-    }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Which engine the node pipeline runs. Results are identical; the
-/// columnar engine is the default, the row engine is retained for the
-/// ablation benchmark and as the oracle in differential tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Struct-of-arrays blocks, vectorized filtering, selection
-    /// vectors; rows reconstituted only at the client boundary.
-    #[default]
-    Columnar,
-    /// Legacy `Vec<Vec<Value>>` blocks filtered row-at-a-time.
-    RowAtATime,
 }
 
 /// Per-query execution options.
@@ -42,23 +30,25 @@ pub struct QueryOptions {
     /// Worker threads per node pool. Defaults to the host's available
     /// parallelism (see [`default_intra_node_threads`]); `1` is the
     /// explicit serial configuration (the paper's one-process-per-node
-    /// setup and the differential-test oracle). Results are
-    /// bit-identical at any setting. Clamped at execution time by
-    /// `ServiceConfig::max_intra_node_threads`.
+    /// setup). Results are bit-identical at any setting. Clamped at
+    /// execution time by `ServiceConfig::max_intra_node_threads`.
     pub intra_node_threads: usize,
     /// Morsel size target in bytes for intra-node scheduling.
     /// `0` (the default) sizes adaptively: the node's schedule bytes
     /// spread over `threads × MORSELS_PER_THREAD` morsels, floored at
     /// 64 KiB (see [`dv_layout::adaptive_morsel_bytes`]).
     pub morsel_bytes: u64,
+    /// Test hook: before each morsel a pool worker sleeps a
+    /// deterministic pseudo-random `0..morsel_jitter_ms` milliseconds,
+    /// keyed by `(node, morsel)`, so steal and completion orders vary
+    /// wildly while results must not. `0` (the default) never sleeps.
+    pub morsel_jitter_ms: u64,
     /// Run node pipelines one after another instead of concurrently.
     /// Results are identical; per-node busy times become free of
     /// timesharing noise, so `QueryStats::simulated_parallel_time`
     /// faithfully models an N-node cluster even on a single-core host
     /// (see DESIGN.md).
     pub sequential_nodes: bool,
-    /// Which execution engine to run (columnar by default).
-    pub exec: ExecMode,
     /// I/O scheduler knobs (coalescing gap, fetch-group size, segment
     /// cache budget).
     pub io: IoOptions,
@@ -85,8 +75,8 @@ impl Default for QueryOptions {
             batch_rows: 4 * 1024,
             intra_node_threads: default_intra_node_threads(),
             morsel_bytes: 0,
+            morsel_jitter_ms: 0,
             sequential_nodes: false,
-            exec: ExecMode::default(),
             io: IoOptions::default(),
             mover_capacity: 64,
             no_prune: false,

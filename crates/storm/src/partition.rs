@@ -6,7 +6,7 @@
 //! (§2.3): selected rows are split among the client's processors
 //! *before* transfer, so each processor receives exactly its share.
 
-use dv_types::{ColumnBlock, RowBlock, Value};
+use dv_types::{ColumnBlock, Value};
 
 /// How rows are distributed over the client's processors.
 #[derive(Debug, Clone)]
@@ -23,7 +23,9 @@ pub enum PartitionStrategy {
 }
 
 impl PartitionStrategy {
-    /// Processor index for a row.
+    /// Processor index for a row whose scanned ordinal is
+    /// `row_ordinal` — the per-row rule [`partition_columns`] applies
+    /// to a whole block.
     #[inline]
     pub fn assign(&self, row_ordinal: u64, row: &[Value], processors: usize) -> usize {
         if processors <= 1 {
@@ -43,7 +45,8 @@ impl PartitionStrategy {
 
 /// Hash a partition-key value to a processor. Mixes the bits of the
 /// value; f64 -> u64 is stable for equal values (including
-/// -0.0 == 0.0 normalization), so the row and columnar paths agree.
+/// -0.0 == 0.0 normalization), so [`PartitionStrategy::assign`] and
+/// [`partition_columns`] agree.
 #[inline]
 fn hash_processor(v: f64, processors: usize) -> usize {
     let bits = if v == 0.0 { 0u64 } else { v.to_bits() };
@@ -60,40 +63,15 @@ fn range_processor(v: f64, bounds: &[f64], processors: usize) -> usize {
     bounds.partition_point(|b| *b <= v).min(processors - 1)
 }
 
-/// Split a block into per-processor blocks. `base_ordinal` is the
-/// *scanned* ordinal of the block's first pre-filter row — a plan-time
-/// quantity (rows materialized by all earlier AFCs in the node's
-/// schedule), so round-robin assignment is independent of block
-/// boundaries, batch sizes, thread counts, and morsel steal order.
-/// `ordinals`, when present, gives each surviving row's pre-filter
-/// index within the block (from [`crate::filter::filter_block`]);
-/// `None` means the block was not filtered (identity).
-pub fn partition_block(
-    block: RowBlock,
-    strategy: &PartitionStrategy,
-    processors: usize,
-    base_ordinal: u64,
-    ordinals: Option<&[u32]>,
-) -> Vec<RowBlock> {
-    let mut out: Vec<RowBlock> =
-        (0..processors).map(|_| RowBlock::new(block.source_node)).collect();
-    for (i, row) in block.rows.into_iter().enumerate() {
-        let ord = match ordinals {
-            Some(o) => o[i] as u64,
-            None => i as u64,
-        };
-        let p = strategy.assign(base_ordinal + ord, &row, processors);
-        out[p].rows.push(row);
-    }
-    out
-}
-
 /// Split a columnar block's *selected* rows into dense per-processor
 /// columnar blocks. Assignment reads only the key column (as `f64`s);
 /// the gather then touches each payload column exactly once.
-/// Round-robin keys on `base_ordinal` plus each row's pre-filter index
-/// (the selection vector preserves scanned positions), mirroring
-/// [`partition_block`]'s scanned-ordinal semantics.
+/// `base_ordinal` is the *scanned* ordinal of the block's first
+/// pre-filter row — a plan-time quantity (rows materialized by all
+/// earlier AFCs in the node's schedule) — and round-robin keys on it
+/// plus each row's pre-filter index (the selection vector preserves
+/// scanned positions), so assignment is independent of block
+/// boundaries, batch sizes, thread counts, and morsel steal order.
 pub fn partition_columns(
     block: ColumnBlock,
     strategy: &PartitionStrategy,
@@ -131,49 +109,63 @@ pub fn partition_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dv_types::DataType;
 
-    fn block(n: i32) -> RowBlock {
-        let mut b = RowBlock::new(0);
-        for i in 0..n {
-            b.rows.push(vec![Value::Int(i), Value::Double(i as f64)]);
+    /// `(Int k, Double k)` for each `k` in `keys`.
+    fn block_of(keys: impl IntoIterator<Item = i32>) -> ColumnBlock {
+        let mut b = ColumnBlock::with_dtypes(0, &[DataType::Int, DataType::Double]);
+        let mut n = 0;
+        for k in keys {
+            b.columns[0].append_data().push_value(Value::Int(k));
+            b.columns[1].append_data().push_value(Value::Double(k as f64));
+            n += 1;
         }
+        b.advance_rows(n);
         b
+    }
+
+    fn block(n: i32) -> ColumnBlock {
+        block_of(0..n)
+    }
+
+    /// Reconstitute a partition's rows for comparison.
+    fn part_rows(p: &ColumnBlock) -> Vec<Vec<Value>> {
+        p.to_rows().iter().map(<[Value]>::to_vec).collect()
+    }
+
+    fn row(k: i32) -> Vec<Value> {
+        vec![Value::Int(k), Value::Double(k as f64)]
     }
 
     #[test]
     fn round_robin_balances() {
-        let parts = partition_block(block(10), &PartitionStrategy::RoundRobin, 3, 0, None);
+        let parts = partition_columns(block(10), &PartitionStrategy::RoundRobin, 3, 0);
         assert_eq!(parts.len(), 3);
         let sizes: Vec<usize> = parts.iter().map(|p| p.len()).collect();
         assert_eq!(sizes, vec![4, 3, 3]);
-        // Conservation.
-        assert_eq!(sizes.iter().sum::<usize>(), 10);
     }
 
     #[test]
     fn round_robin_continues_across_blocks() {
-        let a = partition_block(block(2), &PartitionStrategy::RoundRobin, 2, 0, None);
-        let b = partition_block(block(2), &PartitionStrategy::RoundRobin, 2, 2, None);
+        let a = partition_columns(block(2), &PartitionStrategy::RoundRobin, 2, 0);
+        let b = partition_columns(block(2), &PartitionStrategy::RoundRobin, 2, 2);
         // Second block continues the cycle: ordinals 2,3 → procs 0,1.
         assert_eq!(a[0].len(), 1);
-        assert_eq!(b[0].len(), 1);
-        assert_eq!(b[0].rows[0][0], Value::Int(0));
+        assert_eq!(part_rows(&b[0]), vec![row(0)]);
+        assert_eq!(part_rows(&b[1]), vec![row(1)]);
     }
 
     #[test]
     fn hash_groups_equal_values() {
-        let mut b = RowBlock::new(0);
-        for _ in 0..5 {
-            b.rows.push(vec![Value::Int(42)]);
-        }
-        for _ in 0..5 {
-            b.rows.push(vec![Value::Int(7)]);
-        }
-        let parts = partition_block(b, &PartitionStrategy::HashAttr { position: 0 }, 4, 0, None);
+        let b = block_of([42, 42, 42, 42, 42, 7, 7, 7, 7, 7]);
+        let parts = partition_columns(b, &PartitionStrategy::HashAttr { position: 0 }, 4, 0);
         // Each distinct value lands entirely on one processor.
-        for parts_with_42 in parts.iter().filter(|p| p.rows.iter().any(|r| r[0] == Value::Int(42)))
-        {
-            assert!(parts_with_42.rows.iter().filter(|r| r[0] == Value::Int(42)).count() == 5);
+        for v in [42, 7] {
+            let counts: Vec<usize> = parts
+                .iter()
+                .map(|p| part_rows(p).iter().filter(|r| r[0] == Value::Int(v)).count())
+                .collect();
+            assert!(counts.contains(&5), "{v} split across processors: {counts:?}");
         }
     }
 
@@ -189,10 +181,10 @@ mod tests {
     #[test]
     fn range_partition_respects_bounds() {
         let s = PartitionStrategy::RangeAttr { position: 1, bounds: vec![3.0, 6.0] };
-        let parts = partition_block(block(10), &s, 3, 0, None);
-        assert_eq!(parts[0].len(), 3); // 0,1,2
-        assert_eq!(parts[1].len(), 3); // 3,4,5
-        assert_eq!(parts[2].len(), 4); // 6..9
+        let parts = partition_columns(block(10), &s, 3, 0);
+        assert_eq!(part_rows(&parts[0]), (0..3).map(row).collect::<Vec<_>>());
+        assert_eq!(part_rows(&parts[1]), (3..6).map(row).collect::<Vec<_>>());
+        assert_eq!(part_rows(&parts[2]), (6..10).map(row).collect::<Vec<_>>());
     }
 
     #[test]
@@ -201,20 +193,20 @@ mod tests {
         assert_eq!(s.assign(9, &[Value::Int(1)], 1), 0);
     }
 
-    fn col_block(n: i32) -> ColumnBlock {
-        use dv_types::DataType;
-        let mut b = ColumnBlock::with_dtypes(0, &[DataType::Int, DataType::Double]);
-        for i in 0..n {
-            b.columns[0].append_data().push_value(Value::Int(i));
-            b.columns[1].append_data().push_value(Value::Double(i as f64));
+    /// What `assign` says row by row, for the selected rows of
+    /// `block(n)` starting at scanned ordinal `base`.
+    fn assigned(
+        s: &PartitionStrategy,
+        sel: &[u32],
+        base: u64,
+        procs: usize,
+    ) -> Vec<Vec<Vec<Value>>> {
+        let mut out = vec![Vec::new(); procs];
+        for &i in sel {
+            let r = row(i as i32);
+            out[s.assign(base + i as u64, &r, procs)].push(r);
         }
-        b.advance_rows(n as usize);
-        b
-    }
-
-    /// Reconstitute a columnar partition as rows for comparison.
-    fn part_rows(p: &ColumnBlock) -> Vec<Vec<Value>> {
-        (0..p.len()).map(|i| p.columns.iter().map(|c| c.value_at(i)).collect()).collect()
+        out
     }
 
     #[test]
@@ -224,19 +216,17 @@ mod tests {
             PartitionStrategy::HashAttr { position: 0 },
             PartitionStrategy::RangeAttr { position: 1, bounds: vec![3.0, 6.0] },
         ];
+        let all: Vec<u32> = (0..10).collect();
         for s in strategies {
-            let rows = partition_block(block(10), &s, 3, 5, None);
-            let cols = partition_columns(col_block(10), &s, 3, 5);
-            assert_eq!(cols.len(), rows.len());
-            for (c, r) in cols.iter().zip(&rows) {
-                assert_eq!(part_rows(c), r.rows, "{s:?}");
-            }
+            let cols = partition_columns(block(10), &s, 3, 5);
+            let got: Vec<_> = cols.iter().map(part_rows).collect();
+            assert_eq!(got, assigned(&s, &all, 5, 3), "{s:?}");
         }
     }
 
     #[test]
     fn columnar_partition_honors_selection() {
-        let mut b = col_block(10);
+        let mut b = block(10);
         // Keep only even rows, then round-robin over 2 processors.
         // Assignment keys on the *scanned* ordinal (the pre-filter
         // index), so every even-ordinal survivor lands on processor 0
@@ -247,29 +237,23 @@ mod tests {
         assert_eq!(parts[0].len() + parts[1].len(), 5);
         assert_eq!(parts[0].len(), 5);
         assert_eq!(parts[1].len(), 0);
-        assert_eq!(part_rows(&parts[0])[0], vec![Value::Int(0), Value::Double(0.0)]);
-        assert_eq!(part_rows(&parts[0])[1], vec![Value::Int(2), Value::Double(2.0)]);
+        assert_eq!(part_rows(&parts[0])[0], row(0));
+        assert_eq!(part_rows(&parts[0])[1], row(2));
     }
 
     #[test]
     fn row_partition_with_ordinals_matches_columnar_selection() {
-        // Row path: the same five survivors with their pre-filter
-        // indices must partition exactly like the columnar selection.
-        let mut b = RowBlock::new(0);
-        for i in [0, 2, 4, 6, 8] {
-            b.rows.push(vec![Value::Int(i), Value::Double(i as f64)]);
+        // The same five survivors assigned row by row on their scanned
+        // ordinals partition exactly like the columnar selection; a
+        // different base shifts the whole block's assignment.
+        let sel = vec![0u32, 2, 4, 6, 8];
+        for base in [0u64, 1] {
+            let mut b = block(10);
+            b.set_selection(Some(sel.clone()));
+            let parts = partition_columns(b, &PartitionStrategy::RoundRobin, 2, base);
+            let got: Vec<_> = parts.iter().map(part_rows).collect();
+            assert_eq!(got, assigned(&PartitionStrategy::RoundRobin, &sel, base, 2));
+            assert_eq!(got[base as usize].len(), 5, "base {base}");
         }
-        let kept: Vec<u32> = vec![0, 2, 4, 6, 8];
-        let parts = partition_block(b, &PartitionStrategy::RoundRobin, 2, 0, Some(&kept));
-        assert_eq!(parts[0].len(), 5);
-        assert_eq!(parts[1].len(), 0);
-        // A different base shifts the whole block's assignment.
-        let mut b = RowBlock::new(0);
-        for i in [0, 2, 4, 6, 8] {
-            b.rows.push(vec![Value::Int(i), Value::Double(i as f64)]);
-        }
-        let parts = partition_block(b, &PartitionStrategy::RoundRobin, 2, 1, Some(&kept));
-        assert_eq!(parts[0].len(), 0);
-        assert_eq!(parts[1].len(), 5);
     }
 }

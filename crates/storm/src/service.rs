@@ -26,12 +26,12 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver};
 use dv_layout::io::IoStats;
 use dv_layout::{
-    AggPrep, CompiledDataset, CostParams, CostReport, Extractor, IoOptions, RuntimeCounters,
-    SegmentCache, SharedHandles,
+    AggPrep, CompiledDataset, CostParams, CostReport, Extractor, IoOptions, SegmentCache,
+    SharedHandles,
 };
 use dv_sql::{bind, parse, AggOutput, BoundExpr, BoundQuery, UdfRegistry};
 use dv_types::{
-    AggBlock, AggTable, CancelToken, ColumnBlock, DvError, Result, RowBlock, Rows, Schema, Table,
+    AggBlock, AggTable, CancelToken, ColumnBlock, DvError, Result, Rows, Schema, Table,
 };
 
 use crate::admission::Admission;
@@ -395,7 +395,6 @@ impl Drop for SessionHandle {
 
 /// A block as shipped by a node pipeline, awaiting ordered absorption.
 enum Shipped {
-    Rows(RowBlock),
     Cols(ColumnBlock),
     /// Rows the sender already rebuilt from its columnar block (it
     /// found the mover channel full); adopted as they are.
@@ -480,18 +479,11 @@ impl<'a> Absorber<'a> {
     /// enters the reorder buffer until its watermark covers it.
     fn on_data(&mut self, processor: usize, node: usize, seq: u64, shipped: Shipped) {
         if let Some(agg) = &mut self.agg {
+            let Shipped::Cols(b) = &shipped else {
+                unreachable!("aggregate blocks are never sender-rebuilt")
+            };
             agg.scratch.clear();
-            match &shipped {
-                Shipped::Rows(b) => {
-                    for row in &b.rows {
-                        agg.scratch.fold_values(row, &agg.group_pos, &agg.arg_pos);
-                    }
-                }
-                Shipped::Cols(b) => {
-                    agg.scratch.fold_block(b, &agg.group_pos, &agg.arg_pos);
-                }
-                Shipped::Built(_) => unreachable!("aggregate blocks are never sender-rebuilt"),
-            }
+            agg.scratch.fold_block(b, &agg.group_pos, &agg.arg_pos);
             let mut out = AggBlock::new(node, agg.scratch.key_width(), agg.scratch.funcs());
             agg.scratch.drain_into(seq, &mut out);
             agg.parts.push(out);
@@ -535,7 +527,6 @@ impl<'a> Absorber<'a> {
             for (_, shipped) in ready {
                 self.buffered -= 1;
                 match shipped {
-                    Shipped::Rows(b) => self.runs[p][node].absorb(b),
                     Shipped::Cols(b) => self.runs[p][node].absorb_columns(b),
                     Shipped::Built(mut rows) => self.runs[p][node].rows.append(&mut rows),
                 }
@@ -618,15 +609,13 @@ pub(crate) fn run_session(
     let prep = Arc::new(prep);
 
     // Phase 2a': cost-based admission (dv-cost). When a budget is
-    // configured — or `DV_COST_VALIDATE=1` asks for drain-time bound
-    // checking — plan every node centrally, derive the static
+    // configured, plan every node centrally, derive the static
     // [`CostReport`], and reject statically over-budget queries with a
     // DV-coded error before any fragment is dispatched. The plans are
     // reused by the dispatch closure, so admitted queries pay the
     // analysis but never plan twice.
     let budgeted = core.max_plan_bytes.is_some() || core.max_group_memory.is_some();
-    let cost_validate = cost_validate_enabled();
-    let (pre_planned, cost_report) = if budgeted || cost_validate {
+    let pre_planned = if budgeted {
         let node_count = core.compiled.model.node_count();
         let plans: Vec<dv_layout::NodePlan> = (0..node_count)
             .map(|node| core.compiled.plan_node(&prep, node))
@@ -663,9 +652,9 @@ pub(crate) fn run_session(
                 });
             }
         }
-        (Some(Arc::new(plans)), Some(report))
+        Some(Arc::new(plans))
     } else {
-        (None, None)
+        None
     };
     stats.plan_time = plan_start.elapsed();
 
@@ -808,10 +797,6 @@ pub(crate) fn run_session(
         let mut done = 0usize;
         for msg in rx.iter() {
             match msg {
-                MoverMessage::Block { processor, seq, block } => {
-                    let _ = absorb_transfer(opts.bandwidth.as_ref(), block.wire_bytes(), cancel);
-                    absorber.on_data(processor, block.source_node, seq, Shipped::Rows(block));
-                }
                 MoverMessage::Columns { processor, seq, block } => {
                     let _ = absorb_transfer(opts.bandwidth.as_ref(), block.wire_bytes(), cancel);
                     absorber.on_data(processor, block.source_node, seq, Shipped::Cols(block));
@@ -884,39 +869,5 @@ pub(crate) fn run_session(
     stats.io = io_stats.snapshot();
     stats.mover = mover_stats.snapshot();
     stats.morsels = morsel_stats.snapshot();
-
-    // DV_COST_VALIDATE=1: assert, on every successful drain, that each
-    // runtime counter stayed within its static bound — the soundness
-    // contract of the dv-cost analysis, checked end to end.
-    if let Some(report) = &cost_report {
-        if cost_validate {
-            let counters = RuntimeCounters {
-                rows_scanned: stats.rows_scanned,
-                rows_selected: stats.rows_selected,
-                bytes_read: stats.bytes_read,
-                afcs: stats.afcs,
-                io_runs: stats.io.runs_scheduled,
-                read_syscalls: stats.io.read_syscalls,
-                bytes_issued: stats.io.bytes_issued,
-                mover_sends: stats.mover.sends,
-                mover_bytes: stats.bytes_moved,
-                agg_groups: stats.mover.agg_groups_out,
-                peak_buffered_blocks: stats.mover.peak_buffered_blocks,
-            };
-            let violations = report.validate(&counters);
-            if !violations.is_empty() {
-                let list = violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("; ");
-                return Err(DvError::Runtime(format!(
-                    "DV_COST_VALIDATE: runtime counters escaped their static bounds: {list}"
-                )));
-            }
-        }
-    }
     Ok((tables, stats))
-}
-
-/// True when the environment asks every session to check its runtime
-/// counters against the static cost bounds at drain time.
-fn cost_validate_enabled() -> bool {
-    std::env::var("DV_COST_VALIDATE").map(|v| v == "1").unwrap_or(false)
 }

@@ -4,16 +4,22 @@
 
 use proptest::prelude::*;
 
-use dv_storm::partition::partition_block;
+use dv_storm::partition::partition_columns;
 use dv_storm::PartitionStrategy;
-use dv_types::{RowBlock, Value};
+use dv_types::{ColumnBlock, DataType, Value};
 
-fn block_of(vals: &[(i32, f64)]) -> RowBlock {
-    let mut b = RowBlock::new(0);
+fn block_of(vals: &[(i32, f64)]) -> ColumnBlock {
+    let mut b = ColumnBlock::with_dtypes(0, &[DataType::Int, DataType::Double]);
     for (a, x) in vals {
-        b.rows.push(vec![Value::Int(*a), Value::Double(*x)]);
+        b.columns[0].append_data().push_value(Value::Int(*a));
+        b.columns[1].append_data().push_value(Value::Double(*x));
     }
+    b.advance_rows(vals.len());
     b
+}
+
+fn rows(b: &ColumnBlock) -> Vec<Vec<Value>> {
+    b.to_rows().iter().map(<[Value]>::to_vec).collect()
 }
 
 fn arb_strategy() -> impl Strategy<Value = PartitionStrategy> {
@@ -35,14 +41,12 @@ proptest! {
         processors in 1usize..6,
         base in 0u64..100,
     ) {
-        let block = block_of(&vals);
-        let parts = partition_block(block, &strategy, processors, base, None);
+        let parts = partition_columns(block_of(&vals), &strategy, processors, base);
         prop_assert_eq!(parts.len(), processors);
 
         // Conservation: the multiset of rows is unchanged.
-        let mut merged: Vec<Vec<Value>> =
-            parts.iter().flat_map(|p| p.rows.iter().cloned()).collect();
-        let mut original: Vec<Vec<Value>> = block_of(&vals).rows;
+        let mut merged: Vec<Vec<Value>> = parts.iter().flat_map(rows).collect();
+        let mut original: Vec<Vec<Value>> = rows(&block_of(&vals));
         merged.sort();
         original.sort();
         prop_assert_eq!(merged, original);
@@ -53,18 +57,17 @@ proptest! {
         vals in prop::collection::vec(-5i32..5, 1..200),
         processors in 1usize..6,
     ) {
-        let rows: Vec<(i32, f64)> = vals.iter().map(|v| (*v, 0.0)).collect();
-        let parts = partition_block(
-            block_of(&rows),
+        let vals: Vec<(i32, f64)> = vals.iter().map(|v| (*v, 0.0)).collect();
+        let parts = partition_columns(
+            block_of(&vals),
             &PartitionStrategy::HashAttr { position: 0 },
             processors,
             0,
-            None,
         );
         // No value appears on two different processors.
         let mut owner: std::collections::HashMap<i64, usize> = std::collections::HashMap::new();
         for (p, part) in parts.iter().enumerate() {
-            for row in &part.rows {
+            for row in rows(part) {
                 let v = row[0].as_i64().unwrap();
                 if let Some(prev) = owner.insert(v, p) {
                     prop_assert_eq!(prev, p, "value {} split across processors", v);
@@ -81,11 +84,11 @@ proptest! {
         let mut bounds = raw_bounds;
         bounds.sort_by(f64::total_cmp);
         let processors = bounds.len() + 1;
-        let rows: Vec<(i32, f64)> = vals.iter().map(|v| (0, *v)).collect();
+        let vals: Vec<(i32, f64)> = vals.iter().map(|v| (0, *v)).collect();
         let strategy = PartitionStrategy::RangeAttr { position: 1, bounds: bounds.clone() };
-        let parts = partition_block(block_of(&rows), &strategy, processors, 0, None);
+        let parts = partition_columns(block_of(&vals), &strategy, processors, 0);
         for (p, part) in parts.iter().enumerate() {
-            for row in &part.rows {
+            for row in rows(part) {
                 let v = row[1].as_f64();
                 if p > 0 {
                     prop_assert!(v >= bounds[p - 1], "proc {} got {} below {}", p, v, bounds[p - 1]);
@@ -102,8 +105,9 @@ proptest! {
         n in 0usize..300,
         processors in 1usize..6,
     ) {
-        let rows: Vec<(i32, f64)> = (0..n as i32).map(|i| (i, 0.0)).collect();
-        let parts = partition_block(block_of(&rows), &PartitionStrategy::RoundRobin, processors, 0, None);
+        let vals: Vec<(i32, f64)> = (0..n as i32).map(|i| (i, 0.0)).collect();
+        let parts =
+            partition_columns(block_of(&vals), &PartitionStrategy::RoundRobin, processors, 0);
         let max = parts.iter().map(|p| p.len()).max().unwrap_or(0);
         let min = parts.iter().map(|p| p.len()).min().unwrap_or(0);
         prop_assert!(max - min <= 1);

@@ -376,18 +376,6 @@ impl AggTable {
         n as u64
     }
 
-    /// Fold one materialized row (the row-at-a-time engine and the
-    /// handwritten oracle). Positions index into `row`.
-    pub fn fold_values(&mut self, row: &[Value], group_pos: &[usize], arg_pos: &[Option<usize>]) {
-        let mut key: GroupKey = [0; MAX_GROUP_COLS];
-        for (k, &p) in group_pos.iter().enumerate() {
-            key[k] = key_code(row[p].as_f64());
-        }
-        let args: Vec<f64> =
-            arg_pos.iter().map(|o| o.map(|p| row[p].as_f64()).unwrap_or(0.0)).collect();
-        self.fold_row(key, &args);
-    }
-
     /// Merge a shipped partial entry. New groups copy the state
     /// verbatim; existing groups fold it in. Callers must present
     /// entries in ascending canonical `(node, chunk)` order — this is
@@ -597,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_block_matches_fold_values() {
+    fn fold_block_matches_fold_row() {
         use crate::column::ColumnBlock;
         let mut b = ColumnBlock::with_dtypes(0, &[DataType::Int, DataType::Float]);
         let rows = [(1, 0.5f32), (2, 1.5), (1, f32::NAN), (2, -0.5), (1, 2.0)];
@@ -613,9 +601,10 @@ mod tests {
         assert_eq!(cols.fold_block(&b, &[0], &[None, Some(1)]), 4);
 
         let mut byrow = AggTable::new(&funcs, 1);
-        for i in [0usize, 2, 3, 4] {
-            let row = vec![b.columns[0].value_at(i), b.columns[1].value_at(i)];
-            byrow.fold_values(&row, &[0], &[None, Some(1)]);
+        for i in [0, 2, 3, 4] {
+            let mut key: GroupKey = [0; MAX_GROUP_COLS];
+            key[0] = key_code(rows[i].0 as f64);
+            byrow.fold_row(key, &[0.0, rows[i].1 as f64]);
         }
         assert_eq!(cols.keys, byrow.keys);
         fn bits(s: AccState) -> (u64, u64) {

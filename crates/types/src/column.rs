@@ -185,7 +185,7 @@ pub enum ColumnGen {
     /// The same value for every row of the run.
     Const(Value),
     /// Row `k` of the run carries `start + k*step`, converted to the
-    /// column's type exactly like the row-at-a-time extractor does.
+    /// column's type by [`Value::from_i64`] (narrow types wrap).
     Affine { start: i64, step: i64 },
 }
 
@@ -399,8 +399,8 @@ const TILE_CELLS: usize = 1024;
 /// reads the same either way).
 const SLAB_TILES: usize = 4;
 
-/// A batch of rows in columnar form — the columnar sibling of
-/// [`crate::RowBlock`].
+/// A batch of rows in columnar form: the unit the extraction,
+/// filtering, partition and mover services hand on.
 #[derive(Debug, Clone)]
 pub struct ColumnBlock {
     /// Identifier of the cluster node that produced the block.
@@ -485,8 +485,7 @@ impl ColumnBlock {
     }
 
     /// Approximate wire size of the *selected* rows — the unit the
-    /// data-mover bandwidth model charges, matching
-    /// [`crate::RowBlock::wire_bytes`].
+    /// data-mover bandwidth model charges: each cell's encoded size.
     pub fn wire_bytes(&self) -> usize {
         let row_bytes: usize = self.columns.iter().map(|c| c.dtype().size()).sum();
         self.selected() * row_bytes
@@ -745,7 +744,7 @@ mod tests {
 
     #[test]
     fn affine_truncates_like_row_extractor() {
-        // Short wraps exactly as Value::from_i64 does on the row path.
+        // Short wraps exactly as Value::from_i64 does.
         let mut c = Column::new(DataType::Short);
         c.push_run(2, ColumnGen::Affine { start: 65536 + 5, step: 1 });
         assert_eq!(c.value_at(0), Value::Short(5));

@@ -43,7 +43,7 @@ pub use column::{Bitmap, Column, ColumnBlock, ColumnData, ColumnGen, LazyRun};
 pub use datatype::DataType;
 pub use error::{DvError, Result};
 pub use interval::{Interval, IntervalSet};
-pub use row::{Row, RowBlock, Rows, Table};
+pub use row::{Row, Rows, Table};
 pub use schema::{Attribute, Schema};
 pub use span::Span;
 pub use value::Value;

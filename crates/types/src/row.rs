@@ -1,8 +1,8 @@
-//! Materialized rows, row blocks, and result tables.
+//! Materialized rows and result tables.
 //!
-//! The extraction service produces [`RowBlock`]s (batches of rows that
-//! share a schema) or columnar blocks; the data-mover service ships
-//! blocks to client processors; clients assemble them into a [`Table`].
+//! The extraction service produces columnar blocks; the data-mover
+//! service ships them to client processors; clients assemble their
+//! rows into a [`Table`].
 //!
 //! A table's rows live in [`Rows`]: a fixed row width and a list of
 //! row-major *slabs* (`Vec<Value>`, each a whole number of rows). A
@@ -24,49 +24,6 @@ use crate::value::Value;
 
 /// One materialized row of the virtual table.
 pub type Row = Vec<Value>;
-
-/// A batch of rows sharing one (projected) schema.
-///
-/// Blocks are the unit of transfer between STORM services: extraction
-/// emits blocks, filtering rewrites them in place, partition generation
-/// tags them, and the data mover serializes them onto channels.
-#[derive(Debug, Clone)]
-pub struct RowBlock {
-    /// Rows in extraction order.
-    pub rows: Vec<Row>,
-    /// Identifier of the cluster node that produced the block.
-    pub source_node: usize,
-}
-
-impl RowBlock {
-    /// Create a block originating at `source_node`.
-    pub fn new(source_node: usize) -> RowBlock {
-        RowBlock { rows: Vec::new(), source_node }
-    }
-
-    /// Create a block with pre-allocated row capacity.
-    pub fn with_capacity(source_node: usize, cap: usize) -> RowBlock {
-        RowBlock { rows: Vec::with_capacity(cap), source_node }
-    }
-
-    /// Number of rows in the block.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the block has no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Approximate wire size in bytes (used by the data-mover bandwidth
-    /// model to simulate remote-client transfers).
-    pub fn wire_bytes(&self) -> usize {
-        self.rows.iter().map(|r| r.iter().map(|v| v.size()).sum::<usize>()).sum()
-    }
-}
 
 /// One row-major allocation of a [`Rows`]: `cells.len()` is a non-zero
 /// multiple of the owner's width.
@@ -300,12 +257,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Append all rows of a block (the row-at-a-time oracle engine's
-    /// unit), copying them into the tail slab.
-    pub fn absorb(&mut self, block: RowBlock) {
-        self.rows.extend(block.rows);
-    }
-
     /// Append the selected rows of a columnar block: transpose it into
     /// slabs ([`ColumnBlock::to_rows`]) and adopt them. A sender
     /// that already ran the kernel ships the `Rows` and the absorber
@@ -383,16 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn block_wire_bytes() {
-        let mut b = RowBlock::new(0);
-        b.rows.push(vec![Value::Int(1), Value::Double(2.0)]);
-        b.rows.push(vec![Value::Int(3), Value::Double(4.0)]);
-        assert_eq!(b.wire_bytes(), 2 * (4 + 8));
-        assert_eq!(b.len(), 2);
-        assert!(!b.is_empty());
-    }
-
-    #[test]
     fn same_rows_ignores_order() {
         let s = schema2();
         let t1 = Table {
@@ -443,11 +384,15 @@ mod tests {
     #[test]
     fn absorb_accumulates() {
         let mut t = Table::empty(schema2());
-        let mut b = RowBlock::new(1);
-        b.rows.push(vec![Value::Int(9), Value::Double(0.5)]);
-        t.absorb(b);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.payload_bytes(), 12);
+        for _ in 0..2 {
+            let mut b = ColumnBlock::with_dtypes(1, &[DataType::Int, DataType::Double]);
+            b.columns[0].append_data().push_value(Value::Int(9));
+            b.columns[1].append_data().push_value(Value::Double(0.5));
+            b.advance_rows(1);
+            t.absorb_columns(b);
+        }
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.payload_bytes(), 2 * 12);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Aggregation differential tests: GROUP BY results must be
 //! *bit-identical* — same rows, same order, same float bit patterns —
-//! across engines (columnar vs row-at-a-time), prune on/off,
-//! aggregation pushdown on/off, and thread counts (with injected
-//! per-morsel jitter shuffling steal orders). The canonical fold unit
-//! is the aligned file chunk, so every configuration folds the same
-//! tree; the handwritten L0 oracle replicates that tree from the raw
-//! files with an independent accumulator implementation.
+//! to the serial reference executor's (`dv_integration::reference`)
+//! across prune on/off, aggregation pushdown on/off, and thread counts
+//! (with injected per-morsel jitter shuffling steal orders). The
+//! canonical fold unit is the aligned file chunk, so every
+//! configuration folds the same tree; the reference and the
+//! handwritten L0 oracle each replicate that tree from the raw files
+//! with an accumulator implementation of their own.
 
 use std::io::Write as _;
 
-use dv_core::{ExecMode, QueryOptions, Virtualizer};
+use dv_core::{QueryOptions, Virtualizer};
 use dv_datagen::{ipars, IparsConfig, IparsLayout};
 use dv_handwritten::HandIparsL0;
-use dv_integration::scratch;
+use dv_integration::{query_checked, query_options, reference, scratch};
 use dv_sql::{bind, parse, UdfRegistry};
 use dv_types::{Table, Value};
 use proptest::prelude::*;
@@ -21,14 +22,18 @@ fn cfg() -> IparsConfig {
     IparsConfig { realizations: 2, time_steps: 40, grid_per_dir: 50, dirs: 2, nodes: 2, seed: 93 }
 }
 
-fn opts(threads: usize, exec: ExecMode, no_prune: bool, no_agg_pushdown: bool) -> QueryOptions {
-    QueryOptions {
-        intra_node_threads: threads,
-        exec,
-        no_prune,
-        no_agg_pushdown,
-        ..Default::default()
-    }
+fn opts(threads: usize, no_prune: bool, no_agg_pushdown: bool) -> QueryOptions {
+    QueryOptions { intra_node_threads: threads, no_prune, no_agg_pushdown, ..query_options() }
+}
+
+/// The engine's aggregate result (always delivered whole to processor 0).
+fn run(v: &Virtualizer, sql: &str, opts: &QueryOptions) -> Table {
+    query_checked(v, sql, opts).0.remove(0)
+}
+
+/// The reference executor's aggregate result.
+fn run_reference(v: &Virtualizer, sql: &str) -> Table {
+    reference::execute(v, sql, &query_options()).remove(0)
 }
 
 const AGG_QUERIES: &[&str] = &[
@@ -59,12 +64,11 @@ fn assert_bit_identical(a: &Table, b: &Table, what: &str) {
     }
 }
 
-/// Every (engine × prune × pushdown × thread-count) combination
-/// returns exactly the serial columnar pushdown result, bit for bit,
-/// even with jitter shuffling morsel completion order.
+/// Every (prune × pushdown × thread-count) configuration of the engine
+/// returns exactly the reference's result, bit for bit, even with
+/// jitter shuffling morsel completion order.
 #[test]
 fn aggregates_bit_match_across_engines_prune_pushdown_threads() {
-    std::env::set_var("DV_MORSEL_JITTER", "2");
     let base = scratch("agg-diff-l0");
     let descriptor = ipars::generate(&base, &cfg(), IparsLayout::L0).unwrap();
     let v = Virtualizer::builder(&descriptor)
@@ -73,29 +77,22 @@ fn aggregates_bit_match_across_engines_prune_pushdown_threads() {
         .build()
         .unwrap();
     for sql in AGG_QUERIES {
-        let (oracle, _) = v.query_with(sql, &opts(1, ExecMode::Columnar, false, false)).unwrap();
-        // Aggregate results are always delivered whole to processor 0.
-        assert!(!oracle[0].rows.is_empty(), "{sql}: degenerate diff");
-        for exec in [ExecMode::Columnar, ExecMode::RowAtATime] {
-            for no_prune in [false, true] {
-                for no_push in [false, true] {
-                    for threads in [1usize, 2, 8] {
-                        let (tables, _) =
-                            v.query_with(sql, &opts(threads, exec, no_prune, no_push)).unwrap();
-                        assert_bit_identical(
-                            &tables[0],
-                            &oracle[0],
-                            &format!(
-                                "{sql} [{exec:?} no_prune={no_prune} \
-                                 no_push={no_push} threads={threads}]"
-                            ),
-                        );
-                    }
+        let oracle = run_reference(&v, sql);
+        assert!(!oracle.rows.is_empty(), "{sql}: degenerate diff");
+        for no_prune in [false, true] {
+            for no_push in [false, true] {
+                for threads in [1usize, 2, 8] {
+                    let o =
+                        QueryOptions { morsel_jitter_ms: 2, ..opts(threads, no_prune, no_push) };
+                    assert_bit_identical(
+                        &run(&v, sql, &o),
+                        &oracle,
+                        &format!("{sql} [no_prune={no_prune} no_push={no_push} threads={threads}]"),
+                    );
                 }
             }
         }
     }
-    std::env::remove_var("DV_MORSEL_JITTER");
 }
 
 /// The same fold tree replicated by hand from the raw L0 files, with
@@ -113,22 +110,34 @@ fn aggregates_bit_match_handwritten_oracle() {
     for sql in AGG_QUERIES {
         let bq = bind(&parse(sql).unwrap(), v.schema(), &UdfRegistry::with_builtins()).unwrap();
         let expect = hand.execute_agg(&bq).unwrap();
-        for exec in [ExecMode::Columnar, ExecMode::RowAtATime] {
-            for threads in [1usize, 8] {
-                let (tables, _) = v.query_with(sql, &opts(threads, exec, false, false)).unwrap();
-                assert_bit_identical(
-                    &tables[0],
-                    &expect,
-                    &format!("{sql} [{exec:?} threads={threads}] vs handwritten"),
-                );
-            }
+        for threads in [1usize, 8] {
+            assert_bit_identical(
+                &run(&v, sql, &opts(threads, false, false)),
+                &expect,
+                &format!("{sql} [threads={threads}] vs handwritten"),
+            );
         }
     }
 }
 
+/// The reference itself: its fold tree equals the handwritten one,
+/// bit for bit, on every aggregate query over L0.
+#[test]
+fn reference_aggregates_match_handwritten() {
+    let base = scratch("agg-diff-ref-hand");
+    let descriptor = ipars::generate(&base, &cfg(), IparsLayout::L0).unwrap();
+    let v = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
+    let hand = HandIparsL0::new(base, cfg().clone(), UdfRegistry::with_builtins());
+    for sql in AGG_QUERIES {
+        let bq = bind(&parse(sql).unwrap(), v.schema(), &UdfRegistry::with_builtins()).unwrap();
+        let expect = hand.execute_agg(&bq).unwrap();
+        assert_bit_identical(&run_reference(&v, sql), &expect, &format!("{sql} [reference]"));
+    }
+}
+
 /// A layout whose chunk boundaries differ from L0 (single all-in-one
-/// file) still agrees with itself across every configuration — the
-/// fold tree is per-layout canonical, not global.
+/// file) still agrees with the reference across every configuration —
+/// the fold tree is per-layout canonical, not global.
 #[test]
 fn aggregates_bit_match_on_other_layouts() {
     for layout in [IparsLayout::II, IparsLayout::V] {
@@ -140,18 +149,14 @@ fn aggregates_bit_match_on_other_layouts() {
             .build()
             .unwrap();
         let sql = AGG_QUERIES[0];
-        let (oracle, _) = v.query_with(sql, &opts(1, ExecMode::Columnar, false, false)).unwrap();
-        for exec in [ExecMode::Columnar, ExecMode::RowAtATime] {
-            for no_push in [false, true] {
-                for threads in [1usize, 8] {
-                    let (tables, _) =
-                        v.query_with(sql, &opts(threads, exec, false, no_push)).unwrap();
-                    assert_bit_identical(
-                        &tables[0],
-                        &oracle[0],
-                        &format!("{} [{exec:?} no_push={no_push} threads={threads}]", layout.tag()),
-                    );
-                }
+        let oracle = run_reference(&v, sql);
+        for no_push in [false, true] {
+            for threads in [1usize, 8] {
+                assert_bit_identical(
+                    &run(&v, sql, &opts(threads, false, no_push)),
+                    &oracle,
+                    &format!("{} [no_push={no_push} threads={threads}]", layout.tag()),
+                );
             }
         }
     }
@@ -166,20 +171,15 @@ fn empty_selection_yields_empty_table() {
     let descriptor = ipars::generate(&base, &cfg(), IparsLayout::L0).unwrap();
     let v = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
     for no_push in [false, true] {
-        let (tables, _) = v
-            .query_with(
-                "SELECT COUNT(*), SUM(SOIL) FROM IparsData WHERE TIME > 90000",
-                &opts(2, ExecMode::Columnar, false, no_push),
-            )
-            .unwrap();
-        assert!(tables[0].rows.is_empty(), "no_push={no_push}");
+        let sql = "SELECT COUNT(*), SUM(SOIL) FROM IparsData WHERE TIME > 90000";
+        assert!(run(&v, sql, &opts(2, false, no_push)).rows.is_empty(), "no_push={no_push}");
     }
 }
 
 /// NaN-laden data: every NaN bit pattern collapses into one group key;
 /// SUM/AVG propagate NaN; MIN/MAX use total_cmp (NaN above all
 /// numbers); -0.0 and +0.0 form distinct groups. All of it stable
-/// across engines, pushdown modes and thread counts.
+/// across pushdown modes and thread counts, and equal to the reference.
 #[test]
 fn nan_and_signed_zero_groups() {
     const DESC: &str = r#"
@@ -229,11 +229,11 @@ DATASET "D" {
     let v =
         Virtualizer::builder(DESC).storage_base(&base).max_intra_node_threads(8).build().unwrap();
     let sql = "SELECT V, COUNT(*), SUM(W), MIN(W), MAX(V), AVG(W) FROM D GROUP BY V";
-    let (oracle, _) = v.query_with(sql, &opts(1, ExecMode::Columnar, false, false)).unwrap();
+    let oracle = run_reference(&v, sql);
     // 3 NaN patterns collapse to one group; -0.0 and 0.0 stay apart:
     // groups are {NaN, -0.0, 0.0, 1.5, 2.5}.
-    assert_eq!(oracle[0].rows.len(), 5, "{}", oracle[0]);
-    let keys: Vec<f32> = oracle[0]
+    assert_eq!(oracle.rows.len(), 5, "{oracle}");
+    let keys: Vec<f32> = oracle
         .rows
         .iter()
         .map(|r| match r[0] {
@@ -245,24 +245,20 @@ DATASET "D" {
     assert_eq!(keys[1].to_bits(), (0.0f32).to_bits());
     assert!(keys[4].is_nan(), "NaN group sorts last under total_cmp");
     // NaN group: 3 patterns × 3 full cycles = 9 rows.
-    assert_eq!(oracle[0].rows[4][1], Value::Long(9));
+    assert_eq!(oracle.rows[4][1], Value::Long(9));
     // MAX(V) of the 1.5 group is 1.5 exactly.
-    assert_eq!(oracle[0].rows[2][4], Value::Float(1.5));
+    assert_eq!(oracle.rows[2][4], Value::Float(1.5));
 
-    std::env::set_var("DV_MORSEL_JITTER", "1");
-    for exec in [ExecMode::Columnar, ExecMode::RowAtATime] {
-        for no_push in [false, true] {
-            for threads in [1usize, 2, 8] {
-                let (tables, _) = v.query_with(sql, &opts(threads, exec, false, no_push)).unwrap();
-                assert_bit_identical(
-                    &tables[0],
-                    &oracle[0],
-                    &format!("nan [{exec:?} no_push={no_push} threads={threads}]"),
-                );
-            }
+    for no_push in [false, true] {
+        for threads in [1usize, 2, 8] {
+            let o = QueryOptions { morsel_jitter_ms: 1, ..opts(threads, false, no_push) };
+            assert_bit_identical(
+                &run(&v, sql, &o),
+                &oracle,
+                &format!("nan [no_push={no_push} threads={threads}]"),
+            );
         }
     }
-    std::env::remove_var("DV_MORSEL_JITTER");
 }
 
 const PROP_CALLS: [&str; 6] =
@@ -271,9 +267,8 @@ const PROP_CALLS: [&str; 6] =
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random GROUP BY queries: both engines, both pushdown modes and
-    /// a parallel run all agree with the serial columnar pushdown
-    /// fold, bit for bit.
+    /// Random GROUP BY queries: both pushdown modes, serial and
+    /// parallel, agree with the reference's fold, bit for bit.
     #[test]
     fn prop_random_group_by_queries(
         group_sel in 0usize..3,
@@ -314,18 +309,12 @@ proptest! {
             },
             group.join(", "),
         );
-        let (oracle, _) = v.query_with(&sql, &opts(1, ExecMode::Columnar, false, false)).unwrap();
-        for (exec, no_push, threads) in [
-            (ExecMode::RowAtATime, false, 1),
-            (ExecMode::Columnar, true, 1),
-            (ExecMode::RowAtATime, true, 8),
-            (ExecMode::Columnar, false, 8),
-        ] {
-            let (tables, _) = v.query_with(&sql, &opts(threads, exec, false, no_push)).unwrap();
+        let oracle = run_reference(v, &sql);
+        for (no_push, threads) in [(false, 1), (true, 1), (true, 8), (false, 8)] {
             assert_bit_identical(
-                &tables[0],
-                &oracle[0],
-                &format!("{sql} [{exec:?} no_push={no_push} threads={threads}]"),
+                &run(v, &sql, &opts(threads, false, no_push)),
+                &oracle,
+                &format!("{sql} [no_push={no_push} threads={threads}]"),
             );
         }
     }

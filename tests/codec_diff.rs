@@ -1,7 +1,8 @@
 //! Codec differential tests: the same logical Ipars dataset stored as
 //! fixed binary, CSV, zstd, or a mix of all three must return
-//! *bit-identical* rows — same rows, same order — across both engines,
-//! prune on/off, and thread counts {1, 8} with injected morsel jitter.
+//! *bit-identical* rows — same rows, same order — to the serial
+//! reference executor over the all-binary encoding, across prune
+//! on/off and thread counts {1, 8} with injected morsel jitter.
 //! Plus: a cold query decodes every CSV/zstd file it touches exactly
 //! once however many fetch groups and workers want it, a
 //! warm one decodes nothing, a rewritten file is decoded again, and a
@@ -15,11 +16,11 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use dv_bench::queries::ipars_queries;
-use dv_core::{ExecMode, QueryOptions, Virtualizer};
+use dv_core::{QueryOptions, Virtualizer};
 use dv_datagen::{ipars, IparsConfig, IparsLayout};
 use dv_descriptor::ast::{DataAst, DatasetAst};
 use dv_descriptor::{codec, CodecKind};
-use dv_integration::scratch;
+use dv_integration::{query_checked, query_options, reference, scratch};
 use dv_layout::{IoOptions, MorselPlan};
 
 fn cfg() -> IparsConfig {
@@ -30,8 +31,13 @@ fn build(descriptor: &str, base: &Path) -> Virtualizer {
     Virtualizer::builder(descriptor).storage_base(base).max_intra_node_threads(8).build().unwrap()
 }
 
-fn opts(threads: usize, exec: ExecMode, no_prune: bool) -> QueryOptions {
-    QueryOptions { intra_node_threads: threads, exec, no_prune, ..QueryOptions::default() }
+fn opts(threads: usize, no_prune: bool) -> QueryOptions {
+    QueryOptions { intra_node_threads: threads, no_prune, ..query_options() }
+}
+
+/// The reference executor's single-client rows.
+fn reference_rows(v: &Virtualizer, sql: &str) -> dv_types::Rows {
+    reference::execute(v, sql, &query_options()).remove(0).rows
 }
 
 /// Rewrite an all-binary dataset in place so its file bindings cycle
@@ -79,14 +85,13 @@ fn one_data_file(base: &Path, descriptor: &str) -> PathBuf {
 
 /// The bench query set over {binary, csv, zstd} on Layout I and
 /// {binary, mixed-codec} on L0 (18-way fan-in, so the mix spreads all
-/// three codecs over one virtual table): every combination of engine,
-/// prune, and thread count returns exactly the row-at-a-time serial
-/// oracle's rows over the all-binary encoding. `DV_MORSEL_JITTER`
-/// shuffles morsel completion order, so reassembly is stressed too.
+/// three codecs over one virtual table): every combination of prune
+/// and thread count returns exactly the row-at-a-time reference's
+/// rows over the all-binary encoding. Morsel jitter shuffles morsel
+/// completion order, so reassembly is stressed too.
 #[test]
 fn codec_backends_bit_match_rowatatime_oracle() {
     let cfg = cfg();
-    std::env::set_var("DV_MORSEL_JITTER", "2");
 
     let mut groups: Vec<(&str, Vec<(&str, Virtualizer)>)> = Vec::new();
 
@@ -112,29 +117,25 @@ fn codec_backends_bit_match_rowatatime_oracle() {
 
     for (group, variants) in &groups {
         for q in ipars_queries("IparsData", cfg.time_steps) {
-            // The trusted oracle: the all-binary variant, serial,
-            // row-at-a-time.
-            let (oracle, _) =
-                variants[0].1.query_with(&q.sql, &opts(1, ExecMode::RowAtATime, false)).unwrap();
+            // The trusted oracle: the reference over the all-binary
+            // variant.
+            let oracle = reference_rows(&variants[0].1, &q.sql);
             for (tag, v) in variants {
-                for exec in [ExecMode::Columnar, ExecMode::RowAtATime] {
-                    for no_prune in [false, true] {
-                        for threads in [1usize, 8] {
-                            let (tables, _) =
-                                v.query_with(&q.sql, &opts(threads, exec, no_prune)).unwrap();
-                            assert_eq!(
-                                tables[0].rows, oracle[0].rows,
-                                "{group}/{tag} q{} ({}) {exec:?} no_prune={no_prune} \
-                                 threads={threads}: diverged from binary oracle",
-                                q.no, q.what
-                            );
-                        }
+                for no_prune in [false, true] {
+                    for threads in [1usize, 8] {
+                        let o = QueryOptions { morsel_jitter_ms: 2, ..opts(threads, no_prune) };
+                        let (tables, _) = query_checked(v, &q.sql, &o);
+                        assert_eq!(
+                            tables[0].rows, oracle,
+                            "{group}/{tag} q{} ({}) no_prune={no_prune} threads={threads}: \
+                             diverged from the binary reference",
+                            q.no, q.what
+                        );
                     }
                 }
             }
         }
     }
-    std::env::remove_var("DV_MORSEL_JITTER");
 }
 
 /// Large enough that a `SELECT *` splits into at least eight fetch
@@ -167,18 +168,16 @@ fn planned_decodes(descriptor: &str, base: &Path, sql: &str, threads: usize) -> 
 
 /// The acceptance counters: a cold query over CSV or zstd decodes each
 /// file it touches exactly once — not once per fetch group — whether
-/// one worker walks the groups or eight race for them, on either
-/// engine; the warm repeat is served from the cached images
-/// without decoding. Rows match the binary serial row-at-a-time oracle
-/// throughout.
+/// one worker walks the groups or eight race for them; the warm repeat
+/// is served from the cached images without decoding. Rows match the
+/// reference over the binary files throughout.
 #[test]
 fn nonaffine_files_decode_once_per_cold_query() {
     let cfg = decode_once_cfg();
-    std::env::set_var("DV_MORSEL_JITTER", "2");
     let bin_base = scratch("codec-once-binary");
     let bin = build(&ipars::generate(&bin_base, &cfg, IparsLayout::I).unwrap(), &bin_base);
     let sql = "SELECT * FROM IparsData";
-    let (oracle, _) = bin.query_with(sql, &opts(1, ExecMode::RowAtATime, false)).unwrap();
+    let oracle = reference_rows(&bin, sql);
 
     for (tag, kind) in [("csv", CodecKind::DelimitedText), ("zstd", CodecKind::ZstdSegment)] {
         let base = scratch(&format!("codec-once-{tag}"));
@@ -187,22 +186,20 @@ fn nonaffine_files_decode_once_per_cold_query() {
             let (files, image_bytes, min_groups) =
                 planned_decodes(&descriptor, &base, sql, threads);
             assert!(files >= 2 && min_groups >= 8, "{tag}: {files} files, {min_groups} groups");
-            for exec in [ExecMode::Columnar, ExecMode::RowAtATime] {
-                let what = format!("{tag} threads={threads} {exec:?}");
-                let o = opts(threads, exec, false);
-                // A fresh server: cold segment cache.
-                let v = build(&descriptor, &base);
-                let (cold_t, cold) = v.query_with(sql, &o).unwrap();
-                assert_eq!(cold_t[0].rows, oracle[0].rows, "{what}: cold rows");
-                assert_eq!(cold.io.decode_calls, files, "{what}: cold decodes");
-                assert_eq!(cold.io.decode_bytes, image_bytes, "{what}: cold decode bytes");
+            let what = format!("{tag} threads={threads}");
+            let o = QueryOptions { morsel_jitter_ms: 2, ..opts(threads, false) };
+            // A fresh server: cold segment cache.
+            let v = build(&descriptor, &base);
+            let (cold_t, cold) = query_checked(&v, sql, &o);
+            assert_eq!(cold_t[0].rows, oracle, "{what}: cold rows");
+            assert_eq!(cold.io.decode_calls, files, "{what}: cold decodes");
+            assert_eq!(cold.io.decode_bytes, image_bytes, "{what}: cold decode bytes");
 
-                let (warm_t, warm) = v.query_with(sql, &o).unwrap();
-                assert_eq!(warm_t[0].rows, oracle[0].rows, "{what}: warm rows");
-                assert_eq!(warm.io.decode_calls, 0, "{what}: warm run decoded");
-                assert_eq!(warm.io.decode_bytes, 0, "{what}");
-                assert!(warm.io.cache_hit_rate() > 0.9, "{what}: {}", warm.io.cache_hit_rate());
-            }
+            let (warm_t, warm) = query_checked(&v, sql, &o);
+            assert_eq!(warm_t[0].rows, oracle, "{what}: warm rows");
+            assert_eq!(warm.io.decode_calls, 0, "{what}: warm run decoded");
+            assert_eq!(warm.io.decode_bytes, 0, "{what}");
+            assert!(warm.io.cache_hit_rate() > 0.9, "{what}: {}", warm.io.cache_hit_rate());
         }
     }
 }
@@ -221,7 +218,7 @@ fn rewritten_csv_file_is_redecoded() {
     let descriptor =
         ipars::generate_with_codec(&base, &cfg, IparsLayout::I, CodecKind::DelimitedText).unwrap();
     let v = build(&descriptor, &base);
-    let (before, cold) = v.query_with(sql, &QueryOptions::default()).unwrap();
+    let (before, cold) = query_checked(&v, sql, &query_options());
     assert_eq!(cold.io.decode_calls, 2);
 
     // Overwrite the last stored value of one file's logical image, in
@@ -238,11 +235,10 @@ fn rewritten_csv_file_is_redecoded() {
     std::thread::sleep(Duration::from_millis(20));
     fs::write(one_data_file(&base, &descriptor), text).unwrap();
 
-    let (oracle, _) =
-        build(&bin_desc, &bin_base).query_with(sql, &opts(1, ExecMode::RowAtATime, false)).unwrap();
-    let (after, stats) = v.query_with(sql, &QueryOptions::default()).unwrap();
+    let oracle = reference_rows(&build(&bin_desc, &bin_base), sql);
+    let (after, stats) = query_checked(&v, sql, &query_options());
     assert_ne!(after[0].rows, before[0].rows, "the rewrite must be visible");
-    assert_eq!(after[0].rows, oracle[0].rows);
+    assert_eq!(after[0].rows, oracle);
     assert_eq!(stats.io.decode_calls, 1, "only the rewritten file is decoded again");
     assert!(stats.io.cache_hit_bytes > 0, "the untouched file stays warm");
 }
@@ -258,8 +254,8 @@ fn warm_zstd_reads_skip_redecompression() {
     let v = build(&descriptor, &base);
     let sql = "SELECT * FROM IparsData";
 
-    let (cold_t, cold) = v.query_with(sql, &QueryOptions::default()).unwrap();
-    let (warm_t, warm) = v.query_with(sql, &QueryOptions::default()).unwrap();
+    let (cold_t, cold) = query_checked(&v, sql, &query_options());
+    let (warm_t, warm) = query_checked(&v, sql, &query_options());
     assert_eq!(cold_t[0].rows, warm_t[0].rows);
     assert!(cold.io.decode_calls > 0, "cold run must decompress");
     assert!(cold.io.decode_bytes > 0);

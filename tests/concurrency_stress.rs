@@ -12,7 +12,7 @@ use std::time::Duration;
 use dv_bench::queries::ipars_queries;
 use dv_core::{BandwidthModel, DvError, IoOptions, QueryOptions, SubmitOptions, Virtualizer};
 use dv_datagen::{ipars, IparsConfig, IparsLayout};
-use dv_integration::scratch;
+use dv_integration::{query_options, scratch};
 use dv_layout::MorselPlan;
 
 fn cfg() -> IparsConfig {
@@ -38,7 +38,7 @@ fn crawl() -> QueryOptions {
             bytes_per_sec: 64.0 * 1024.0,
             latency: Duration::from_millis(1),
         }),
-        ..QueryOptions::default()
+        ..query_options()
     }
 }
 
@@ -52,7 +52,7 @@ fn concurrent_clients_bit_match_serial() {
         ipars_queries("IparsData", cfg().time_steps).into_iter().map(|q| q.sql).take(4).collect();
     let serial: Vec<_> = queries
         .iter()
-        .map(|sql| v.query_with(sql, &QueryOptions::default()).unwrap().0.remove(0))
+        .map(|sql| v.query_with(sql, &query_options()).unwrap().0.remove(0))
         .collect();
 
     let max_running_seen = Arc::new(AtomicUsize::new(0));
@@ -67,9 +67,8 @@ fn concurrent_clients_bit_match_serial() {
                     // Rotate the starting query per client so different
                     // queries genuinely overlap.
                     let i = (i + client) % queries.len();
-                    let handle = v
-                        .submit(&queries[i], &QueryOptions::default(), &SubmitOptions::default())
-                        .unwrap();
+                    let handle =
+                        v.submit(&queries[i], &query_options(), &SubmitOptions::default()).unwrap();
                     seen.fetch_max(v.service().running(), Ordering::Relaxed);
                     let (mut tables, stats) = handle.wait().unwrap();
                     let table = tables.remove(0);
@@ -106,8 +105,8 @@ fn concurrent_morsel_pools_bit_match_serial_in_order() {
             .build()
             .unwrap(),
     );
-    let pool = QueryOptions { intra_node_threads: 8, ..QueryOptions::default() };
-    let serial = QueryOptions { intra_node_threads: 1, ..QueryOptions::default() };
+    let pool = QueryOptions { intra_node_threads: 8, ..query_options() };
+    let serial = QueryOptions { intra_node_threads: 1, ..query_options() };
     let queries: Vec<String> =
         ipars_queries("IparsData", cfg().time_steps).into_iter().map(|q| q.sql).take(4).collect();
     let oracle: Vec<_> =
@@ -193,7 +192,7 @@ fn shared_cache_accounting_is_consistent_per_query() {
             .map(|_| {
                 let v = Arc::clone(&v);
                 scope.spawn(move || {
-                    let (_, stats) = v.query_with(sql, &QueryOptions::default()).unwrap();
+                    let (_, stats) = v.query_with(sql, &query_options()).unwrap();
                     stats.io
                 })
             })
@@ -277,7 +276,7 @@ fn worker_zero_panic_is_a_query_error() {
         intra_node_threads: 2,
         morsel_bytes: 4096,
         io: IoOptions { group_bytes: 1024, ..IoOptions::default() },
-        ..QueryOptions::default()
+        ..query_options()
     };
     let boom = "SELECT REL, TIME, SOIL FROM IparsData WHERE BOOM0(SOIL) > 0.5";
     let plain = "SELECT REL, TIME, SOIL FROM IparsData WHERE SOIL > 0.5";
@@ -325,7 +324,7 @@ fn absorber_reorder_buffer_is_bounded_by_inflight_blocks() {
         intra_node_threads: 1,
         batch_rows: 100,
         morsel_bytes: 16 * 1024,
-        ..QueryOptions::default()
+        ..query_options()
     };
     let (tables, stats) = v.query_with("SELECT * FROM IparsData", &opts).unwrap();
     assert!(!tables[0].rows.is_empty());
@@ -344,14 +343,13 @@ fn absorber_reorder_buffer_is_bounded_by_inflight_blocks() {
     // Parallel workers with steal jitter still drain incrementally;
     // the result stays bit-identical (covered by morsel_diff) and the
     // peak can never exceed the total data sends.
-    std::env::set_var("DV_MORSEL_JITTER", "1");
-    let (_, par) = v
-        .query_with(
-            "SELECT * FROM IparsData",
-            &QueryOptions { intra_node_threads: 8, batch_rows: 100, ..QueryOptions::default() },
-        )
-        .unwrap();
-    std::env::remove_var("DV_MORSEL_JITTER");
+    let jittered = QueryOptions {
+        intra_node_threads: 8,
+        batch_rows: 100,
+        morsel_jitter_ms: 1,
+        ..query_options()
+    };
+    let (_, par) = v.query_with("SELECT * FROM IparsData", &jittered).unwrap();
     assert!(par.mover.peak_buffered_blocks <= par.mover.sends);
 
     // Aggregate queries never enter the reorder buffer at all: with
@@ -361,7 +359,7 @@ fn absorber_reorder_buffer_is_bounded_by_inflight_blocks() {
         let (_, agg) = v
             .query_with(
                 "SELECT REL, TIME, AVG(SOIL) FROM IparsData GROUP BY REL, TIME",
-                &QueryOptions { intra_node_threads: 8, no_agg_pushdown, ..QueryOptions::default() },
+                &QueryOptions { intra_node_threads: 8, no_agg_pushdown, ..query_options() },
             )
             .unwrap();
         assert_eq!(

@@ -1,80 +1,19 @@
 //! Soundness suite for the dv-cost static analysis: across every
 //! shipped layout, the bench-style query set, prune on/off,
 //! aggregation pushdown on/off and thread counts {1, 8}, every runtime
-//! counter in [`QueryStats`] must stay within its static bound.
-//!
-//! The suite runs with `DV_COST_VALIDATE=1`, so the server's own
-//! drain-time validation is armed for every query here (a violation
-//! fails the query itself), and additionally rebuilds the
-//! [`CostReport`] out-of-band to assert the bounds explicitly — the
+//! counter in `QueryStats` must stay within its static bound — the
 //! empirical half of the soundness argument in
-//! `crates/layout/src/cost.rs`.
+//! `crates/layout/src/cost.rs`. Every query runs through
+//! [`query_checked`], which rebuilds the `CostReport` exactly as the
+//! admission path does and asserts each bound; the other differential
+//! suites run their queries through it too.
 
-use dv_core::{CostParams, CostReport, ExecMode, QueryOptions, Virtualizer};
+use dv_core::{QueryOptions, Virtualizer};
 use dv_datagen::{ipars, titan, IparsConfig, IparsLayout, TitanConfig};
-use dv_integration::scratch;
-use dv_layout::{NodePlan, RuntimeCounters};
+use dv_integration::{query_checked, scratch};
 
 fn ipars_cfg() -> IparsConfig {
     IparsConfig { realizations: 2, time_steps: 40, grid_per_dir: 50, dirs: 2, nodes: 2, seed: 91 }
-}
-
-fn arm_validation() {
-    std::env::set_var("DV_COST_VALIDATE", "1");
-}
-
-/// Rebuild the static report exactly as the admission path does: same
-/// prep (prune/pushdown toggles applied), same per-node plans, same
-/// cost parameters.
-fn static_report(v: &Virtualizer, sql: &str, opts: &QueryOptions) -> CostReport {
-    let bq = v.service().bind_sql(sql).unwrap();
-    let compiled = v.service().compiled();
-    let mut prep = compiled.prepare_query(&bq).unwrap();
-    if opts.no_prune {
-        prep.prune_enabled = false;
-    }
-    if opts.no_agg_pushdown {
-        prep.agg_pushdown = false;
-    }
-    let plans: Vec<NodePlan> =
-        (0..compiled.model.node_count()).map(|n| compiled.plan_node(&prep, n).unwrap()).collect();
-    let params = CostParams::new(&opts.io, opts.client_processors, bq.predicate.is_some());
-    CostReport::analyze_nodes(
-        &plans,
-        &prep.working,
-        &prep.output_positions,
-        prep.agg.as_ref(),
-        prep.agg_pushdown,
-        &params,
-    )
-}
-
-fn counters(stats: &dv_core::QueryStats) -> RuntimeCounters {
-    RuntimeCounters {
-        rows_scanned: stats.rows_scanned,
-        rows_selected: stats.rows_selected,
-        bytes_read: stats.bytes_read,
-        afcs: stats.afcs,
-        io_runs: stats.io.runs_scheduled,
-        read_syscalls: stats.io.read_syscalls,
-        bytes_issued: stats.io.bytes_issued,
-        mover_sends: stats.mover.sends,
-        mover_bytes: stats.bytes_moved,
-        agg_groups: stats.mover.agg_groups_out,
-        peak_buffered_blocks: stats.mover.peak_buffered_blocks,
-    }
-}
-
-/// Run one configuration and assert the report admits every counter.
-fn check(v: &Virtualizer, sql: &str, opts: &QueryOptions, tag: &str) {
-    let report = static_report(v, sql, opts);
-    let (_, stats) = v.query_with(sql, opts).unwrap();
-    let violations = report.validate(&counters(&stats));
-    assert!(
-        violations.is_empty(),
-        "{tag}: {sql}: {}",
-        violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("; ")
-    );
 }
 
 /// The bench-style query set: full scan, prunable window, stored
@@ -90,7 +29,6 @@ const QUERIES: &[&str] = &[
 
 #[test]
 fn bounds_hold_across_all_layouts_and_modes() {
-    arm_validation();
     let cfg = ipars_cfg();
     for layout in IparsLayout::all() {
         let base = scratch(&format!("costdiff-{}", layout.tag()));
@@ -106,14 +44,7 @@ fn bounds_hold_across_all_layouts_and_modes() {
                             intra_node_threads: threads,
                             ..Default::default()
                         };
-                        let tag = format!(
-                            "{} prune={} pushdown={} threads={}",
-                            layout.label(),
-                            !no_prune,
-                            !no_agg_pushdown,
-                            threads
-                        );
-                        check(&v, sql, &opts, &tag);
+                        query_checked(&v, sql, &opts);
                     }
                 }
             }
@@ -123,7 +54,6 @@ fn bounds_hold_across_all_layouts_and_modes() {
 
 #[test]
 fn bounds_hold_on_titan() {
-    arm_validation();
     let base = scratch("costdiff-titan");
     let cfg = TitanConfig { points: 4000, tiles: (4, 4, 2), nodes: 1, seed: 7 };
     let descriptor = titan::generate(&base, &cfg).unwrap();
@@ -135,24 +65,8 @@ fn bounds_hold_on_titan() {
     ] {
         for threads in [1usize, 8] {
             let opts = QueryOptions { intra_node_threads: threads, ..Default::default() };
-            check(&v, sql, &opts, &format!("titan threads={threads}"));
+            query_checked(&v, sql, &opts);
         }
-    }
-}
-
-/// The row-at-a-time engine takes the direct-read path (one syscall
-/// per AFC entry, exact byte accounting) — the report must switch to
-/// exact I/O bounds and still hold.
-#[test]
-fn bounds_hold_on_row_engine() {
-    arm_validation();
-    let cfg = ipars_cfg();
-    let base = scratch("costdiff-row");
-    let descriptor = ipars::generate(&base, &cfg, IparsLayout::I).unwrap();
-    let v = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
-    for sql in QUERIES {
-        let opts = QueryOptions { exec: ExecMode::RowAtATime, ..Default::default() };
-        check(&v, sql, &opts, "row-at-a-time");
     }
 }
 
@@ -238,7 +152,6 @@ mod random {
 
         #[test]
         fn random_queries_stay_within_bounds(spec in arb_spec()) {
-            arm_validation();
             let v = shared();
             let sql = spec_sql(&spec);
             let opts = QueryOptions {
@@ -247,14 +160,7 @@ mod random {
                 intra_node_threads: spec.threads,
                 ..Default::default()
             };
-            let report = static_report(v, &sql, &opts);
-            let (_, stats) = v.query_with(&sql, &opts).unwrap();
-            let violations = report.validate(&counters(&stats));
-            prop_assert!(
-                violations.is_empty(),
-                "{spec:?}: {sql}: {}",
-                violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("; ")
-            );
+            query_checked(v, &sql, &opts);
         }
     }
 }

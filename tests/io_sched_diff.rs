@@ -2,15 +2,16 @@
 //! (coalescing gap, working-set grouping, segment cache) must return
 //! exactly the rows of the hand-written baselines — which share no
 //! read code with the scheduler — across all Ipars layouts and Titan,
-//! and of the row-at-a-time oracle on proptest-generated queries; plus
+//! and of the row-at-a-time reference executor (which reads whole
+//! files itself) on proptest-generated queries; plus
 //! invalidation tests proving a file rewritten, replaced by rename or
 //! truncated yields fresh reads, never stale cached bytes or handles.
 
 use dv_bench::queries::{ipars_queries, titan_queries};
-use dv_core::{ExecMode, IoOptions, QueryOptions, Virtualizer};
+use dv_core::{IoOptions, QueryOptions, Virtualizer};
 use dv_datagen::{ipars, titan, IparsConfig, IparsLayout, TitanConfig};
 use dv_handwritten::{HandIparsL0, HandTitan};
-use dv_integration::scratch;
+use dv_integration::{query_checked, reference, scratch};
 use dv_sql::{bind, parse, UdfRegistry};
 use dv_types::Table;
 
@@ -36,7 +37,7 @@ fn knob_combos() -> Vec<(&'static str, IoOptions)> {
 }
 
 fn run(v: &Virtualizer, sql: &str, opts: &QueryOptions) -> Table {
-    let (mut tables, _) = v.query_with(sql, opts).unwrap();
+    let (mut tables, _) = query_checked(v, sql, opts);
     tables.remove(0)
 }
 
@@ -281,8 +282,7 @@ fn data_files(base: &std::path::Path) -> Vec<std::path::PathBuf> {
 }
 
 /// Random predicates and projections: every knob combination must
-/// agree with the row-at-a-time oracle under the plain configuration
-/// on every generated query.
+/// agree with the reference executor on every generated query.
 mod random_queries {
     use super::*;
     use proptest::prelude::*;
@@ -354,13 +354,9 @@ mod random_queries {
             let sql = spec_sql(&spec);
             let (name, io) = knob_combos().swap_remove(spec.knob);
             let on = run_io(v, &sql, &io);
-            let oracle = run(v, &sql, &QueryOptions {
-                exec: ExecMode::RowAtATime,
-                io: IoOptions::plain(),
-                ..Default::default()
-            });
+            let oracle = reference::execute(v, &sql, &QueryOptions::default()).remove(0);
             prop_assert!(
-                on.same_rows(&oracle),
+                on.rows == oracle.rows,
                 "{sql} knob `{name}`: {} rows vs {} rows from the oracle",
                 on.len(),
                 oracle.len()

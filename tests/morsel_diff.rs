@@ -1,7 +1,8 @@
 //! Morsel-parallelism differential tests: results must be
-//! *bit-identical* — same rows in the same order per client partition
-//! — across thread counts, steal orders (shuffled with injected
-//! per-morsel jitter), layouts, engines, prune on/off, and mover
+//! *bit-identical* to the serial reference executor's
+//! (`dv_integration::reference`) — same rows in the same order per
+//! client partition — across thread counts, steal orders (shuffled
+//! with injected per-morsel jitter), layouts, prune on/off, and mover
 //! back-pressure (a sender that finds the channel full rebuilds its
 //! block's rows itself; the absorber adopts them in `(node, seq)`
 //! order). Plus: a cancelled parallel scan leaves no orphaned workers,
@@ -10,16 +11,13 @@
 //! behind the biggest file).
 
 use std::io::Write;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use dv_bench::queries::ipars_queries;
-use dv_core::{
-    BandwidthModel, ExecMode, PartitionStrategy, QueryOptions, SubmitOptions, Virtualizer,
-};
+use dv_core::{BandwidthModel, PartitionStrategy, QueryOptions, SubmitOptions, Virtualizer};
 use dv_datagen::{ipars, IparsConfig, IparsLayout};
 use dv_handwritten::HandIparsL0;
-use dv_integration::scratch;
+use dv_integration::{query_checked, query_options, reference, scratch};
 use dv_layout::MorselPlan;
 use dv_sql::{bind, parse, UdfRegistry};
 
@@ -27,50 +25,15 @@ fn cfg() -> IparsConfig {
     IparsConfig { realizations: 2, time_steps: 40, grid_per_dir: 50, dirs: 2, nodes: 2, seed: 41 }
 }
 
-/// The executor's test hooks are environment variables, so they are
-/// process-wide: the tests that set them take turns, and each puts back
-/// what it found (CI exports `DV_MORSEL_JITTER` for the whole binary) —
-/// no test clears a hook under another.
-static HOOKS: Mutex<()> = Mutex::new(());
-
-struct Hooks {
-    found: Vec<(&'static str, Option<String>)>,
-    _turn: MutexGuard<'static, ()>,
+fn opts(threads: usize, no_prune: bool) -> QueryOptions {
+    QueryOptions { intra_node_threads: threads, no_prune, ..query_options() }
 }
 
-fn set_hooks(vars: &[(&'static str, &str)]) -> Hooks {
-    let turn = HOOKS.lock().unwrap_or_else(PoisonError::into_inner);
-    let found = vars
-        .iter()
-        .map(|&(name, value)| {
-            let was = std::env::var(name).ok();
-            std::env::set_var(name, value);
-            (name, was)
-        })
-        .collect();
-    Hooks { found, _turn: turn }
-}
-
-impl Drop for Hooks {
-    fn drop(&mut self) {
-        for (name, was) in &self.found {
-            match was {
-                Some(value) => std::env::set_var(name, value),
-                None => std::env::remove_var(name),
-            }
-        }
-    }
-}
-
-fn opts(threads: usize, exec: ExecMode, no_prune: bool) -> QueryOptions {
-    QueryOptions { intra_node_threads: threads, exec, no_prune, ..QueryOptions::default() }
-}
-
-/// Every (layout × engine × prune × thread-count) combination returns
-/// exactly the serial oracle's tables: same rows, same order. Jitter
-/// (`DV_MORSEL_JITTER`) injects a deterministic pseudo-random sleep
-/// per morsel, so the parallel runs complete morsels in thoroughly
-/// shuffled orders — the (node, seq) reassembly must still
+/// Every (layout × prune × thread-count) configuration of the engine
+/// returns exactly the reference's tables: same rows, same order.
+/// Jitter (`morsel_jitter_ms`) injects a deterministic pseudo-random
+/// sleep per morsel, so the parallel runs complete morsels in
+/// thoroughly shuffled orders — the (node, seq) reassembly must still
 /// reconstruct schedule order bit-for-bit.
 #[test]
 fn parallel_results_bit_match_serial_across_layouts_and_engines() {
@@ -78,7 +41,6 @@ fn parallel_results_bit_match_serial_across_layouts_and_engines() {
         "SELECT * FROM IparsData",
         "SELECT REL, TIME, SOIL, PGAS FROM IparsData WHERE TIME <= 25 AND SOIL > 0.3",
     ];
-    let _hooks = set_hooks(&[("DV_MORSEL_JITTER", "2")]);
     for layout in IparsLayout::all() {
         let base = scratch(&format!("morsel-diff-{}", layout.tag()));
         let descriptor = ipars::generate(&base, &cfg(), layout).unwrap();
@@ -88,22 +50,20 @@ fn parallel_results_bit_match_serial_across_layouts_and_engines() {
             .build()
             .unwrap();
         for sql in queries {
-            for exec in [ExecMode::Columnar, ExecMode::RowAtATime] {
-                for no_prune in [false, true] {
-                    let (oracle, _) = v.query_with(sql, &opts(1, exec, no_prune)).unwrap();
-                    for threads in [2usize, 8] {
-                        let (tables, _) =
-                            v.query_with(sql, &opts(threads, exec, no_prune)).unwrap();
-                        assert_eq!(tables.len(), oracle.len());
-                        for (t, o) in tables.iter().zip(&oracle) {
-                            assert_eq!(
-                                t.rows,
-                                o.rows,
-                                "{} {exec:?} no_prune={no_prune} threads={threads}: \
-                                 parallel output diverged from serial",
-                                layout.tag()
-                            );
-                        }
+            for no_prune in [false, true] {
+                let oracle = reference::execute(&v, sql, &opts(1, no_prune));
+                for threads in [1usize, 2, 8] {
+                    let o = QueryOptions { morsel_jitter_ms: 2, ..opts(threads, no_prune) };
+                    let (tables, _) = query_checked(&v, sql, &o);
+                    assert_eq!(tables.len(), oracle.len());
+                    for (t, o) in tables.iter().zip(&oracle) {
+                        assert_eq!(
+                            t.rows,
+                            o.rows,
+                            "{} no_prune={no_prune} threads={threads}: \
+                             output diverged from the reference",
+                            layout.tag()
+                        );
                     }
                 }
             }
@@ -112,9 +72,9 @@ fn parallel_results_bit_match_serial_across_layouts_and_engines() {
 }
 
 /// Partitioned delivery is also steal-order independent: with several
-/// client processors, each processor's partition matches the serial
-/// run exactly (round-robin keys on plan-time scanned ordinals, not on
-/// arrival order).
+/// client processors, each processor's partition matches the
+/// reference's exactly (round-robin keys on plan-time scanned
+/// ordinals, not on arrival order).
 #[test]
 fn partitioned_delivery_is_thread_count_independent() {
     let base = scratch("morsel-parts");
@@ -134,11 +94,11 @@ fn partitioned_delivery_is_thread_count_independent() {
             client_processors: 3,
             partition: strategy.clone(),
             intra_node_threads: threads,
-            ..QueryOptions::default()
+            ..query_options()
         };
-        let (oracle, _) = v.query_with(sql, &po(1)).unwrap();
-        for threads in [2usize, 8] {
-            let (tables, stats) = v.query_with(sql, &po(threads)).unwrap();
+        let oracle = reference::execute(&v, sql, &po(1));
+        for threads in [1usize, 2, 8] {
+            let (tables, stats) = query_checked(&v, sql, &po(threads));
             for (p, (t, o)) in tables.iter().zip(&oracle).enumerate() {
                 assert_eq!(
                     t.rows, o.rows,
@@ -172,7 +132,7 @@ fn mid_scan_cancellation_stops_all_workers_and_frees_slot() {
             bytes_per_sec: 64.0 * 1024.0,
             latency: Duration::from_millis(1),
         }),
-        ..QueryOptions::default()
+        ..query_options()
     };
     let handle = v.submit("SELECT * FROM IparsData", &slow, &SubmitOptions::default()).unwrap();
     std::thread::sleep(Duration::from_millis(50));
@@ -203,14 +163,12 @@ fn slow_absorber() -> Option<BandwidthModel> {
 
 /// Forced back-pressure: a full mover channel changes *who* rebuilds a
 /// block's rows (the blocked sender instead of the absorber), never
-/// the result. Every (capacity × batch × threads × engine) run returns
-/// the tables of the serial, never-blocked columnar run and of the row
-/// engine, row for row per client processor; senders rebuild rows only
-/// when they were blocked; and the static cost bounds hold throughout
-/// (validation armed as in `cost_diff`).
+/// the result. Every (capacity × batch × threads) run under jitter
+/// returns the reference's tables, row for row per client processor,
+/// as does the serial, never-blocked run; senders rebuild rows only
+/// when they were blocked; and the static cost bounds hold throughout.
 #[test]
 fn back_pressure_changes_who_rebuilds_rows_not_the_result() {
-    let _hooks = set_hooks(&[("DV_MORSEL_JITTER", "2"), ("DV_COST_VALIDATE", "1")]);
     let deliveries = [
         (1usize, PartitionStrategy::RoundRobin),
         (4, PartitionStrategy::RoundRobin),
@@ -227,67 +185,54 @@ fn back_pressure_changes_who_rebuilds_rows_not_the_result() {
         // Figure 8: the full scan and the three filter shapes.
         for q in ipars_queries("IparsData", cfg().time_steps).iter().take(4) {
             for (processors, partition) in &deliveries {
-                let run = |capacity: usize, batch_rows: usize, threads: usize, exec: ExecMode| {
-                    let opts = QueryOptions {
-                        client_processors: *processors,
-                        partition: partition.clone(),
-                        mover_capacity: capacity,
-                        batch_rows,
-                        intra_node_threads: threads,
-                        exec,
-                        bandwidth: if capacity == 1 { slow_absorber() } else { None },
-                        ..QueryOptions::default()
-                    };
-                    v.query_with(&q.sql, &opts).unwrap()
+                let opts = |capacity: usize, batch_rows: usize, threads: usize| QueryOptions {
+                    client_processors: *processors,
+                    partition: partition.clone(),
+                    mover_capacity: capacity,
+                    batch_rows,
+                    intra_node_threads: threads,
+                    bandwidth: if capacity == 1 { slow_absorber() } else { None },
+                    ..query_options()
                 };
-                let (oracle, stats) = run(64, 4096, 1, ExecMode::Columnar);
-                assert_eq!(stats.mover.sender_rebuilds, 0, "one thread never fills 64 slots");
+                let oracle = reference::execute(&v, &q.sql, &opts(64, 4096, 1));
                 assert!(oracle.iter().any(|t| !t.rows.is_empty()), "q{}: degenerate diff", q.no);
-                let (row_oracle, _) = run(64, 4096, 1, ExecMode::RowAtATime);
-                for (t, o) in row_oracle.iter().zip(&oracle) {
-                    assert_eq!(t.rows, o.rows, "q{}: row engine vs columnar", q.no);
+                let (serial, stats) = query_checked(&v, &q.sql, &opts(64, 4096, 1));
+                assert_eq!(stats.mover.sender_rebuilds, 0, "one thread never fills 64 slots");
+                for (t, o) in serial.iter().zip(&oracle) {
+                    assert_eq!(t.rows, o.rows, "q{}: serial engine vs reference", q.no);
                 }
 
                 for capacity in [1usize, 64] {
                     for batch_rows in [256usize, 4096] {
                         for threads in [1usize, 2, 8] {
-                            for exec in [ExecMode::Columnar, ExecMode::RowAtATime] {
-                                let what = format!(
-                                    "{} q{} x{processors} {partition:?} capacity={capacity} \
-                                     batch={batch_rows} threads={threads} {exec:?}",
-                                    layout.tag(),
-                                    q.no
-                                );
-                                let (tables, stats) = run(capacity, batch_rows, threads, exec);
-                                assert_eq!(tables.len(), oracle.len(), "{what}");
-                                for (p, (t, o)) in tables.iter().zip(&oracle).enumerate() {
-                                    assert_eq!(t.rows, o.rows, "{what}: processor {p} diverged");
-                                }
-                                let m = &stats.mover;
-                                assert!(
-                                    m.sender_rebuilds <= m.blocked_sends,
-                                    "{what}: {} rebuilds, {} blocked sends",
-                                    m.sender_rebuilds,
-                                    m.blocked_sends
-                                );
-                                if exec == ExecMode::RowAtATime {
-                                    assert_eq!(
-                                        m.sender_rebuilds, 0,
-                                        "{what}: row blocks ship as is"
-                                    );
-                                }
-                                // The full scan in small blocks through
-                                // one slot behind a slow absorber: the
-                                // senders must have been put to work.
-                                if (q.no, capacity, batch_rows, exec)
-                                    == (1, 1, 256, ExecMode::Columnar)
-                                {
-                                    assert!(m.sends > 8, "{what}: {} sends", m.sends);
-                                    assert!(
-                                        m.sender_rebuilds > 0,
-                                        "{what}: no sender rebuilt rows"
-                                    );
-                                }
+                            let what = format!(
+                                "{} q{} x{processors} {partition:?} capacity={capacity} \
+                                 batch={batch_rows} threads={threads}",
+                                layout.tag(),
+                                q.no
+                            );
+                            let o = QueryOptions {
+                                morsel_jitter_ms: 2,
+                                ..opts(capacity, batch_rows, threads)
+                            };
+                            let (tables, stats) = query_checked(&v, &q.sql, &o);
+                            assert_eq!(tables.len(), oracle.len(), "{what}");
+                            for (p, (t, o)) in tables.iter().zip(&oracle).enumerate() {
+                                assert_eq!(t.rows, o.rows, "{what}: processor {p} diverged");
+                            }
+                            let m = &stats.mover;
+                            assert!(
+                                m.sender_rebuilds <= m.blocked_sends,
+                                "{what}: {} rebuilds, {} blocked sends",
+                                m.sender_rebuilds,
+                                m.blocked_sends
+                            );
+                            // The full scan in small blocks through one
+                            // slot behind a slow absorber: the senders
+                            // must have been put to work.
+                            if (q.no, capacity, batch_rows) == (1, 1, 256) {
+                                assert!(m.sends > 8, "{what}: {} sends", m.sends);
+                                assert!(m.sender_rebuilds > 0, "{what}: no sender rebuilt rows");
                             }
                         }
                     }
@@ -319,9 +264,9 @@ fn blocked_aggregate_senders_keep_their_blocks_columnar() {
         mover_capacity: 1,
         intra_node_threads: 8,
         bandwidth: slow_absorber(),
-        ..QueryOptions::default()
+        ..query_options()
     };
-    let (tables, stats) = v.query_with(sql, &opts).unwrap();
+    let (tables, stats) = query_checked(&v, sql, &opts);
     assert_eq!(tables[0].rows, expect.rows);
     for (got, want) in tables[0].rows.iter().zip(&expect.rows) {
         for (a, b) in got.iter().zip(want) {
@@ -351,7 +296,7 @@ fn cancellation_with_blocked_senders_frees_slot_and_leaves_server_intact() {
         intra_node_threads: 8,
         mover_capacity: 1,
         batch_rows: 256,
-        ..QueryOptions::default()
+        ..query_options()
     };
     let (before, _) = v.query_with(sql, &opts).unwrap();
 
@@ -442,12 +387,12 @@ fn skewed_schedule_balances_worker_bytes() {
         .build()
         .unwrap();
     let sql = "SELECT TIME, VAL FROM SkewData";
-    let serial = QueryOptions { intra_node_threads: 1, ..QueryOptions::default() };
-    let (oracle, _) = v.query_with(sql, &serial).unwrap();
+    let serial = QueryOptions { intra_node_threads: 1, ..query_options() };
+    let oracle = reference::execute(&v, sql, &serial);
 
-    let par = QueryOptions { intra_node_threads: 4, ..QueryOptions::default() };
-    let (tables, stats) = v.query_with(sql, &par).unwrap();
-    assert_eq!(tables[0].rows, oracle[0].rows, "skewed parallel scan diverged from serial");
+    let par = QueryOptions { intra_node_threads: 4, ..query_options() };
+    let (tables, stats) = query_checked(&v, sql, &par);
+    assert_eq!(tables[0].rows, oracle[0].rows, "skewed parallel scan diverged from the reference");
 
     // The one node's schedule, planned exactly as the executor plans it.
     let plan = v.service().compiled().plan_query(&v.service().bind_sql(sql).unwrap()).unwrap();

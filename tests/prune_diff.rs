@@ -1,26 +1,32 @@
 //! Differential tests for static partition pruning: for random
 //! predicates (including UDF filters and NaN-laden float columns) the
 //! pruned execution must be bit-identical to the unpruned one
-//! (`QueryOptions::no_prune`) and to the row-at-a-time oracle. This is
+//! (`QueryOptions::no_prune`) and to the row-at-a-time reference
+//! executor, which evaluates every row and ignores verdicts. This is
 //! the empirical half of dv-prune's soundness argument: the abstract
 //! interpreter may only drop chunks no row of which can qualify.
 
-use dv_core::{ExecMode, QueryOptions, Virtualizer};
+use dv_core::{QueryOptions, Virtualizer};
 use dv_datagen::{ipars, IparsConfig, IparsLayout};
-use dv_integration::scratch;
+use dv_integration::{query_checked, reference, scratch};
 use dv_types::Table;
 
 fn ipars_cfg() -> IparsConfig {
     IparsConfig { realizations: 2, time_steps: 40, grid_per_dir: 50, dirs: 2, nodes: 2, seed: 91 }
 }
 
-fn run(v: &Virtualizer, sql: &str, exec: ExecMode, no_prune: bool) -> (Table, dv_core::QueryStats) {
-    let opts = QueryOptions { exec, no_prune, ..Default::default() };
-    let (mut tables, stats) = v.query_with(sql, &opts).unwrap();
+fn run(v: &Virtualizer, sql: &str, no_prune: bool) -> (Table, dv_core::QueryStats) {
+    let opts = QueryOptions { no_prune, ..Default::default() };
+    let (mut tables, stats) = query_checked(v, sql, &opts);
     (tables.remove(0), stats)
 }
 
-/// Pruned == unpruned == row-at-a-time, and pruning never invents or
+/// The reference executor's result over the unpruned plan.
+fn run_reference(v: &Virtualizer, sql: &str) -> Table {
+    reference::execute(v, sql, &QueryOptions { no_prune: true, ..Default::default() }).remove(0)
+}
+
+/// Pruned == unpruned == reference, and pruning never invents or
 /// loses a row, across hand-picked prunable/unprunable predicates.
 #[test]
 fn fixed_queries_pruned_equals_unpruned() {
@@ -49,16 +55,17 @@ fn fixed_queries_pruned_equals_unpruned() {
         "SELECT TIME, SOIL FROM IparsData WHERE NOT (TIME < 5 OR TIME > 35)",
     ];
     for sql in queries {
-        let (pruned, ps) = run(&v, sql, ExecMode::Columnar, false);
-        let (unpruned, us) = run(&v, sql, ExecMode::Columnar, true);
-        let (row, _) = run(&v, sql, ExecMode::RowAtATime, false);
+        let (pruned, ps) = run(&v, sql, false);
+        let (unpruned, us) = run(&v, sql, true);
+        let row = run_reference(&v, sql);
         assert!(
             pruned.same_rows(&unpruned),
             "{sql}: pruned {} vs unpruned {}",
             pruned.len(),
             unpruned.len()
         );
-        assert!(pruned.same_rows(&row), "{sql}: pruned vs row oracle");
+        assert!(pruned.same_rows(&row), "{sql}: pruned vs reference");
+        assert_eq!(unpruned.rows, row.rows, "{sql}: unpruned vs reference");
         assert_eq!(us.groups_pruned, 0, "{sql}: no_prune must not prune");
         assert!(
             ps.groups_pruned + ps.groups_full + ps.groups_total >= us.groups_total,
@@ -71,22 +78,13 @@ fn fixed_queries_pruned_equals_unpruned() {
     // interpreter, which must drop them. (The plain `TIME <= 4` window
     // is already narrowed by range analysis before pruning runs; its
     // survivors are marked provably full instead.)
-    let (_, s) = run(
-        &v,
-        "SELECT SOIL, TIME FROM IparsData WHERE TIME * 10 <= 40",
-        ExecMode::Columnar,
-        false,
-    );
+    let (_, s) = run(&v, "SELECT SOIL, TIME FROM IparsData WHERE TIME * 10 <= 40", false);
     assert!(s.groups_pruned > 0, "arith TIME window pruned nothing: {s:?}");
     assert!(s.bytes_avoided > 0);
-    let (_, s) = run(&v, "SELECT SOIL FROM IparsData WHERE TIME <= 4", ExecMode::Columnar, false);
+    let (_, s) = run(&v, "SELECT SOIL FROM IparsData WHERE TIME <= 4", false);
     assert_eq!(s.groups_full, s.groups_total, "range-narrowed survivors should be full: {s:?}");
-    let (_, s) = run(
-        &v,
-        "SELECT TIME FROM IparsData WHERE SPEED(OILVX, OILVY, OILVZ) < 30.0",
-        ExecMode::Columnar,
-        false,
-    );
+    let (_, s) =
+        run(&v, "SELECT TIME FROM IparsData WHERE SPEED(OILVX, OILVY, OILVZ) < 30.0", false);
     assert_eq!(s.groups_pruned, 0, "UDF predicate must block pruning: {s:?}");
     assert_eq!(s.groups_full, 0);
 }
@@ -140,21 +138,22 @@ DATASET "D" {
         "SELECT TIME, F FROM D WHERE TIME > 100",
     ];
     for sql in queries {
-        let (pruned, _) = run(&v, sql, ExecMode::Columnar, false);
-        let (unpruned, _) = run(&v, sql, ExecMode::Columnar, true);
-        let (row, _) = run(&v, sql, ExecMode::RowAtATime, false);
+        let (pruned, _) = run(&v, sql, false);
+        let (unpruned, _) = run(&v, sql, true);
+        let row = run_reference(&v, sql);
         assert!(pruned.same_rows(&unpruned), "{sql}: pruned vs unpruned");
-        assert!(pruned.same_rows(&row), "{sql}: pruned vs row oracle");
+        assert!(pruned.same_rows(&row), "{sql}: pruned vs reference");
+        assert_eq!(unpruned.rows, row.rows, "{sql}: unpruned vs reference");
     }
     // Sanity: the stored column really is undecidable — a comparison
     // on F alone must not mark chunks full or empty.
-    let (_, s) = run(&v, "SELECT F FROM D WHERE F > 0.2", ExecMode::Columnar, false);
+    let (_, s) = run(&v, "SELECT F FROM D WHERE F > 0.2", false);
     assert_eq!(s.groups_pruned, 0);
     assert_eq!(s.groups_full, 0);
 }
 
 /// Random descriptors (loop bounds, file counts) x random predicates:
-/// pruned execution is bit-identical to unpruned on both exec paths.
+/// pruned execution is bit-identical to unpruned and to the reference.
 mod random {
     use super::*;
     use proptest::prelude::*;
@@ -225,16 +224,17 @@ mod random {
         fn pruned_equals_unpruned_on_random_predicates(spec in arb_spec()) {
             let v = shared_virtualizer();
             let sql = spec_sql(&spec);
-            let (pruned, ps) = run(v, &sql, ExecMode::Columnar, false);
-            let (unpruned, us) = run(v, &sql, ExecMode::Columnar, true);
-            let (row, _) = run(v, &sql, ExecMode::RowAtATime, false);
+            let (pruned, ps) = run(v, &sql, false);
+            let (unpruned, us) = run(v, &sql, true);
+            let row = run_reference(v, &sql);
             prop_assert!(
                 pruned.same_rows(&unpruned),
                 "{sql}: pruned {} rows vs unpruned {} rows",
                 pruned.len(),
                 unpruned.len()
             );
-            prop_assert!(pruned.same_rows(&row), "{sql}: pruned vs row oracle");
+            prop_assert!(pruned.same_rows(&row), "{sql}: pruned vs reference");
+            prop_assert!(unpruned.rows == row.rows, "{sql}: unpruned vs reference");
             // A UDF conjunct poisons decidability of the conjunction's
             // True side only; Empty pruning may still fire via TIME.
             prop_assert_eq!(us.groups_pruned, 0);

@@ -1,13 +1,13 @@
 //! Differential tests for the `dv-verify` certificate, a diagnostic:
 //! the verifier proves every generated layout Safe, and on that same
-//! data the columnar engine returns byte-identical results to the row
-//! engine (the oracle); and whenever the verifier refutes a
-//! descriptor, the refutation's counterexample describes bytes a real
-//! runtime check rejects.
+//! data the columnar engine returns byte-identical results to the
+//! row-at-a-time reference executor (the oracle); and whenever the
+//! verifier refutes a descriptor, the refutation's counterexample
+//! describes bytes a real runtime check rejects.
 
-use dv_core::{Certificate, ExecMode, QueryOptions, Virtualizer};
+use dv_core::{Certificate, QueryOptions, Virtualizer};
 use dv_datagen::{ipars, IparsConfig, IparsLayout};
-use dv_integration::scratch;
+use dv_integration::{query_checked, reference, scratch};
 use dv_lint::verify::ObservedSizes;
 use dv_lint::{verify_descriptor, Code};
 use dv_types::{Table, Value};
@@ -26,19 +26,9 @@ fn bits(v: &Value) -> (u8, u64) {
     }
 }
 
-/// Sorted so the comparison is insensitive to the nondeterministic
-/// cross-node merge order, but still exact on every row's bytes.
+/// Every row's exact bytes, in delivery order.
 fn table_bits(t: &Table) -> Vec<Vec<(u8, u64)>> {
-    let mut rows: Vec<Vec<(u8, u64)>> =
-        t.rows.iter().map(|r| r.iter().map(bits).collect()).collect();
-    rows.sort();
-    rows
-}
-
-fn run(v: &Virtualizer, sql: &str, exec: ExecMode) -> Table {
-    let opts = QueryOptions { exec, ..Default::default() };
-    let (mut tables, _) = v.query_with(sql, &opts).unwrap();
-    tables.remove(0)
+    t.rows.iter().map(|r| r.iter().map(bits).collect()).collect()
 }
 
 /// Stat every generated file so bounds are checked against reality.
@@ -124,7 +114,7 @@ proptest! {
 
     /// Random descriptor + dataset: the verifier proves it Safe
     /// against the observed file sizes, and the columnar decode
-    /// byte-matches the row engine on the same files.
+    /// byte-matches the reference on the same files.
     #[test]
     fn safe_certificate_decode_paths_byte_match(spec in arb_spec()) {
         let base = scratch("verify-diff");
@@ -147,12 +137,13 @@ proptest! {
                 spec.soil_gt
             ),
         ] {
-            let columnar = run(&v, &sql, ExecMode::Columnar);
-            let oracle = run(&v, &sql, ExecMode::RowAtATime);
+            let opts = QueryOptions::default();
+            let columnar = query_checked(&v, &sql, &opts).0.remove(0);
+            let oracle = reference::execute(&v, &sql, &opts).remove(0);
             prop_assert_eq!(
                 table_bits(&columnar),
                 table_bits(&oracle),
-                "{:?}: columnar vs row engine diverge on {}",
+                "{:?}: columnar vs reference diverge on {}",
                 spec.layout,
                 sql
             );
