@@ -64,8 +64,9 @@ fn range_processor(v: f64, bounds: &[f64], processors: usize) -> usize {
 }
 
 /// Split a columnar block's *selected* rows into dense per-processor
-/// columnar blocks. Assignment reads only the key column (as `f64`s);
-/// the gather then touches each payload column exactly once.
+/// columnar blocks. Assignment reads only the key column, as `f64`s
+/// straight from its typed pieces; the gather then touches each
+/// payload column exactly once.
 /// `base_ordinal` is the *scanned* ordinal of the block's first
 /// pre-filter row — a plan-time quantity (rows materialized by all
 /// earlier AFCs in the node's schedule) — and round-robin keys on it
@@ -86,15 +87,15 @@ pub fn partition_columns(
             }
         }
         PartitionStrategy::HashAttr { position } => {
-            let keys = block.columns[*position].f64s(block.selection());
-            for (v, i) in keys.into_iter().zip(block.selected_rows()) {
-                idx[hash_processor(v, processors)].push(i);
+            for piece in block.columns[*position].pieces(block.picks()) {
+                piece.for_each_f64(|i, v| idx[hash_processor(v, processors)].push(i as u32));
             }
         }
         PartitionStrategy::RangeAttr { position, bounds } => {
-            let keys = block.columns[*position].f64s(block.selection());
-            for (v, i) in keys.into_iter().zip(block.selected_rows()) {
-                idx[range_processor(v, bounds, processors)].push(i);
+            for piece in block.columns[*position].pieces(block.picks()) {
+                piece.for_each_f64(|i, v| {
+                    idx[range_processor(v, bounds, processors)].push(i as u32)
+                });
             }
         }
     }

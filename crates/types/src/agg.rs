@@ -22,6 +22,24 @@
 //! nothing — pruned, filtered empty — are invisible to the fold and
 //! prune on/off produces bit-identical aggregates.
 //!
+//! # The key-segment fold
+//!
+//! Inside a chunk, [`AggTable::fold_block`] never turns a cell into a
+//! [`Value`]. It walks the selected rows in *key segments*: maximal
+//! spans over which every `GROUP BY` column keeps one representation —
+//! its dense prefix or one lazy run ([`Column::pieces`], the
+//! selection-aware column visitor). The paper's implicit attributes
+//! (`REL` from the file name, `TIME` from a `LOOP`) arrive as constant
+//! runs over the whole chunk, so a chunk grouped by them is one
+//! segment and probes the group table once. Stored and affine keys are
+//! read per row from their typed slice or generator and probed row by
+//! row. Either way each aggregate then folds the segment's rows in one
+//! typed loop per (accumulator, column type, selection or range).
+//! Segments ascend and rows ascend within each, so every group sees
+//! its rows in scan order, group slots open in first-row order and a
+//! group's first value is copied: the states are bit-identical to
+//! [`AggTable::fold_row`] over the same rows, one by one.
+//!
 //! # NaN policy
 //!
 //! Group keys compare by bit pattern with every NaN canonicalized to
@@ -29,10 +47,9 @@
 //! `SUM`/`AVG` propagate NaN (IEEE addition); `MIN`/`MAX` use
 //! `f64::total_cmp`, under which NaN sorts above every number.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use crate::column::ColumnBlock;
+use crate::column::{Column, ColumnBlock, Picks};
 use crate::datatype::DataType;
 use crate::value::Value;
 
@@ -190,19 +207,40 @@ impl AccCol {
         match self {
             AccCol::Count(v) => v[i] += 1,
             AccCol::Sum(v) => v[i] += x,
-            AccCol::Min(v) => {
-                if x.total_cmp(&v[i]).is_lt() {
-                    v[i] = x;
-                }
-            }
-            AccCol::Max(v) => {
-                if x.total_cmp(&v[i]).is_gt() {
-                    v[i] = x;
-                }
-            }
+            AccCol::Min(v) => v[i] = min_step(v[i], x),
+            AccCol::Max(v) => v[i] = max_step(v[i], x),
             AccCol::Avg { sum, count } => {
                 sum[i] += x;
                 count[i] += 1;
+            }
+        }
+    }
+
+    /// Empty every slot, keeping the allocations.
+    fn clear(&mut self) {
+        match self {
+            AccCol::Count(v) => v.clear(),
+            AccCol::Sum(v) | AccCol::Min(v) | AccCol::Max(v) => v.clear(),
+            AccCol::Avg { sum, count } => {
+                sum.clear();
+                count.clear();
+            }
+        }
+    }
+
+    /// Fold one key segment's picked rows of `arg` (`None` only for
+    /// `COUNT(*)`): one typed loop per (accumulator kind, column type,
+    /// pick kind), no per-row `Value` and no per-row dispatch.
+    fn fold_segment(&mut self, slots: Slots<'_>, arg: Option<&Column>, rows: Picks<'_>) {
+        let arg = || arg.expect("only COUNT takes `*`");
+        match self {
+            AccCol::Count(v) => count_into(v, slots, rows.len()),
+            AccCol::Sum(v) => fold_values(v, slots, arg(), rows, |a, x| a + x),
+            AccCol::Min(v) => fold_values(v, slots, arg(), rows, min_step),
+            AccCol::Max(v) => fold_values(v, slots, arg(), rows, max_step),
+            AccCol::Avg { sum, count } => {
+                fold_values(sum, slots, arg(), rows, |a, x| a + x);
+                count_into(count, slots, rows.len());
             }
         }
     }
@@ -228,16 +266,8 @@ impl AccCol {
         match (self, s) {
             (AccCol::Count(v), AccState::Count(c)) => v[i] += c,
             (AccCol::Sum(v), AccState::Sum(x)) => v[i] += x,
-            (AccCol::Min(v), AccState::Min(x)) => {
-                if x.total_cmp(&v[i]).is_lt() {
-                    v[i] = x;
-                }
-            }
-            (AccCol::Max(v), AccState::Max(x)) => {
-                if x.total_cmp(&v[i]).is_gt() {
-                    v[i] = x;
-                }
-            }
+            (AccCol::Min(v), AccState::Min(x)) => v[i] = min_step(v[i], x),
+            (AccCol::Max(v), AccState::Max(x)) => v[i] = max_step(v[i], x),
             (AccCol::Avg { sum, count }, AccState::Avg { sum: s, count: c }) => {
                 sum[i] += s;
                 count[i] += c;
@@ -269,6 +299,97 @@ impl AccCol {
     }
 }
 
+/// `MIN` under `total_cmp` (a positive NaN above every number, a
+/// negative one below).
+#[inline]
+fn min_step(acc: f64, x: f64) -> f64 {
+    if x.total_cmp(&acc).is_lt() {
+        x
+    } else {
+        acc
+    }
+}
+
+/// `MAX` under `total_cmp`.
+#[inline]
+fn max_step(acc: f64, x: f64) -> f64 {
+    if x.total_cmp(&acc).is_gt() {
+        x
+    } else {
+        acc
+    }
+}
+
+/// The group slots of one key segment's picked rows: one slot for the
+/// whole segment, or one per row. A slot equal to the accumulator's
+/// length is a group this row opens.
+#[derive(Clone, Copy)]
+enum Slots<'a> {
+    One(usize),
+    Each(&'a [u32]),
+}
+
+/// Add `n` rows (one per slot entry) to a count column.
+#[inline]
+fn count_into(v: &mut Vec<i64>, slots: Slots<'_>, n: usize) {
+    match slots {
+        Slots::One(s) if s == v.len() => v.push(n as i64),
+        Slots::One(s) => v[s] += n as i64,
+        Slots::Each(each) => {
+            for &s in each {
+                match v.get_mut(s as usize) {
+                    Some(c) => *c += 1,
+                    None => v.push(1),
+                }
+            }
+        }
+    }
+}
+
+/// Fold the picked rows of `col` into a float accumulator column with
+/// `step`, in row order. A group's first value is copied, never
+/// combined, so `-0.0` and NaN payloads survive as `fold_row` keeps
+/// them.
+#[inline]
+fn fold_values(
+    v: &mut Vec<f64>,
+    slots: Slots<'_>,
+    col: &Column,
+    rows: Picks<'_>,
+    step: impl Fn(f64, f64) -> f64,
+) {
+    match slots {
+        Slots::One(s) => {
+            let mut acc = v.get(s).copied();
+            for piece in col.pieces(rows) {
+                piece.for_each_f64(|_, x| {
+                    acc = Some(match acc {
+                        Some(a) => step(a, x),
+                        None => x,
+                    })
+                });
+            }
+            let acc = acc.expect("a key segment picks at least one row");
+            match v.get_mut(s) {
+                Some(a) => *a = acc,
+                None => v.push(acc),
+            }
+        }
+        Slots::Each(each) => {
+            let mut slots = each.iter();
+            for piece in col.pieces(rows) {
+                piece.for_each_f64(|_, x| {
+                    let s = *slots.next().expect("one slot per picked row") as usize;
+                    match v.get_mut(s) {
+                        Some(a) => *a = step(*a, x),
+                        None => v.push(x),
+                    }
+                });
+            }
+        }
+    }
+}
+
 /// A hash-aggregation table: group keys → accumulator columns. Used
 /// per-chunk at the nodes (then drained into an [`AggBlock`]) and as
 /// the final merge table at the absorber.
@@ -281,6 +402,10 @@ pub struct AggTable {
     pub keys: Vec<GroupKey>,
     /// One accumulator column per aggregate of the query.
     pub accs: Vec<AccCol>,
+    /// Per-row key path scratch: one segment's row keys and their
+    /// group slots.
+    row_keys: Vec<GroupKey>,
+    row_slots: Vec<u32>,
 }
 
 impl AggTable {
@@ -292,6 +417,8 @@ impl AggTable {
             map: HashMap::new(),
             keys: Vec::new(),
             accs: funcs.iter().map(|&f| AccCol::new(f)).collect(),
+            row_keys: Vec::new(),
+            row_slots: Vec::new(),
         }
     }
 
@@ -316,28 +443,33 @@ impl AggTable {
     pub fn clear(&mut self) {
         self.map.clear();
         self.keys.clear();
-        for (acc, &f) in self.accs.iter_mut().zip(&self.funcs) {
-            *acc = AccCol::new(f);
+        for acc in &mut self.accs {
+            acc.clear();
         }
+    }
+
+    /// The slot of `key`, opening a new group (key only; accumulators
+    /// grow when they fold the group's first row) if it is unseen.
+    #[inline]
+    fn probe(&mut self, key: GroupKey) -> usize {
+        let next = self.keys.len();
+        let slot = *self.map.entry(key).or_insert(next as u32) as usize;
+        if slot == next {
+            self.keys.push(key);
+        }
+        slot
     }
 
     /// Fold one row: `args[a]` is the `f64` argument of aggregate `a`
     /// (`COUNT(*)` passes a dummy). Rows must arrive in scan order.
     #[inline]
     pub fn fold_row(&mut self, key: GroupKey, args: &[f64]) {
-        match self.map.entry(key) {
-            Entry::Occupied(e) => {
-                let i = *e.get() as usize;
-                for (acc, &x) in self.accs.iter_mut().zip(args) {
-                    acc.fold_into(i, x);
-                }
-            }
-            Entry::Vacant(e) => {
-                e.insert(self.keys.len() as u32);
-                self.keys.push(key);
-                for (acc, &x) in self.accs.iter_mut().zip(args) {
-                    acc.push_first(x);
-                }
+        let i = self.probe(key);
+        for (acc, &x) in self.accs.iter_mut().zip(args) {
+            if i == acc.len() {
+                acc.push_first(x);
+            } else {
+                acc.fold_into(i, x);
             }
         }
     }
@@ -345,35 +477,70 @@ impl AggTable {
     /// Fold the selected rows of a columnar block. `group_pos` /
     /// `arg_pos` index into the block's columns (`None` = `COUNT(*)`).
     /// Returns the number of rows folded.
+    ///
+    /// The rows are walked in *key segments*: maximal spans over which
+    /// every `GROUP BY` column keeps one representation (its dense
+    /// prefix, or one lazy run). Where every key is a constant run —
+    /// the implicit attributes of an AFC — the segment probes the
+    /// group table once; elsewhere each row's key is read from its
+    /// typed slice or generator and probed. Each aggregate then folds
+    /// the segment's rows in one typed loop. Segments ascend and rows
+    /// ascend within them, so every group sees its rows in scan order
+    /// and opens its slot where `fold_row` would: the result is
+    /// bit-identical to folding row by row.
     pub fn fold_block(
         &mut self,
         block: &ColumnBlock,
         group_pos: &[usize],
         arg_pos: &[Option<usize>],
     ) -> u64 {
-        let n = block.selected();
-        if n == 0 {
-            return 0;
-        }
-        let sel = block.selection();
-        let key_cols: Vec<Vec<f64>> =
-            group_pos.iter().map(|&p| block.columns[p].f64s(sel)).collect();
-        let arg_cols: Vec<Option<Vec<f64>>> =
-            arg_pos.iter().map(|o| o.map(|p| block.columns[p].f64s(sel))).collect();
-        let mut args = vec![0.0f64; arg_pos.len()];
-        for r in 0..n {
+        let mut rest = block.picks();
+        while !rest.is_empty() {
+            let mut end = block.len();
             let mut key: GroupKey = [0; MAX_GROUP_COLS];
-            for (k, col) in key_cols.iter().enumerate() {
-                key[k] = key_code(col[r]);
-            }
-            for (a, col) in arg_cols.iter().enumerate() {
-                if let Some(v) = col {
-                    args[a] = v[r];
+            let mut constant = true;
+            for (k, &p) in group_pos.iter().enumerate() {
+                let piece =
+                    block.columns[p].pieces(rest).next().expect("picked rows lie in pieces");
+                end = end.min(piece.end_row());
+                match piece.constant() {
+                    Some(v) => key[k] = key_code(v.as_f64()),
+                    None => constant = false,
                 }
             }
-            self.fold_row(key, &args);
+            let (rows, after) = rest.split_at_row(end);
+            rest = after;
+            let slots = if constant {
+                Slots::One(self.probe(key))
+            } else {
+                self.probe_rows(block, group_pos, rows);
+                Slots::Each(&self.row_slots)
+            };
+            for (acc, arg) in self.accs.iter_mut().zip(arg_pos) {
+                acc.fold_segment(slots, arg.map(|p| &block.columns[p]), rows);
+            }
         }
-        n as u64
+        block.selected() as u64
+    }
+
+    /// The per-row key path: read each key column's codes for `rows`
+    /// (one representation per column here), then probe row by row.
+    fn probe_rows(&mut self, block: &ColumnBlock, group_pos: &[usize], rows: Picks<'_>) {
+        self.row_keys.clear();
+        self.row_keys.resize(rows.len(), [0; MAX_GROUP_COLS]);
+        for (k, &p) in group_pos.iter().enumerate() {
+            let mut keys = self.row_keys.iter_mut();
+            for piece in block.columns[p].pieces(rows) {
+                piece.for_each_f64(|_, x| {
+                    keys.next().expect("one key per picked row")[k] = key_code(x)
+                });
+            }
+        }
+        self.row_slots.clear();
+        for r in 0..self.row_keys.len() {
+            let slot = self.probe(self.row_keys[r]);
+            self.row_slots.push(slot as u32);
+        }
     }
 
     /// Merge a shipped partial entry. New groups copy the state
@@ -381,19 +548,12 @@ impl AggTable {
     /// entries in ascending canonical `(node, chunk)` order — this is
     /// what makes the merged float state deterministic.
     pub fn merge_entry(&mut self, key: GroupKey, states: &[AccState]) {
-        match self.map.entry(key) {
-            Entry::Occupied(e) => {
-                let i = *e.get() as usize;
-                for (acc, &s) in self.accs.iter_mut().zip(states) {
-                    acc.merge_state(i, s);
-                }
-            }
-            Entry::Vacant(e) => {
-                e.insert(self.keys.len() as u32);
-                self.keys.push(key);
-                for (acc, &s) in self.accs.iter_mut().zip(states) {
-                    acc.push_state(s);
-                }
+        let i = self.probe(key);
+        for (acc, &s) in self.accs.iter_mut().zip(states) {
+            if i == acc.len() {
+                acc.push_state(s);
+            } else {
+                acc.merge_state(i, s);
             }
         }
     }
@@ -606,17 +766,37 @@ mod tests {
             key[0] = key_code(rows[i].0 as f64);
             byrow.fold_row(key, &[0.0, rows[i].1 as f64]);
         }
-        assert_eq!(cols.keys, byrow.keys);
+        assert_same(&cols, &byrow);
+    }
+
+    /// Equal keys in equal slot order, and bit-equal states — except
+    /// that a sum of several NaNs is any NaN: IEEE 754 leaves the
+    /// payload of `NaN + NaN` open, and LLVM commutes an add to fold a
+    /// load, so which operand's sign survives is up to codegen, in
+    /// `fold_row` too. Copied states (first values, `MIN`, `MAX`) stay
+    /// bit-exact.
+    fn assert_same(got: &AggTable, want: &AggTable) {
+        fn sum_bits(x: f64) -> u64 {
+            if x.is_nan() {
+                CANON_NAN
+            } else {
+                x.to_bits()
+            }
+        }
         fn bits(s: AccState) -> (u64, u64) {
             match s {
                 AccState::Count(c) => (c as u64, 0),
-                AccState::Sum(x) | AccState::Min(x) | AccState::Max(x) => (x.to_bits(), 0),
-                AccState::Avg { sum, count } => (sum.to_bits(), count as u64),
+                AccState::Min(x) | AccState::Max(x) => (x.to_bits(), 0),
+                AccState::Sum(x) => (sum_bits(x), 0),
+                AccState::Avg { sum, count } => (sum_bits(sum), count as u64),
             }
         }
-        for (a, b) in cols.accs.iter().zip(&byrow.accs) {
+        assert_eq!(got.keys, want.keys);
+        for (a, b) in got.accs.iter().zip(&want.accs) {
+            assert_eq!(a.len(), got.keys.len());
+            assert_eq!(b.len(), want.keys.len());
             for i in 0..a.len() {
-                assert_eq!(bits(a.state_at(i)), bits(b.state_at(i)));
+                assert_eq!(bits(a.state_at(i)), bits(b.state_at(i)), "slot {i}");
             }
         }
     }
@@ -645,5 +825,68 @@ mod tests {
         assert_eq!(AggFunc::Sum.result_dtype(Some(DataType::Float)), DataType::Double);
         assert_eq!(AggFunc::Min.result_dtype(Some(DataType::Short)), DataType::Short);
         assert_eq!(AggFunc::Avg.result_dtype(Some(DataType::Int)), DataType::Double);
+    }
+
+    /// `fold_block` against `fold_row` over random blocks: every
+    /// column type, dense prefixes followed by constant and affine
+    /// runs (`Short` starts that wrap included), NaN payloads and
+    /// signed zeros as keys and as first values, any selection, 0–3
+    /// keys and 0–4 aggregates.
+    mod fold_kernel {
+        use super::*;
+        use crate::column::strategies::{arb_col, arb_sel};
+        use crate::column::ColumnBlock;
+        use proptest::prelude::*;
+
+        const FUNCS: [AggFunc; 5] =
+            [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+            #[test]
+            fn fold_block_equals_fold_row(
+                n in 0usize..400,
+                cols in prop::collection::vec(arb_col(), 1..5),
+                sel in arb_sel(),
+                keys in prop::collection::vec(any::<usize>(), 0..4),
+                aggs in prop::collection::vec((0usize..FUNCS.len(), any::<usize>(), any::<bool>()), 0..5),
+            ) {
+                let mut block =
+                    ColumnBlock::from_columns(0, cols.iter().map(|c| c.build(n)).collect());
+                block.set_selection(sel.build(n));
+                let group_pos: Vec<usize> = keys.iter().map(|k| k % cols.len()).collect();
+                let funcs: Vec<AggFunc> = aggs.iter().map(|a| FUNCS[a.0]).collect();
+                let arg_pos: Vec<Option<usize>> = aggs
+                    .iter()
+                    .map(|&(f, c, star)| (FUNCS[f] != AggFunc::Count || !star).then_some(c % cols.len()))
+                    .collect();
+                // The reference reads the selected rows through the
+                // transpose kernel.
+                let rows = block.to_rows();
+                let mut byrow = AggTable::new(&funcs, group_pos.len());
+                let mut table = AggTable::new(&funcs, group_pos.len());
+                // The second pass finds every group already open.
+                for _ in 0..2 {
+                    prop_assert_eq!(table.fold_block(&block, &group_pos, &arg_pos), rows.len() as u64);
+                    for row in &rows {
+                        let mut key: GroupKey = [0; MAX_GROUP_COLS];
+                        for (k, &p) in group_pos.iter().enumerate() {
+                            key[k] = key_code(row[p].as_f64());
+                        }
+                        let args: Vec<f64> =
+                            arg_pos.iter().map(|a| a.map_or(0.0, |p| row[p].as_f64())).collect();
+                        byrow.fold_row(key, &args);
+                    }
+                    assert_same(&table, &byrow);
+                }
+                // A cleared table folds like a fresh one.
+                table.clear();
+                table.fold_block(&block, &group_pos, &arg_pos);
+                let mut fresh = AggTable::new(&funcs, group_pos.len());
+                fresh.fold_block(&block, &group_pos, &arg_pos);
+                assert_same(&table, &fresh);
+            }
+        }
     }
 }

@@ -126,24 +126,33 @@ impl ColumnData {
     }
 }
 
-/// The block rows one tile of the transpose reads, ascending: a
-/// contiguous range when every row is selected, else a piece of the
-/// selection vector.
-#[derive(Clone, Copy)]
-enum Picks<'a> {
+/// The block rows a kernel reads, ascending: a contiguous range when
+/// every row is selected, else a piece of the selection vector.
+#[derive(Debug, Clone, Copy)]
+pub enum Picks<'a> {
     Range(usize, usize),
     Sel(&'a [u32]),
 }
 
 impl<'a> Picks<'a> {
-    fn len(self) -> usize {
+    /// Number of rows picked.
+    #[inline]
+    pub(crate) fn len(self) -> usize {
         match self {
             Picks::Range(a, b) => b - a,
             Picks::Sel(idx) => idx.len(),
         }
     }
 
-    fn first(self) -> Option<usize> {
+    /// True when no row is picked.
+    #[inline]
+    pub(crate) fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The lowest picked row.
+    #[inline]
+    pub(crate) fn first(self) -> Option<usize> {
         match self {
             Picks::Range(a, b) => (a < b).then_some(a),
             Picks::Sel(idx) => idx.first().map(|&i| i as usize),
@@ -151,7 +160,8 @@ impl<'a> Picks<'a> {
     }
 
     /// The picks below block row `row`, and the rest.
-    fn split_at_row(self, row: usize) -> (Picks<'a>, Picks<'a>) {
+    #[inline]
+    pub(crate) fn split_at_row(self, row: usize) -> (Picks<'a>, Picks<'a>) {
         match self {
             Picks::Range(a, b) => {
                 let mid = row.clamp(a, b);
@@ -161,6 +171,117 @@ impl<'a> Picks<'a> {
                 let (lo, hi) = idx.split_at(idx.partition_point(|&i| (i as usize) < row));
                 (Picks::Sel(lo), Picks::Sel(hi))
             }
+        }
+    }
+}
+
+/// The selection-aware column visitor's unit: the picks of one column
+/// that fall in its dense prefix, or in one of its lazy runs. Kernels
+/// dispatch on the representation once per piece, then loop over the
+/// piece's rows monomorphically.
+#[derive(Debug, Clone, Copy)]
+pub enum Piece<'a> {
+    /// Rows of the dense prefix (block row = index into the vector).
+    Dense(&'a ColumnData, Picks<'a>),
+    /// Rows of one lazy run of a column of the given type.
+    Run(&'a LazyRun, DataType, Picks<'a>),
+}
+
+impl<'a> Piece<'a> {
+    /// The rows this piece covers.
+    #[inline]
+    pub(crate) fn picks(self) -> Picks<'a> {
+        match self {
+            Piece::Dense(_, picks) | Piece::Run(_, _, picks) => picks,
+        }
+    }
+
+    /// First block row past the representation this piece lies in: the
+    /// end of the dense prefix, or of the lazy run.
+    #[inline]
+    pub(crate) fn end_row(self) -> usize {
+        match self {
+            Piece::Dense(data, _) => data.len(),
+            Piece::Run(run, _, _) => run.start + run.len,
+        }
+    }
+
+    /// The value every row of the piece carries, when it is a
+    /// constant run.
+    #[inline]
+    pub(crate) fn constant(self) -> Option<Value> {
+        match self {
+            Piece::Run(LazyRun { gen: ColumnGen::Const(v), .. }, _, _) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// Call `f(row, x)` for every picked row in ascending order, `x`
+    /// being the cell's `f64` view ([`Value::as_f64`] of
+    /// [`Column::value_at`]). One typed loop per (column type, pick
+    /// kind, generator); `f` is inlined into each.
+    #[inline]
+    pub fn for_each_f64(self, mut f: impl FnMut(usize, f64)) {
+        macro_rules! rows {
+            ($picks:expr, |$row:ident| $x:expr) => {
+                match $picks {
+                    Picks::Range(a, b) => {
+                        for $row in a..b {
+                            f($row, $x);
+                        }
+                    }
+                    Picks::Sel(idx) => {
+                        for &i in idx {
+                            let $row = i as usize;
+                            f($row, $x);
+                        }
+                    }
+                }
+            };
+        }
+        macro_rules! dense {
+            ($picks:expr, $v:expr, |$x:ident| $conv:expr) => {
+                match $picks {
+                    Picks::Range(a, b) => {
+                        for (k, &$x) in $v[a..b].iter().enumerate() {
+                            f(a + k, $conv);
+                        }
+                    }
+                    Picks::Sel(idx) => {
+                        for &i in idx {
+                            let $x = $v[i as usize];
+                            f(i as usize, $conv);
+                        }
+                    }
+                }
+            };
+        }
+        match self {
+            Piece::Dense(data, picks) => match data {
+                ColumnData::Char(v) => dense!(picks, v, |x| x as f64),
+                ColumnData::Short(v) => dense!(picks, v, |x| x as f64),
+                ColumnData::Int(v) => dense!(picks, v, |x| x as f64),
+                ColumnData::Long(v) => dense!(picks, v, |x| x as f64),
+                ColumnData::Float(v) => dense!(picks, v, |x| x as f64),
+                ColumnData::Double(v) => dense!(picks, v, |x| x),
+            },
+            Piece::Run(run, dtype, picks) => match run.gen {
+                ColumnGen::Const(v) => {
+                    let x = v.as_f64();
+                    rows!(picks, |r| x)
+                }
+                // `Value::from_i64` then `as_f64`, spelled per type.
+                ColumnGen::Affine { start, step } => {
+                    let at = |r: usize| start + (r - run.start) as i64 * step;
+                    match dtype {
+                        DataType::Char => rows!(picks, |r| at(r) as u8 as f64),
+                        DataType::Short => rows!(picks, |r| at(r) as i16 as f64),
+                        DataType::Int => rows!(picks, |r| at(r) as i32 as f64),
+                        DataType::Long | DataType::Double => rows!(picks, |r| at(r) as f64),
+                        DataType::Float => rows!(picks, |r| at(r) as f32 as f64),
+                    }
+                }
+            },
         }
     }
 }
@@ -324,39 +445,46 @@ impl Column {
         out
     }
 
+    /// The selection-aware visitor: the column under `picks`, cut at
+    /// the end of the dense prefix and at every lazy-run boundary, in
+    /// row order. Pieces no picked row falls in are skipped.
+    pub fn pieces<'a>(&'a self, picks: Picks<'a>) -> impl Iterator<Item = Piece<'a>> + 'a {
+        let (dense, mut lazy) = picks.split_at_row(self.data.len());
+        // Picks wholly past the dense prefix leave an empty range that
+        // need not lie inside the dense slice.
+        let head = (!dense.is_empty()).then_some(Piece::Dense(&self.data, dense));
+        let runs = std::iter::from_fn(move || {
+            let row = lazy.first()?;
+            let run = &self.runs[self.runs.partition_point(|r| r.start + r.len <= row)];
+            let (here, rest) = lazy.split_at_row(run.start + run.len);
+            lazy = rest;
+            Some(Piece::Run(run, self.dtype, here))
+        });
+        head.into_iter().chain(runs)
+    }
+
     /// Transpose kernel, one column of one tile: the `k`-th picked row
     /// lands in `out[k * stride]`. The dense prefix goes through its
     /// typed slice; each lazy run the picks reach is filled from its
     /// generator, never materialized.
     fn scatter(&self, picks: Picks<'_>, out: &mut [Value], stride: usize) {
-        let (dense, mut lazy) = picks.split_at_row(self.data.len());
-        // A tile wholly past the dense prefix leaves an empty range
-        // that need not lie inside the dense slice.
-        if dense.len() > 0 {
-            self.data.scatter(dense, out, stride);
-        }
-        let mut done = dense.len();
-        while let Some(row) = lazy.first() {
-            let run = &self.runs[self.runs.partition_point(|r| r.start + r.len <= row)];
-            let (here, rest) = lazy.split_at_row(run.start + run.len);
+        let mut done = 0;
+        for piece in self.pieces(picks) {
             let cells = &mut out[done * stride..];
-            let at = |row: usize| run.gen.value_at(row - run.start, self.dtype);
-            match (run.gen, here) {
-                (ColumnGen::Const(v), _) => scatter(cells, stride, 0..here.len(), |_| v),
-                (_, Picks::Range(a, b)) => scatter(cells, stride, a..b, at),
-                (_, Picks::Sel(idx)) => scatter(cells, stride, idx.iter(), |&i| at(i as usize)),
+            match piece {
+                Piece::Dense(data, here) => data.scatter(here, cells, stride),
+                Piece::Run(run, dtype, here) => {
+                    let at = |row: usize| run.gen.value_at(row - run.start, dtype);
+                    match (run.gen, here) {
+                        (ColumnGen::Const(v), _) => scatter(cells, stride, 0..here.len(), |_| v),
+                        (_, Picks::Range(a, b)) => scatter(cells, stride, a..b, at),
+                        (_, Picks::Sel(idx)) => {
+                            scatter(cells, stride, idx.iter(), |&i| at(i as usize))
+                        }
+                    }
+                }
             }
-            done += here.len();
-            lazy = rest;
-        }
-    }
-
-    /// Selected values as `f64` (partitioning reads one column this
-    /// way).
-    pub fn f64s(&self, sel: Option<&[u32]>) -> Vec<f64> {
-        match sel {
-            None => self.f64_vec(),
-            Some(idx) => idx.iter().map(|&i| self.value_at(i as usize).as_f64()).collect(),
+            done += piece.picks().len();
         }
     }
 
@@ -468,6 +596,15 @@ impl ColumnBlock {
                 && s.last().map(|&i| (i as usize) < self.len).unwrap_or(true))
             .unwrap_or(true));
         self.sel = sel;
+    }
+
+    /// The selected rows as the visitor's picks.
+    #[inline]
+    pub fn picks(&self) -> Picks<'_> {
+        match &self.sel {
+            None => Picks::Range(0, self.len),
+            Some(sel) => Picks::Sel(sel),
+        }
     }
 
     /// The selected row indices, materialized.
@@ -813,127 +950,12 @@ mod tests {
         assert_eq!(b.columns[0].value_at(0), Value::Int(1));
     }
 
-    /// The transpose kernel against `Column::value_at`, cell by cell,
+    /// The column kernels against `Column::value_at`, cell by cell,
     /// over random blocks.
     mod kernel {
         use super::*;
+        use crate::column::strategies::{arb_col, arb_sel, same_cell};
         use proptest::prelude::*;
-
-        const DTYPES: [DataType; 6] = [
-            DataType::Char,
-            DataType::Short,
-            DataType::Int,
-            DataType::Long,
-            DataType::Float,
-            DataType::Double,
-        ];
-
-        fn mix(seed: u64, k: u64) -> i64 {
-            let mut h = seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            h ^= h >> 31;
-            h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            (h ^ (h >> 29)) as i64
-        }
-
-        /// One column, independent of the block length it will be cut
-        /// to: type, quarters of the block that are dense, the lazy
-        /// runs that share the rest by weight, a seed for dense cells.
-        #[derive(Debug, Clone)]
-        struct ColRecipe {
-            dtype: DataType,
-            dense_quarters: usize,
-            runs: Vec<(usize, ColumnGen)>,
-            seed: u64,
-        }
-
-        impl ColRecipe {
-            fn build(&self, n: usize) -> Column {
-                let mut c = Column::new(self.dtype);
-                let dense = n * self.dense_quarters / 4;
-                for k in 0..dense {
-                    // Floats take raw bit patterns (NaNs, infinities,
-                    // signed zeros included).
-                    let raw = mix(self.seed, k as u64);
-                    c.append_data().push_value(match self.dtype {
-                        DataType::Float => Value::Float(f32::from_bits(raw as u32)),
-                        DataType::Double => Value::Double(f64::from_bits(raw as u64)),
-                        dtype => Value::from_i64(dtype, raw),
-                    });
-                }
-                let lazy = n - dense;
-                let total: usize = self.runs.iter().map(|r| r.0).sum();
-                let mut left = lazy;
-                for (i, &(weight, gen)) in self.runs.iter().enumerate() {
-                    let len = if i + 1 == self.runs.len() {
-                        left
-                    } else {
-                        (lazy * weight / total).min(left)
-                    };
-                    let gen = match gen {
-                        ColumnGen::Const(v) => {
-                            ColumnGen::Const(Value::from_i64(self.dtype, v.as_i64().unwrap()))
-                        }
-                        affine => affine,
-                    };
-                    c.push_run(len, gen);
-                    left -= len;
-                }
-                assert_eq!(c.len(), n);
-                c
-            }
-        }
-
-        fn arb_gen() -> impl Strategy<Value = ColumnGen> {
-            // Starts around the `Short` limits make `Affine` wrap.
-            let start = prop_oneof![-100i64..100, 32_700i64..32_800, 65_500i64..65_600];
-            prop_oneof![
-                any::<i32>().prop_map(|v| ColumnGen::Const(Value::Long(v as i64))),
-                (start, -3i64..4).prop_map(|(start, step)| ColumnGen::Affine { start, step }),
-            ]
-        }
-
-        fn arb_col() -> impl Strategy<Value = ColRecipe> {
-            (
-                0usize..6,
-                0usize..5,
-                prop::collection::vec((1usize..50, arb_gen()), 1..5),
-                any::<u64>(),
-            )
-                .prop_map(|(d, dense_quarters, runs, seed)| ColRecipe {
-                    dtype: DTYPES[d],
-                    dense_quarters,
-                    runs,
-                    seed,
-                })
-        }
-
-        /// `None`, nothing, everything spelled out, or every row whose
-        /// hash is divisible by `m`.
-        #[derive(Debug, Clone, Copy)]
-        enum SelRecipe {
-            None,
-            Empty,
-            All,
-            Sparse(u64, u64),
-        }
-
-        fn arb_sel() -> impl Strategy<Value = SelRecipe> {
-            prop_oneof![
-                Just(SelRecipe::None),
-                Just(SelRecipe::Empty),
-                Just(SelRecipe::All),
-                (2u64..40, any::<u64>()).prop_map(|(m, seed)| SelRecipe::Sparse(m, seed)),
-            ]
-        }
-
-        fn same_cell(a: Value, b: Value) -> bool {
-            a.data_type() == b.data_type()
-                && match (a, b) {
-                    (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-                    (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
-                    _ => a.as_i64().unwrap() == b.as_i64().unwrap(),
-                }
-        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 6 } else { 192 }))]
@@ -948,14 +970,7 @@ mod tests {
             ) {
                 let mut block =
                     ColumnBlock::from_columns(3, cols.iter().map(|c| c.build(n)).collect());
-                block.set_selection(match sel {
-                    SelRecipe::None => None,
-                    SelRecipe::Empty => Some(Vec::new()),
-                    SelRecipe::All => Some((0..n as u32).collect()),
-                    SelRecipe::Sparse(m, seed) => Some(
-                        (0..n as u32).filter(|&i| (mix(seed, i as u64) as u64).is_multiple_of(m)).collect(),
-                    ),
-                });
+                block.set_selection(sel.build(n));
                 let picked = block.selected_rows();
                 let rows = block.to_rows();
                 prop_assert_eq!(rows.len(), picked.len());
@@ -970,6 +985,193 @@ mod tests {
                     }
                 }
             }
+
+            // The visitor walks exactly the selected rows, in order, and
+            // reads each as `value_at` then `as_f64` would.
+            #[test]
+            fn visitor_equals_value_at(
+                n in 0usize..600,
+                recipe in arb_col(),
+                sel in arb_sel(),
+            ) {
+                let col = recipe.build(n);
+                let mut block = ColumnBlock::from_columns(0, vec![col]);
+                block.set_selection(sel.build(n));
+                let col = &block.columns[0];
+                let mut seen = Vec::new();
+                for piece in col.pieces(block.picks()) {
+                    prop_assert!(!piece.picks().is_empty());
+                    let end = piece.end_row();
+                    piece.for_each_f64(|row, x| {
+                        assert!(row < end);
+                        seen.push((row as u32, x.to_bits()));
+                    });
+                }
+                let want: Vec<(u32, u64)> = block
+                    .selected_rows()
+                    .into_iter()
+                    .map(|i| (i, col.value_at(i as usize).as_f64().to_bits()))
+                    .collect();
+                prop_assert_eq!(seen, want);
+            }
         }
+    }
+}
+
+/// Random columns and selections, shared by the column and aggregate
+/// kernel tests.
+#[cfg(test)]
+pub(crate) mod strategies {
+    use super::*;
+    use proptest::prelude::*;
+
+    const DTYPES: [DataType; 6] = [
+        DataType::Char,
+        DataType::Short,
+        DataType::Int,
+        DataType::Long,
+        DataType::Float,
+        DataType::Double,
+    ];
+
+    /// Float cells that fold and group unlike ordinary numbers: NaNs
+    /// of three payloads and both signs of zero.
+    const SPECIALS: [f64; 6] =
+        [f64::NAN, -f64::NAN, f64::from_bits(0x7ff8_0000_0000_0001), -0.0, 0.0, 1.5];
+
+    fn mix(seed: u64, k: u64) -> i64 {
+        let mut h = seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^= h >> 31;
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        (h ^ (h >> 29)) as i64
+    }
+
+    /// One column, independent of the block length it will be cut
+    /// to: type, quarters of the block that are dense, the lazy
+    /// runs that share the rest by weight, a seed for dense cells,
+    /// and whether dense cells come from a handful of values (so
+    /// that they repeat, as group keys do) or from raw bit patterns.
+    #[derive(Debug, Clone)]
+    pub(crate) struct ColRecipe {
+        pub(crate) dtype: DataType,
+        dense_quarters: usize,
+        runs: Vec<(usize, ColumnGen)>,
+        seed: u64,
+        few_values: bool,
+    }
+
+    impl ColRecipe {
+        pub(crate) fn build(&self, n: usize) -> Column {
+            let mut c = Column::new(self.dtype);
+            let dense = n * self.dense_quarters / 4;
+            for k in 0..dense {
+                let raw = mix(self.seed, k as u64);
+                c.append_data().push_value(match self.dtype {
+                    // Floats take raw bit patterns (NaNs, infinities,
+                    // signed zeros included) or the specials.
+                    DataType::Float | DataType::Double if self.few_values => Value::from_f64(
+                        self.dtype,
+                        SPECIALS[raw.rem_euclid(SPECIALS.len() as i64) as usize],
+                    ),
+                    DataType::Float => Value::Float(f32::from_bits(raw as u32)),
+                    DataType::Double => Value::Double(f64::from_bits(raw as u64)),
+                    dtype if self.few_values => Value::from_i64(dtype, raw.rem_euclid(4)),
+                    dtype => Value::from_i64(dtype, raw),
+                });
+            }
+            let lazy = n - dense;
+            let total: usize = self.runs.iter().map(|r| r.0).sum();
+            let mut left = lazy;
+            for (i, &(weight, gen)) in self.runs.iter().enumerate() {
+                let len =
+                    if i + 1 == self.runs.len() { left } else { (lazy * weight / total).min(left) };
+                let gen = match gen {
+                    ColumnGen::Const(Value::Double(x)) => {
+                        ColumnGen::Const(Value::from_f64(self.dtype, x))
+                    }
+                    ColumnGen::Const(v) => {
+                        ColumnGen::Const(Value::from_i64(self.dtype, v.as_i64().unwrap()))
+                    }
+                    affine => affine,
+                };
+                c.push_run(len, gen);
+                left -= len;
+            }
+            assert_eq!(c.len(), n);
+            c
+        }
+    }
+
+    fn arb_gen() -> impl Strategy<Value = ColumnGen> {
+        // Starts around the `Short` limits make `Affine` wrap.
+        let start = prop_oneof![-100i64..100, 32_700i64..32_800, 65_500i64..65_600];
+        prop_oneof![
+            any::<i32>().prop_map(|v| ColumnGen::Const(Value::Long(v as i64))),
+            // Constants that recur across runs, so runs share groups.
+            (-2i64..3).prop_map(|v| ColumnGen::Const(Value::Long(v))),
+            (0usize..SPECIALS.len()).prop_map(|i| ColumnGen::Const(Value::Double(SPECIALS[i]))),
+            (start, -3i64..4).prop_map(|(start, step)| ColumnGen::Affine { start, step }),
+        ]
+    }
+
+    pub(crate) fn arb_col() -> impl Strategy<Value = ColRecipe> {
+        (
+            0usize..6,
+            0usize..5,
+            prop::collection::vec((1usize..50, arb_gen()), 1..5),
+            any::<u64>(),
+            any::<bool>(),
+        )
+            .prop_map(|(d, dense_quarters, runs, seed, few_values)| ColRecipe {
+                dtype: DTYPES[d],
+                dense_quarters,
+                runs,
+                seed,
+                few_values,
+            })
+    }
+
+    /// `None`, nothing, everything spelled out, or every row whose
+    /// hash is divisible by `m`.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum SelRecipe {
+        None,
+        Empty,
+        All,
+        Sparse(u64, u64),
+    }
+
+    impl SelRecipe {
+        /// The selection of an `n`-row block.
+        pub(crate) fn build(self, n: usize) -> Option<Vec<u32>> {
+            match self {
+                SelRecipe::None => None,
+                SelRecipe::Empty => Some(Vec::new()),
+                SelRecipe::All => Some((0..n as u32).collect()),
+                SelRecipe::Sparse(m, seed) => Some(
+                    (0..n as u32)
+                        .filter(|&i| (mix(seed, i as u64) as u64).is_multiple_of(m))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    pub(crate) fn arb_sel() -> impl Strategy<Value = SelRecipe> {
+        prop_oneof![
+            Just(SelRecipe::None),
+            Just(SelRecipe::Empty),
+            Just(SelRecipe::All),
+            (2u64..40, any::<u64>()).prop_map(|(m, seed)| SelRecipe::Sparse(m, seed)),
+        ]
+    }
+
+    pub(crate) fn same_cell(a: Value, b: Value) -> bool {
+        a.data_type() == b.data_type()
+            && match (a, b) {
+                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
+                _ => a.as_i64().unwrap() == b.as_i64().unwrap(),
+            }
     }
 }

@@ -264,21 +264,73 @@ DATASET "D" {
 const PROP_CALLS: [&str; 6] =
     ["COUNT(*)", "SUM(SOIL)", "MIN(PGAS)", "MAX(SOIL)", "AVG(PGAS)", "AVG(SOIL)"];
 
+/// A layout whose AFCs carry non-constant keys: one AFC per `TIME`,
+/// inside which the inner loop variable `G` is an affine implicit
+/// attribute and the stored `K` repeats a few values.
+const RAMP_DESC: &str = r#"
+[S]
+TIME = int
+G = short
+K = int
+W = float
+
+[D]
+DatasetDescription = S
+DIR[0] = n0/d
+
+DATASET "D" {
+  DATATYPE { S }
+  DATAINDEX { TIME }
+  DATA { DATASET leaf }
+  DATASET "leaf" {
+    DATASPACE { LOOP TIME 1:6:1 { LOOP G 1:40:1 { K W } } }
+    DATA { DIR[0]/f0 }
+  }
+}
+"#;
+
+const RAMP_CALLS: [&str; 6] = ["COUNT(*)", "SUM(W)", "MIN(W)", "MAX(K)", "AVG(W)", "AVG(K)"];
+
+/// The `RAMP_DESC` dataset, written once per test binary.
+fn ramp_virtualizer() -> &'static Virtualizer {
+    use std::sync::OnceLock;
+    static V: OnceLock<Virtualizer> = OnceLock::new();
+    V.get_or_init(|| {
+        let base = scratch("agg-diff-ramp");
+        let dir = base.join("n0").join("d");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes = Vec::new();
+        for i in 0..6 * 40i32 {
+            bytes.extend_from_slice(&(i * 7 % 5).to_le_bytes());
+            bytes.extend_from_slice(&(i as f32 * 0.37 - 20.0).to_le_bytes());
+        }
+        std::fs::write(dir.join("f0"), bytes).unwrap();
+        Virtualizer::builder(RAMP_DESC)
+            .storage_base(&base)
+            .max_intra_node_threads(8)
+            .build()
+            .unwrap()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random GROUP BY queries: both pushdown modes, serial and
-    /// parallel, agree with the reference's fold, bit for bit.
+    /// parallel, agree with the reference's fold, bit for bit. Keys
+    /// are constant runs (`REL`, `TIME` on L0), stored columns (`X`),
+    /// affine runs (`G`), and mixes of them.
     #[test]
     fn prop_random_group_by_queries(
-        group_sel in 0usize..3,
+        ramp in any::<bool>(),
+        group_sel in 0usize..5,
         call_idx in prop::collection::vec(0usize..PROP_CALLS.len(), 1..4),
         pred in prop::option::of((1i64..7, any::<bool>())),
     ) {
         // One shared small dataset (built on first use, cheap to keep).
         use std::sync::OnceLock;
         static V: OnceLock<Virtualizer> = OnceLock::new();
-        let v = V.get_or_init(|| {
+        let l0 = || V.get_or_init(|| {
             let base = scratch("agg-diff-prop");
             let small = IparsConfig {
                 realizations: 2, time_steps: 6, grid_per_dir: 10, dirs: 2, nodes: 2, seed: 7,
@@ -290,23 +342,42 @@ proptest! {
                 .build()
                 .unwrap()
         });
-        let group: &[&str] = match group_sel {
-            0 => &["REL"],
-            1 => &["TIME"],
-            _ => &["REL", "TIME"],
-        };
-        let mut calls: Vec<&str> = call_idx.iter().map(|&i| PROP_CALLS[i]).collect();
-        calls.sort();
-        calls.dedup();
-        let sql = format!(
-            "SELECT {}, {} FROM IparsData{} GROUP BY {}",
-            group.join(", "),
-            calls.join(", "),
-            match pred {
+        let (v, table, group, calls, pred) = if ramp {
+            let group: &[&str] = match group_sel {
+                0 => &["G"],
+                1 => &["K"],
+                2 => &["TIME", "G"],
+                3 => &["K", "TIME"],
+                _ => &["G", "K"],
+            };
+            let pred = match pred {
+                Some((t, true)) => format!(" WHERE TIME <= {t}"),
+                Some((t, false)) => format!(" WHERE TIME >= {t} AND W > -5.0"),
+                None => String::new(),
+            };
+            (ramp_virtualizer(), "D", group, &RAMP_CALLS, pred)
+        } else {
+            let group: &[&str] = match group_sel {
+                0 => &["REL"],
+                1 => &["TIME"],
+                2 => &["REL", "TIME"],
+                3 => &["X"],
+                _ => &["TIME", "X"],
+            };
+            let pred = match pred {
                 Some((t, true)) => format!(" WHERE TIME <= {t}"),
                 Some((t, false)) => format!(" WHERE TIME >= {t} AND SOIL > 0.4"),
                 None => String::new(),
-            },
+            };
+            (l0(), "IparsData", group, &PROP_CALLS, pred)
+        };
+        let mut calls: Vec<&str> = call_idx.iter().map(|&i| calls[i]).collect();
+        calls.sort();
+        calls.dedup();
+        let sql = format!(
+            "SELECT {}, {} FROM {table}{pred} GROUP BY {}",
+            group.join(", "),
+            calls.join(", "),
             group.join(", "),
         );
         let oracle = run_reference(v, &sql);
