@@ -14,9 +14,10 @@
 //! the results are asserted *bit*-identical — across thread counts
 //! {1, 2, 8} — while the mover traffic drops
 //! from O(rows) to O(groups). The headline acceptance bar is a >= 5x
-//! mover-bytes reduction on the multi-aggregate GROUP BY. Results go
-//! to `BENCH_AGG.json` at the repo root (override with
-//! `DV_BENCH_OUT`).
+//! mover-bytes reduction on the multi-aggregate GROUP BY. Each time is
+//! the median over `ROUNDS` rounds of the best of 3 queries on a fresh
+//! server. Results go to `BENCH_AGG.json` at the repo root (override
+//! with `DV_BENCH_OUT`).
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -90,12 +91,20 @@ fn run_once(
     (tables.remove(0), stats, t)
 }
 
+/// Timing rounds per arm; every reported time is the median round.
+const ROUNDS: usize = 9;
+
 fn run_timed(v: &Virtualizer, sql: &str, no_push: bool) -> (Table, QueryStats, Duration) {
     let ((table, stats), time) = dv_bench::min_over(3, || {
         let (table, stats, time) = run_once(v, sql, 1, no_push);
         ((table, stats), time)
     });
     (table, stats, time)
+}
+
+fn median(mut times: Vec<Duration>) -> Duration {
+    times.sort();
+    times[times.len() / 2]
 }
 
 /// Bit-level table equality: floats compare by representation so a
@@ -135,12 +144,18 @@ fn main() {
 
     let mut results = Vec::new();
     for case in cases() {
-        // Fresh server per arm so the segment cache cannot subsidize
-        // either mode.
-        let v = Virtualizer::builder(&desc).storage_base(&base).build().unwrap();
-        let (t_rows, shipped, shipped_time) = run_timed(&v, case.sql, true);
-        let v = Virtualizer::builder(&desc).storage_base(&base).build().unwrap();
-        let (t_push, pushed, pushed_time) = run_timed(&v, case.sql, false);
+        // Fresh server per arm and round so the segment cache cannot
+        // subsidize either mode.
+        let mut rounds = Vec::new();
+        for _ in 0..ROUNDS {
+            let v = Virtualizer::builder(&desc).storage_base(&base).build().unwrap();
+            let shipped = run_timed(&v, case.sql, true);
+            let v = Virtualizer::builder(&desc).storage_base(&base).build().unwrap();
+            rounds.push((shipped, run_timed(&v, case.sql, false), v));
+        }
+        let shipped_time = median(rounds.iter().map(|r| r.0 .2).collect());
+        let pushed_time = median(rounds.iter().map(|r| r.1 .2).collect());
+        let ((t_rows, shipped, _), (t_push, pushed, _), v) = rounds.pop().unwrap();
         assert!(
             bits_equal(&t_push, &t_rows),
             "{}: pushdown result diverges from shipped-rows ({} vs {} rows)",
@@ -226,7 +241,10 @@ fn main() {
         let (_, stats) = v.query_with(sql, &o).unwrap();
         stats.simulated_parallel_time()
     };
-    let (link_rows, link_push) = (run_link(true), run_link(false));
+    let (link_rows, link_push) = (
+        median((0..ROUNDS).map(|_| run_link(true)).collect()),
+        median((0..ROUNDS).map(|_| run_link(false)).collect()),
+    );
     let link_speedup = link_rows.as_secs_f64() / link_push.as_secs_f64().max(1e-9);
     println!(
         "headline over an 8 MiB/s link: rows {} vs pushdown {} ({link_speedup:.1}x)",
@@ -277,6 +295,10 @@ fn render_json(
         cfg.seed
     ));
     s.push_str(&format!("  \"quick_mode\": {},\n", dv_bench::quick_mode()));
+    s.push_str(&format!(
+        "  \"statistic\": \"median of {ROUNDS} rounds (each: best of 3 on a fresh server); \
+         speedup = shipped_ms / pushdown_ms of the medians\",\n"
+    ));
     s.push_str("  \"runs\": [\n");
     for (i, m) in results.iter().enumerate() {
         s.push_str(&format!(

@@ -766,24 +766,24 @@ mod tests {
             key[0] = key_code(rows[i].0 as f64);
             byrow.fold_row(key, &[0.0, rows[i].1 as f64]);
         }
+        // The key-1 sum takes in one NaN, whose payload must survive.
         assert_same(&cols, &byrow);
     }
 
-    /// Equal keys in equal slot order, and bit-equal states — except
-    /// that a sum of several NaNs is any NaN: IEEE 754 leaves the
-    /// payload of `NaN + NaN` open, and LLVM commutes an add to fold a
-    /// load, so which operand's sign survives is up to codegen, in
-    /// `fold_row` too. Copied states (first values, `MIN`, `MAX`) stay
-    /// bit-exact.
+    /// Equal keys in equal slot order, and bit-equal states.
     fn assert_same(got: &AggTable, want: &AggTable) {
-        fn sum_bits(x: f64) -> u64 {
-            if x.is_nan() {
-                CANON_NAN
-            } else {
-                x.to_bits()
-            }
-        }
-        fn bits(s: AccState) -> (u64, u64) {
+        assert_same_but(got, want, |_, _| false);
+    }
+
+    /// [`assert_same`], except that a sum state of a slot and aggregate
+    /// for which `nan_open(slot, agg)` holds need only be some NaN when
+    /// the wanted one is. That is for sums that took in two or more
+    /// NaNs: IEEE 754 leaves the payload of `NaN + NaN` open, and LLVM
+    /// commutes an add to fold a load, so which operand's payload
+    /// survives is up to codegen, in `fold_row` too.
+    fn assert_same_but(got: &AggTable, want: &AggTable, nan_open: impl Fn(usize, usize) -> bool) {
+        fn bits(s: AccState, loose: bool) -> (u64, u64) {
+            let sum_bits = |x: f64| if loose && x.is_nan() { CANON_NAN } else { x.to_bits() };
             match s {
                 AccState::Count(c) => (c as u64, 0),
                 AccState::Min(x) | AccState::Max(x) => (x.to_bits(), 0),
@@ -792,11 +792,16 @@ mod tests {
             }
         }
         assert_eq!(got.keys, want.keys);
-        for (a, b) in got.accs.iter().zip(&want.accs) {
+        for (j, (a, b)) in got.accs.iter().zip(&want.accs).enumerate() {
             assert_eq!(a.len(), got.keys.len());
             assert_eq!(b.len(), want.keys.len());
             for i in 0..a.len() {
-                assert_eq!(bits(a.state_at(i)), bits(b.state_at(i)), "slot {i}");
+                let loose = nan_open(i, j);
+                assert_eq!(
+                    bits(a.state_at(i), loose),
+                    bits(b.state_at(i), loose),
+                    "slot {i} aggregate {j}"
+                );
             }
         }
     }
@@ -866,6 +871,11 @@ mod tests {
                 let rows = block.to_rows();
                 let mut byrow = AggTable::new(&funcs, group_pos.len());
                 let mut table = AggTable::new(&funcs, group_pos.len());
+                // Non-finite arguments each group's aggregates took in. A
+                // sum turns NaN only from a NaN argument or from ∞ − ∞,
+                // which needs an infinite one, so with at most one such
+                // argument a single NaN payload is in play and must match.
+                let mut non_finite: HashMap<GroupKey, Vec<u32>> = HashMap::new();
                 // The second pass finds every group already open.
                 for _ in 0..2 {
                     prop_assert_eq!(table.fold_block(&block, &group_pos, &arg_pos), rows.len() as u64);
@@ -876,9 +886,15 @@ mod tests {
                         }
                         let args: Vec<f64> =
                             arg_pos.iter().map(|a| a.map_or(0.0, |p| row[p].as_f64())).collect();
+                        let seen = non_finite.entry(key).or_insert_with(|| vec![0; args.len()]);
+                        for (n, x) in seen.iter_mut().zip(&args) {
+                            *n += u32::from(!x.is_finite());
+                        }
                         byrow.fold_row(key, &args);
                     }
-                    assert_same(&table, &byrow);
+                    assert_same_but(&table, &byrow, |slot, agg| {
+                        non_finite[&byrow.keys[slot]][agg] >= 2
+                    });
                 }
                 // A cleared table folds like a fresh one.
                 table.clear();

@@ -218,8 +218,9 @@ impl<'a> Piece<'a> {
 
     /// Call `f(row, x)` for every picked row in ascending order, `x`
     /// being the cell's `f64` view ([`Value::as_f64`] of
-    /// [`Column::value_at`]). One typed loop per (column type, pick
-    /// kind, generator); `f` is inlined into each.
+    /// [`Column::value_at`]). One loop per (column type or generator,
+    /// pick kind); `f` is inlined into each. Affine cells go through
+    /// [`ColumnGen::value_at`], the one home of narrow-type wrapping.
     #[inline]
     pub fn for_each_f64(self, mut f: impl FnMut(usize, f64)) {
         macro_rules! rows {
@@ -270,16 +271,8 @@ impl<'a> Piece<'a> {
                     let x = v.as_f64();
                     rows!(picks, |r| x)
                 }
-                // `Value::from_i64` then `as_f64`, spelled per type.
-                ColumnGen::Affine { start, step } => {
-                    let at = |r: usize| start + (r - run.start) as i64 * step;
-                    match dtype {
-                        DataType::Char => rows!(picks, |r| at(r) as u8 as f64),
-                        DataType::Short => rows!(picks, |r| at(r) as i16 as f64),
-                        DataType::Int => rows!(picks, |r| at(r) as i32 as f64),
-                        DataType::Long | DataType::Double => rows!(picks, |r| at(r) as f64),
-                        DataType::Float => rows!(picks, |r| at(r) as f32 as f64),
-                    }
+                ColumnGen::Affine { .. } => {
+                    rows!(picks, |r| run.gen.value_at(r - run.start, dtype).as_f64())
                 }
             },
         }

@@ -313,80 +313,102 @@ fn ramp_virtualizer() -> &'static Virtualizer {
     })
 }
 
+/// The small L0 dataset the random GROUP BY properties share (built
+/// on first use, cheap to keep).
+fn l0_virtualizer() -> &'static Virtualizer {
+    use std::sync::OnceLock;
+    static V: OnceLock<Virtualizer> = OnceLock::new();
+    V.get_or_init(|| {
+        let base = scratch("agg-diff-prop");
+        let small = IparsConfig {
+            realizations: 2,
+            time_steps: 6,
+            grid_per_dir: 10,
+            dirs: 2,
+            nodes: 2,
+            seed: 7,
+        };
+        let descriptor = ipars::generate(&base, &small, IparsLayout::L0).unwrap();
+        Virtualizer::builder(&descriptor)
+            .storage_base(&base)
+            .max_intra_node_threads(8)
+            .build()
+            .unwrap()
+    })
+}
+
+/// Run `SELECT group, calls FROM table [pred] GROUP BY group` in both
+/// pushdown modes, serial and parallel, against the reference's fold.
+fn check_group_by(v: &Virtualizer, table: &str, group: &[&str], calls: &[&str], pred: &str) {
+    let mut calls = calls.to_vec();
+    calls.sort();
+    calls.dedup();
+    let sql = format!(
+        "SELECT {}, {} FROM {table}{pred} GROUP BY {}",
+        group.join(", "),
+        calls.join(", "),
+        group.join(", "),
+    );
+    let oracle = run_reference(v, &sql);
+    for (no_push, threads) in [(false, 1), (true, 1), (true, 8), (false, 8)] {
+        assert_bit_identical(
+            &run(v, &sql, &opts(threads, false, no_push)),
+            &oracle,
+            &format!("{sql} [no_push={no_push} threads={threads}]"),
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random GROUP BY queries: both pushdown modes, serial and
-    /// parallel, agree with the reference's fold, bit for bit. Keys
-    /// are constant runs (`REL`, `TIME` on L0), stored columns (`X`),
-    /// affine runs (`G`), and mixes of them.
+    /// Random GROUP BY queries over constant-run keys (`REL`, `TIME`
+    /// on L0): both pushdown modes, serial and parallel, agree with the
+    /// reference's fold, bit for bit.
     #[test]
     fn prop_random_group_by_queries(
-        ramp in any::<bool>(),
-        group_sel in 0usize..5,
+        group_sel in 0usize..3,
         call_idx in prop::collection::vec(0usize..PROP_CALLS.len(), 1..4),
         pred in prop::option::of((1i64..7, any::<bool>())),
     ) {
-        // One shared small dataset (built on first use, cheap to keep).
-        use std::sync::OnceLock;
-        static V: OnceLock<Virtualizer> = OnceLock::new();
-        let l0 = || V.get_or_init(|| {
-            let base = scratch("agg-diff-prop");
-            let small = IparsConfig {
-                realizations: 2, time_steps: 6, grid_per_dir: 10, dirs: 2, nodes: 2, seed: 7,
-            };
-            let descriptor = ipars::generate(&base, &small, IparsLayout::L0).unwrap();
-            Virtualizer::builder(&descriptor)
-                .storage_base(&base)
-                .max_intra_node_threads(8)
-                .build()
-                .unwrap()
-        });
-        let (v, table, group, calls, pred) = if ramp {
-            let group: &[&str] = match group_sel {
-                0 => &["G"],
-                1 => &["K"],
-                2 => &["TIME", "G"],
-                3 => &["K", "TIME"],
-                _ => &["G", "K"],
-            };
-            let pred = match pred {
-                Some((t, true)) => format!(" WHERE TIME <= {t}"),
-                Some((t, false)) => format!(" WHERE TIME >= {t} AND W > -5.0"),
-                None => String::new(),
-            };
-            (ramp_virtualizer(), "D", group, &RAMP_CALLS, pred)
-        } else {
-            let group: &[&str] = match group_sel {
-                0 => &["REL"],
-                1 => &["TIME"],
-                2 => &["REL", "TIME"],
-                3 => &["X"],
-                _ => &["TIME", "X"],
-            };
-            let pred = match pred {
-                Some((t, true)) => format!(" WHERE TIME <= {t}"),
-                Some((t, false)) => format!(" WHERE TIME >= {t} AND SOIL > 0.4"),
-                None => String::new(),
-            };
-            (l0(), "IparsData", group, &PROP_CALLS, pred)
+        let group: &[&str] = match group_sel {
+            0 => &["REL"],
+            1 => &["TIME"],
+            _ => &["REL", "TIME"],
         };
-        let mut calls: Vec<&str> = call_idx.iter().map(|&i| calls[i]).collect();
-        calls.sort();
-        calls.dedup();
-        let sql = format!(
-            "SELECT {}, {} FROM {table}{pred} GROUP BY {}",
-            group.join(", "),
-            calls.join(", "),
-            group.join(", "),
-        );
-        let oracle = run_reference(v, &sql);
-        for (no_push, threads) in [(false, 1), (true, 1), (true, 8), (false, 8)] {
-            assert_bit_identical(
-                &run(v, &sql, &opts(threads, false, no_push)),
-                &oracle,
-                &format!("{sql} [no_push={no_push} threads={threads}]"),
-            );
-        }
+        let calls: Vec<&str> = call_idx.iter().map(|&i| PROP_CALLS[i]).collect();
+        let pred = match pred {
+            Some((t, true)) => format!(" WHERE TIME <= {t}"),
+            Some((t, false)) => format!(" WHERE TIME >= {t} AND SOIL > 0.4"),
+            None => String::new(),
+        };
+        check_group_by(l0_virtualizer(), "IparsData", group, &calls, &pred);
+    }
+
+    /// The same over keys that change within an AFC, so the per-row key
+    /// path is covered end to end: stored columns (`X` on L0, `K`),
+    /// affine runs (`G`), and mixes of them with constant runs.
+    #[test]
+    fn prop_random_group_by_row_keys(
+        group_sel in 0usize..7,
+        call_idx in prop::collection::vec(0usize..PROP_CALLS.len(), 1..4),
+        pred in prop::option::of((1i64..7, any::<bool>())),
+    ) {
+        let (v, table, group, calls, filter): (_, _, &[&str], _, _) = match group_sel {
+            0 => (l0_virtualizer(), "IparsData", &["X"], &PROP_CALLS, "SOIL > 0.4"),
+            1 => (l0_virtualizer(), "IparsData", &["TIME", "X"], &PROP_CALLS, "SOIL > 0.4"),
+            2 => (ramp_virtualizer(), "D", &["G"], &RAMP_CALLS, "W > -5.0"),
+            3 => (ramp_virtualizer(), "D", &["K"], &RAMP_CALLS, "W > -5.0"),
+            4 => (ramp_virtualizer(), "D", &["TIME", "G"], &RAMP_CALLS, "W > -5.0"),
+            5 => (ramp_virtualizer(), "D", &["K", "TIME"], &RAMP_CALLS, "W > -5.0"),
+            _ => (ramp_virtualizer(), "D", &["G", "K"], &RAMP_CALLS, "W > -5.0"),
+        };
+        let calls: Vec<&str> = call_idx.iter().map(|&i| calls[i]).collect();
+        let pred = match pred {
+            Some((t, true)) => format!(" WHERE TIME <= {t}"),
+            Some((t, false)) => format!(" WHERE TIME >= {t} AND {filter}"),
+            None => String::new(),
+        };
+        check_group_by(v, table, group, &calls, &pred);
     }
 }
