@@ -33,8 +33,8 @@ pub enum Code {
     Dv101,
     /// UDF filter over an index-prunable attribute.
     Dv102,
-    /// UDF filter with no vectorizable guard conjunct — every block
-    /// falls back to row-at-a-time evaluation.
+    /// UDF filter with no vectorizable guard conjunct — the UDF runs
+    /// on every row of every block.
     Dv103,
     /// Layout yields AFC runs smaller than one I/O coalescing unit at
     /// high file fan-in — reads degenerate to a seek per file.

@@ -249,10 +249,10 @@ pub fn lint_query(model: &DatasetModel, sql: &str, udfs: &UdfRegistry) -> Result
     }
 
     // DV103: a UDF filter with no vectorizable guard. The columnar
-    // engine evaluates UDF-free conjuncts first and row-falls-back
-    // only on the survivors; when *every* top-level conjunct contains
-    // a UDF call, that narrowing never happens and the whole block is
-    // evaluated row-at-a-time.
+    // engine evaluates UDF-free conjuncts first, then calls each UDF
+    // once per surviving row over typed argument columns; when *every*
+    // top-level conjunct contains a UDF call, that narrowing never
+    // happens and the UDF runs on every row of the block.
     if expr_has_func(pred) {
         let mut conjuncts = Vec::new();
         flatten_and(pred, &mut conjuncts);

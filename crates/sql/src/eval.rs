@@ -7,19 +7,22 @@
 //! the per-row path is allocation-free except for UDF argument buffers
 //! (reused via a small stack array for the common arities).
 //!
-//! Two evaluators share one context:
+//! One context reads two inputs:
 //!
-//! * [`EvalContext::eval`] — row-at-a-time, over `&[Value]` working
-//!   rows (the hand-written baselines, the serial reference executor
-//!   of the differential tests, and the minidb engine);
-//! * [`EvalContext::eval_block`] — column-at-a-time over a
-//!   [`ColumnBlock`]: comparisons run as typed kernels producing
-//!   selection [`Bitmap`]s, boolean connectives combine bitmaps
-//!   word-wise, and only subtrees containing UDF calls fall back to
-//!   row-at-a-time evaluation — restricted to the rows the surrounding
-//!   conjuncts have not already rejected.
+//! * [`EvalContext::eval`] — one `&[Value]` working row (the
+//!   hand-written baselines, the serial reference executor of the
+//!   differential tests, and the minidb engine);
+//! * [`EvalContext::eval_block`] — a whole [`ColumnBlock`], column at a
+//!   time, reading cells only through the column visitor
+//!   ([`dv_types::Column::pieces`]): `ATTR op CONST` comparisons run
+//!   as typed kernels producing selection [`Bitmap`]s, boolean
+//!   connectives combine bitmaps word-wise, and every other comparison
+//!   reads only the rows the surrounding conjuncts have not already
+//!   rejected — so a UDF is called once per such row, over typed
+//!   argument columns.
 
-use dv_types::{Bitmap, ColumnBlock, ColumnData, ColumnGen, Value};
+use dv_types::column::{Picks, Piece};
+use dv_types::{Bitmap, ColumnBlock, ColumnGen, LazyRun, Value};
 
 use crate::ast::CmpOp;
 use crate::bind::{BoundExpr, BoundScalar};
@@ -117,8 +120,8 @@ impl<'a> EvalContext<'a> {
     fn eval_masked(&self, expr: &BoundExpr, block: &ColumnBlock, mask: &Bitmap) -> Bitmap {
         match expr {
             BoundExpr::And(l, r) => {
-                // Evaluate the UDF-free side first so the expensive
-                // row-fallback side only sees surviving rows.
+                // Evaluate the UDF-free side first so the UDF side only
+                // sees surviving rows.
                 let (first, second) =
                     if expr_has_func(l) && !expr_has_func(r) { (&**r, &**l) } else { (&**l, &**r) };
                 let mut a = self.eval_masked(first, block, mask);
@@ -148,223 +151,166 @@ impl<'a> EvalContext<'a> {
                 r
             }
             BoundExpr::Cmp { op, lhs, rhs } => {
-                if scalar_has_func(lhs) || scalar_has_func(rhs) {
-                    return self.fallback_rows(expr, block, mask);
-                }
                 if let (BoundScalar::Attr(a), BoundScalar::Const(c)) = (lhs, rhs) {
                     return self.cmp_attr_const(*op, *a, *c, block);
                 }
                 if let (BoundScalar::Const(c), BoundScalar::Attr(a)) = (lhs, rhs) {
-                    return self.cmp_attr_const(swap_operands(*op), *a, *c, block);
+                    return self.cmp_attr_const(op.flip(), *a, *c, block);
                 }
-                let l = self.scalar_col(lhs, block);
-                let r = self.scalar_col(rhs, block);
-                let mut bm = Bitmap::new_false(block.len());
-                for i in 0..block.len() {
-                    if op.apply(l.at(i), r.at(i)) {
-                        bm.set(i);
-                    }
-                }
-                bm
+                bitmap_where(block.len(), mask, |rows| {
+                    let l = self.scalar_col(lhs, block, rows);
+                    let r = self.scalar_col(rhs, block, rows);
+                    move |k| op.apply(l.at(k), r.at(k))
+                })
             }
-            BoundExpr::InList { expr: e, list, negated } => {
-                if scalar_has_func(e) || list.iter().any(scalar_has_func) {
-                    return self.fallback_rows(expr, block, mask);
-                }
-                let v = self.scalar_col(e, block);
+            BoundExpr::InList { expr, list, negated } => bitmap_where(block.len(), mask, |rows| {
+                let v = self.scalar_col(expr, block, rows);
                 let items: Vec<ScalarCol> =
-                    list.iter().map(|s| self.scalar_col(s, block)).collect();
-                let mut bm = Bitmap::new_false(block.len());
-                for i in 0..block.len() {
-                    let x = v.at(i);
-                    if items.iter().any(|it| it.at(i) == x) != *negated {
-                        bm.set(i);
+                    list.iter().map(|s| self.scalar_col(s, block, rows)).collect();
+                move |k| {
+                    let x = v.at(k);
+                    items.iter().any(|it| it.at(k) == x) != *negated
+                }
+            }),
+            BoundExpr::Between { expr, lo, hi, negated } => {
+                bitmap_where(block.len(), mask, |rows| {
+                    let v = self.scalar_col(expr, block, rows);
+                    let lo = self.scalar_col(lo, block, rows);
+                    let hi = self.scalar_col(hi, block, rows);
+                    move |k| {
+                        let x = v.at(k);
+                        (x >= lo.at(k) && x <= hi.at(k)) != *negated
                     }
-                }
-                bm
-            }
-            BoundExpr::Between { expr: e, lo, hi, negated } => {
-                if scalar_has_func(e) || scalar_has_func(lo) || scalar_has_func(hi) {
-                    return self.fallback_rows(expr, block, mask);
-                }
-                let v = self.scalar_col(e, block);
-                let lo = self.scalar_col(lo, block);
-                let hi = self.scalar_col(hi, block);
-                let mut bm = Bitmap::new_false(block.len());
-                for i in 0..block.len() {
-                    let x = v.at(i);
-                    if (x >= lo.at(i) && x <= hi.at(i)) != *negated {
-                        bm.set(i);
-                    }
-                }
-                bm
+                })
             }
         }
     }
 
     /// Typed comparison kernel for the dominant `ATTR op CONST` shape:
-    /// one pass over the native column vector (the `op` and constant
+    /// one monomorphic loop per visitor piece (the `op` and constant
     /// are loop-invariant), with constant lazy runs decided once per
     /// run instead of once per row.
     fn cmp_attr_const(&self, op: CmpOp, attr: usize, c: f64, block: &ColumnBlock) -> Bitmap {
-        let col = &block.columns[self.position(attr)];
         let mut bm = Bitmap::new_false(block.len());
-        let (data, runs) = col.parts();
-        macro_rules! scan {
-            ($v:expr) => {
-                for (i, x) in $v.iter().enumerate() {
-                    if op.apply(f64::from(*x), c) {
-                        bm.set(i);
-                    }
-                }
-            };
-        }
-        match data {
-            ColumnData::Char(v) => scan!(v),
-            ColumnData::Short(v) => scan!(v),
-            ColumnData::Int(v) => scan!(v),
-            ColumnData::Float(v) => scan!(v),
-            ColumnData::Double(v) => scan!(v),
-            ColumnData::Long(v) => {
-                for (i, x) in v.iter().enumerate() {
-                    if op.apply(*x as f64, c) {
-                        bm.set(i);
-                    }
-                }
-            }
-        }
-        for r in runs {
-            match r.gen {
-                ColumnGen::Const(v) => {
+        for piece in block.columns[self.position(attr)].pieces(Picks::Range(0, block.len())) {
+            match piece {
+                Piece::Run(LazyRun { gen: ColumnGen::Const(v), .. }, _, Picks::Range(a, b)) => {
                     if op.apply(v.as_f64(), c) {
-                        bm.set_range(r.start, r.start + r.len);
+                        bm.set_range(a, b);
                     }
                 }
-                ColumnGen::Affine { .. } => {
-                    for k in 0..r.len {
-                        if op.apply(r.gen.value_at(k, col.dtype()).as_f64(), c) {
-                            bm.set(r.start + k);
-                        }
+                piece => piece.for_each_f64(|i, x| {
+                    if op.apply(x, c) {
+                        bm.set(i);
                     }
-                }
+                }),
             }
         }
         bm
     }
 
-    /// Evaluate a UDF-free scalar over the whole block.
-    fn scalar_col(&self, s: &BoundScalar, block: &ColumnBlock) -> ScalarCol {
+    /// Evaluate a scalar on the picked rows of the block, one value
+    /// per pick in pick order; a UDF is called once per pick.
+    fn scalar_col(&self, s: &BoundScalar, block: &ColumnBlock, rows: Picks<'_>) -> ScalarCol {
         match s {
-            BoundScalar::Attr(a) => ScalarCol::Vec(block.columns[self.position(*a)].f64_vec()),
+            BoundScalar::Attr(a) => {
+                let mut out = Vec::new();
+                for piece in block.columns[self.position(*a)].pieces(rows) {
+                    piece.for_each_f64(|_, x| out.push(x));
+                }
+                ScalarCol::Vec(out)
+            }
             BoundScalar::Const(c) => ScalarCol::Const(*c),
             BoundScalar::Arith { op, lhs, rhs } => {
-                let l = self.scalar_col(lhs, block);
-                let r = self.scalar_col(rhs, block);
-                match (l, r) {
+                match (self.scalar_col(lhs, block, rows), self.scalar_col(rhs, block, rows)) {
                     (ScalarCol::Const(a), ScalarCol::Const(b)) => ScalarCol::Const(op.apply(a, b)),
                     (l, r) => {
-                        let mut out = Vec::with_capacity(block.len());
-                        for i in 0..block.len() {
-                            out.push(op.apply(l.at(i), r.at(i)));
-                        }
+                        let mut out = Vec::new();
+                        for_each_pick(rows, |k, _| out.push(op.apply(l.at(k), r.at(k))));
                         ScalarCol::Vec(out)
                     }
                 }
             }
-            BoundScalar::Func { .. } => {
-                unreachable!("vectorized path routes UDF subtrees to the row fallback")
-            }
-        }
-    }
-
-    /// Row-at-a-time fallback for subtrees containing UDF calls:
-    /// evaluates only the rows still set in `mask`.
-    fn fallback_rows(&self, expr: &BoundExpr, block: &ColumnBlock, mask: &Bitmap) -> Bitmap {
-        let mut bm = Bitmap::new_false(block.len());
-        for i in mask.indices() {
-            if self.eval_at(expr, block, i as usize) {
-                bm.set(i as usize);
-            }
-        }
-        bm
-    }
-
-    /// Evaluate a boolean expression on one row of a columnar block.
-    pub fn eval_at(&self, expr: &BoundExpr, block: &ColumnBlock, i: usize) -> bool {
-        match expr {
-            BoundExpr::And(l, r) => self.eval_at(l, block, i) && self.eval_at(r, block, i),
-            BoundExpr::Or(l, r) => self.eval_at(l, block, i) || self.eval_at(r, block, i),
-            BoundExpr::Not(e) => !self.eval_at(e, block, i),
-            BoundExpr::Cmp { op, lhs, rhs } => {
-                op.apply(self.scalar_at(lhs, block, i), self.scalar_at(rhs, block, i))
-            }
-            BoundExpr::InList { expr, list, negated } => {
-                let v = self.scalar_at(expr, block, i);
-                let found = list.iter().any(|item| self.scalar_at(item, block, i) == v);
-                found != *negated
-            }
-            BoundExpr::Between { expr, lo, hi, negated } => {
-                let v = self.scalar_at(expr, block, i);
-                let inside = v >= self.scalar_at(lo, block, i) && v <= self.scalar_at(hi, block, i);
-                inside != *negated
-            }
-        }
-    }
-
-    /// Evaluate a scalar expression on one row of a columnar block.
-    pub fn scalar_at(&self, s: &BoundScalar, block: &ColumnBlock, i: usize) -> f64 {
-        match s {
-            BoundScalar::Attr(a) => block.columns[self.position(*a)].value_at(i).as_f64(),
-            BoundScalar::Const(c) => *c,
             BoundScalar::Func { slot, args } => {
-                if args.len() <= 8 {
-                    let mut buf = [0.0f64; 8];
-                    for (k, a) in args.iter().enumerate() {
-                        buf[k] = self.scalar_at(a, block, i);
-                    }
-                    self.udfs.call(*slot, &buf[..args.len()])
+                let args: Vec<ScalarCol> =
+                    args.iter().map(|a| self.scalar_col(a, block, rows)).collect();
+                // Common UDF arities are tiny; avoid heap traffic with a
+                // stack buffer when possible.
+                let (mut stack, mut heap) = ([0.0f64; 8], Vec::new());
+                let buf = if args.len() <= 8 {
+                    &mut stack[..args.len()]
                 } else {
-                    let vals: Vec<f64> = args.iter().map(|a| self.scalar_at(a, block, i)).collect();
-                    self.udfs.call(*slot, &vals)
-                }
-            }
-            BoundScalar::Arith { op, lhs, rhs } => {
-                op.apply(self.scalar_at(lhs, block, i), self.scalar_at(rhs, block, i))
+                    heap.resize(args.len(), 0.0);
+                    &mut heap[..]
+                };
+                let mut out = Vec::new();
+                for_each_pick(rows, |k, _| {
+                    for (x, a) in buf.iter_mut().zip(&args) {
+                        *x = a.at(k);
+                    }
+                    out.push(self.udfs.call(*slot, buf));
+                });
+                ScalarCol::Vec(out)
             }
         }
     }
 }
 
-/// A scalar evaluated over a block: per-row values or one constant.
+/// A scalar evaluated on picked rows: one value per pick, or one
+/// constant.
 enum ScalarCol {
     Vec(Vec<f64>),
     Const(f64),
 }
 
 impl ScalarCol {
+    /// The value of the `k`-th pick.
     #[inline]
-    fn at(&self, i: usize) -> f64 {
+    fn at(&self, k: usize) -> f64 {
         match self {
-            ScalarCol::Vec(v) => v[i],
+            ScalarCol::Vec(v) => v[k],
             ScalarCol::Const(c) => *c,
         }
     }
 }
 
-/// Swap comparison operands: `a op b` ⇔ `b swap(op) a`.
-fn swap_operands(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
+/// The bitmap, over `len` rows, of the rows set in `mask` that a test
+/// accepts. `test` receives the mask's rows as picks (the whole block
+/// when every row is set) and returns the test of the `k`-th pick.
+fn bitmap_where<F: Fn(usize) -> bool>(
+    len: usize,
+    mask: &Bitmap,
+    test: impl FnOnce(Picks<'_>) -> F,
+) -> Bitmap {
+    let sel;
+    let rows = if mask.count() == len {
+        Picks::Range(0, len)
+    } else {
+        sel = mask.indices();
+        Picks::Sel(&sel)
+    };
+    let keep = test(rows);
+    let mut bm = Bitmap::new_false(len);
+    for_each_pick(rows, |k, row| {
+        if keep(k) {
+            bm.set(row);
+        }
+    });
+    bm
+}
+
+/// Call `f(k, row)` for the `k`-th picked row, in order.
+#[inline]
+fn for_each_pick(rows: Picks<'_>, mut f: impl FnMut(usize, usize)) {
+    match rows {
+        Picks::Range(a, b) => (a..b).enumerate().for_each(|(k, row)| f(k, row)),
+        Picks::Sel(idx) => idx.iter().enumerate().for_each(|(k, &row)| f(k, row as usize)),
     }
 }
 
-/// True when the expression contains a UDF call anywhere — such
-/// subtrees force the row-at-a-time fallback (see DV103 in dv-lint).
+/// True when the expression contains a UDF call anywhere. `AND`/`OR`
+/// evaluate such a side last, so its UDFs run only on the rows the
+/// other side left undecided (see DV103 in dv-lint).
 pub fn expr_has_func(expr: &BoundExpr) -> bool {
     match expr {
         BoundExpr::And(l, r) | BoundExpr::Or(l, r) => expr_has_func(l) || expr_has_func(r),
@@ -380,7 +326,7 @@ pub fn expr_has_func(expr: &BoundExpr) -> bool {
 }
 
 /// True when the scalar contains a UDF call anywhere.
-pub fn scalar_has_func(s: &BoundScalar) -> bool {
+fn scalar_has_func(s: &BoundScalar) -> bool {
     match s {
         BoundScalar::Attr(_) | BoundScalar::Const(_) => false,
         BoundScalar::Func { .. } => true,
@@ -533,6 +479,255 @@ mod tests {
             for i in 0..block.len() {
                 let row: Vec<Value> = block.columns.iter().map(|c| c.value_at(i)).collect();
                 assert_eq!(bm.get(i), cx.eval(&pred, &row), "{sql} row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn udf_runs_once_per_row_its_guard_leaves() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut udfs = UdfRegistry::new();
+        let counter = Arc::clone(&calls);
+        udfs.register("COUNTED", Some(2), move |args| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            args[0] + args[1]
+        });
+        let s = schema();
+        // Rows 0..50 are dense; then `A` is a constant run of 5 and `B`
+        // an affine run 2, 5, …, 29. `A > 20` keeps 29 rows and rejects
+        // 31; `B > 4.0` keeps 9 dense and 9 affine rows.
+        let block = column_block();
+        let working: Vec<usize> = (0..s.len()).collect();
+        let cx = EvalContext::new(s.len(), &working, &udfs);
+        let bound = |pred: &str| {
+            let q = parse(&format!("SELECT * FROM T WHERE {pred}")).unwrap();
+            bind(&q, &s, &udfs).unwrap().predicate.unwrap()
+        };
+        // (predicate, UDF calls)
+        let cases = [
+            ("A > 20 AND COUNTED(A, B) > 30.0", 29),
+            ("COUNTED(A, B) > 30.0 AND A > 20", 29),
+            ("A > 20 AND COUNTED(A, B) * 2 > C", 29),
+            ("A > 20 AND COUNTED(COUNTED(A, B), C) > 30.0", 2 * 29),
+            ("B > 4.0 AND COUNTED(A, C) > 0", 18),
+            ("A > 20 OR COUNTED(A, B) > 30.0", 31),
+            ("COUNTED(A, B) > 30.0 OR A > 20", 31),
+            ("A < 0 AND COUNTED(A, B) > 30.0", 0),
+            ("A >= 0 OR COUNTED(A, B) > 30.0", 0),
+        ];
+        for (sql, want) in cases {
+            let pred = bound(sql);
+            calls.store(0, Ordering::Relaxed);
+            let bm = cx.eval_block(&pred, &block);
+            assert_eq!(calls.load(Ordering::Relaxed), want, "{sql}");
+            for i in 0..block.len() {
+                let row: Vec<Value> = block.columns.iter().map(|c| c.value_at(i)).collect();
+                assert_eq!(bm.get(i), cx.eval(&pred, &row), "{sql} row {i}");
+            }
+        }
+    }
+
+    /// `eval_block` against `eval` over `value_at` rows, for random
+    /// blocks of all six types and random predicate trees with
+    /// arithmetic and UDF calls nested at any depth.
+    mod one_evaluator {
+        use super::*;
+        use crate::ast::ArithOp;
+        use dv_types::Column;
+        use proptest::prelude::*;
+
+        const DTYPES: [DataType; 6] = [
+            DataType::Char,
+            DataType::Short,
+            DataType::Int,
+            DataType::Long,
+            DataType::Float,
+            DataType::Double,
+        ];
+
+        /// Floats that compare unlike ordinary numbers.
+        const SPECIALS: [f64; 6] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0, 0.5];
+
+        fn wide_schema() -> Schema {
+            let names = ["C", "S", "I", "L", "F", "D"];
+            Schema::new("W", names.iter().zip(DTYPES).map(|(n, d)| Attribute::new(n, d)).collect())
+                .unwrap()
+        }
+
+        /// Integers on a small grid (so predicates hit them) or just
+        /// past a narrow type's limits (so they wrap).
+        fn arb_int() -> impl Strategy<Value = i64> {
+            prop_oneof![
+                -8i64..8,
+                250i64..260,
+                32_760i64..32_775,
+                65_530i64..65_540,
+                2_147_483_640i64..2_147_483_656,
+            ]
+        }
+
+        fn arb_float() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                (-8i64..8).prop_map(|v| v as f64 / 2.0),
+                (0..SPECIALS.len()).prop_map(|i| SPECIALS[i]),
+            ]
+        }
+
+        /// A cell of `dtype`: integer types take `int`, float types
+        /// take `float`.
+        fn cell(dtype: DataType, (int, float): (i64, f64)) -> Value {
+            match dtype {
+                DataType::Float | DataType::Double => Value::from_f64(dtype, float),
+                _ => Value::from_i64(dtype, int),
+            }
+        }
+
+        /// One column, cut to the block length when built: the quarters
+        /// of the block that are dense, the dense cells, and the lazy
+        /// runs sharing the rest by weight (`Some(step)` = affine from
+        /// the integer, `None` = constant cell).
+        #[derive(Debug, Clone)]
+        struct ColRecipe {
+            dense_quarters: usize,
+            cells: Vec<(i64, f64)>,
+            runs: Vec<(usize, (i64, f64), Option<i64>)>,
+        }
+
+        impl ColRecipe {
+            fn build(&self, dtype: DataType, n: usize) -> Column {
+                let mut c = Column::new(dtype);
+                let dense = n * self.dense_quarters / 4;
+                for &raw in &self.cells[..dense] {
+                    c.append_data().push_value(cell(dtype, raw));
+                }
+                let (lazy, total) = (n - dense, self.runs.iter().map(|r| r.0).sum::<usize>());
+                let mut left = lazy;
+                for (k, &(weight, raw, step)) in self.runs.iter().enumerate() {
+                    let last = k + 1 == self.runs.len();
+                    let len = if last { left } else { (lazy * weight / total).min(left) };
+                    let gen = match step {
+                        Some(step) => ColumnGen::Affine { start: raw.0, step },
+                        None => ColumnGen::Const(cell(dtype, raw)),
+                    };
+                    c.push_run(len, gen);
+                    left -= len;
+                }
+                c
+            }
+        }
+
+        const MAX_ROWS: usize = 150;
+
+        fn arb_col() -> impl Strategy<Value = ColRecipe> {
+            let raw = || (arb_int(), arb_float());
+            let run = (1usize..20, raw(), prop::option::of(-3i64..4));
+            (0usize..5, prop::collection::vec(raw(), MAX_ROWS), prop::collection::vec(run, 1..4))
+                .prop_map(|(dense_quarters, cells, runs)| ColRecipe { dense_quarters, cells, runs })
+        }
+
+        fn arb_cmp() -> impl Strategy<Value = CmpOp> {
+            prop_oneof![
+                Just(CmpOp::Lt),
+                Just(CmpOp::Le),
+                Just(CmpOp::Gt),
+                Just(CmpOp::Ge),
+                Just(CmpOp::Eq),
+                Just(CmpOp::Ne),
+            ]
+        }
+
+        fn arb_const() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                arb_float(),
+                arb_int().prop_map(|v| v as f64),
+                prop_oneof![Just(255.0), Just(32_767.0), Just(-32_768.0), Just(4.0)],
+            ]
+        }
+
+        /// Attributes, constants, arithmetic and `SPEED` calls, nested
+        /// in any order (UDF in arithmetic, UDF in UDF, and back).
+        fn arb_scalar() -> BoxedStrategy<BoundScalar> {
+            let slot = UdfRegistry::with_builtins().resolve("SPEED", 3).unwrap();
+            let arith = prop_oneof![
+                Just(ArithOp::Add),
+                Just(ArithOp::Sub),
+                Just(ArithOp::Mul),
+                Just(ArithOp::Div),
+            ];
+            let leaf = prop_oneof![
+                (0..DTYPES.len()).prop_map(BoundScalar::Attr),
+                arb_const().prop_map(BoundScalar::Const),
+            ];
+            leaf.prop_recursive(3, 16, 3, move |inner| {
+                prop_oneof![
+                    (arith.clone(), inner.clone(), inner.clone()).prop_map(|(op, l, r)| {
+                        BoundScalar::Arith { op, lhs: Box::new(l), rhs: Box::new(r) }
+                    }),
+                    prop::collection::vec(inner, 3)
+                        .prop_map(move |args| BoundScalar::Func { slot, args }),
+                ]
+            })
+        }
+
+        fn arb_expr() -> impl Strategy<Value = BoundExpr> {
+            let leaf = prop_oneof![
+                // The `ATTR op CONST` kernel, both ways round.
+                (arb_cmp(), 0..DTYPES.len(), arb_const(), any::<bool>()).prop_map(
+                    |(op, a, c, flip)| {
+                        let (a, c) = (BoundScalar::Attr(a), BoundScalar::Const(c));
+                        let (lhs, rhs) = if flip { (c, a) } else { (a, c) };
+                        BoundExpr::Cmp { op, lhs, rhs }
+                    }
+                ),
+                (arb_cmp(), arb_scalar(), arb_scalar()).prop_map(|(op, lhs, rhs)| BoundExpr::Cmp {
+                    op,
+                    lhs,
+                    rhs
+                }),
+                (arb_scalar(), prop::collection::vec(arb_scalar(), 1..4), any::<bool>())
+                    .prop_map(|(expr, list, negated)| BoundExpr::InList { expr, list, negated }),
+                (arb_scalar(), arb_scalar(), arb_scalar(), any::<bool>()).prop_map(
+                    |(expr, lo, hi, negated)| BoundExpr::Between { expr, lo, hi, negated }
+                ),
+            ];
+            leaf.prop_recursive(3, 24, 2, |inner| {
+                prop_oneof![
+                    (inner.clone(), inner.clone())
+                        .prop_map(|(l, r)| BoundExpr::And(Box::new(l), Box::new(r))),
+                    (inner.clone(), inner.clone())
+                        .prop_map(|(l, r)| BoundExpr::Or(Box::new(l), Box::new(r))),
+                    inner.prop_map(|e| BoundExpr::Not(Box::new(e))),
+                ]
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 384 }))]
+
+            // Working rows hold the schema rotated by `rot`, so the
+            // context's position map is exercised too.
+            #[test]
+            fn eval_block_equals_eval_over_value_at(
+                n in 0usize..MAX_ROWS,
+                rot in 0usize..DTYPES.len(),
+                cols in prop::collection::vec(arb_col(), DTYPES.len()),
+                pred in arb_expr(),
+            ) {
+                let s = wide_schema();
+                let udfs = UdfRegistry::with_builtins();
+                let working: Vec<usize> = (0..s.len()).map(|p| (p + rot) % s.len()).collect();
+                let columns = working.iter().zip(&cols).map(|(&a, c)| c.build(DTYPES[a], n));
+                let block = ColumnBlock::from_columns(0, columns.collect());
+                let cx = EvalContext::new(s.len(), &working, &udfs);
+                let bm = cx.eval_block(&pred, &block);
+                prop_assert_eq!(bm.len(), n);
+                for i in 0..n {
+                    let row: Vec<Value> = block.columns.iter().map(|c| c.value_at(i)).collect();
+                    prop_assert_eq!(bm.get(i), cx.eval(&pred, &row), "row {} of {:?}", i, pred);
+                }
             }
         }
     }

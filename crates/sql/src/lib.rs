@@ -19,7 +19,8 @@
 //! Pipeline: [`parse`] → [`bind::bind`] (resolve names against a
 //! [`dv_types::Schema`] + [`udf::UdfRegistry`]) → either
 //! [`eval`] (vectorized predicate evaluation in the filtering service,
-//! row-at-a-time for UDF subtrees and reference executors) or
+//! UDFs called once per surviving row; row-at-a-time for reference
+//! executors) or
 //! [`analysis::attribute_ranges`] (sound per-attribute interval
 //! extraction used by the indexing service for pruning).
 

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::Sender;
 use dv_layout::io::{FetchedGroup, IoScheduler, IoStats};
-use dv_layout::{Afc, Extractor, Morsel, MorselPlan, PruneCertificate, PruneVerdict, SegmentCache};
+use dv_layout::{Afc, Extractor, Morsel, MorselPlan, PruneVerdict, SegmentCache};
 use dv_sql::eval::EvalContext;
 use dv_sql::{BoundExpr, UdfRegistry};
 use dv_types::{AggBlock, AggFunc, AggTable, CancelToken, ColumnBlock, DataType, DvError, Result};
@@ -49,7 +49,7 @@ use crate::filter::filter_columns;
 use crate::mover::{send_agg, send_columns, send_morsel_done, MoverMessage, MoverStats};
 use crate::options::QueryOptions;
 use crate::partition::partition_columns;
-use crate::stats::MorselStats;
+use crate::stats::{MorselStats, QueryCounters};
 
 /// One node's executor: dispatches plan fragments onto the node's
 /// cluster worker and guarantees a `Done` report per fragment.
@@ -252,15 +252,7 @@ pub(crate) struct NodeWorker {
     pub schema_len: usize,
     pub opts: QueryOptions,
     pub cancel: CancelToken,
-    pub rows_scanned: Arc<AtomicU64>,
-    pub rows_selected: Arc<AtomicU64>,
-    pub bytes_read: Arc<AtomicU64>,
-    pub bytes_moved: Arc<AtomicU64>,
-    pub afc_count: Arc<AtomicU64>,
-    pub prune_total: Arc<AtomicU64>,
-    pub prune_pruned: Arc<AtomicU64>,
-    pub prune_full: Arc<AtomicU64>,
-    pub prune_bytes_avoided: Arc<AtomicU64>,
+    pub counters: Arc<QueryCounters>,
     pub io_stats: Arc<IoStats>,
     pub mover_stats: Arc<MoverStats>,
     pub morsel_stats: Arc<MorselStats>,
@@ -270,18 +262,10 @@ pub(crate) struct NodeWorker {
 }
 
 impl NodeWorker {
-    /// Fold a node plan's prune accounting into the session counters.
-    pub(crate) fn record_prune(&self, cert: &PruneCertificate) {
-        self.prune_total.fetch_add(cert.groups_total, Ordering::Relaxed);
-        self.prune_pruned.fetch_add(cert.groups_pruned, Ordering::Relaxed);
-        self.prune_full.fetch_add(cert.groups_full, Ordering::Relaxed);
-        self.prune_bytes_avoided.fetch_add(cert.bytes_avoided, Ordering::Relaxed);
-    }
-
     /// Run the node's AFC schedule morsel-parallel. `verdicts` is
-    /// parallel to `afcs` (the plan's [`PruneCertificate`]); `Full`
-    /// chunks skip the filter kernel whenever an entire batch is
-    /// provably satisfying.
+    /// parallel to `afcs` (the plan's
+    /// [`dv_layout::PruneCertificate`]); `Full` chunks skip the filter
+    /// kernel whenever an entire batch is provably satisfying.
     pub(crate) fn run(
         &self,
         afcs: &[Afc],
@@ -460,8 +444,8 @@ impl NodeWorker {
             while i < afcs.len() && (batched_rows == 0 || batched_rows < batch_cap) {
                 let afc = &afcs[i];
                 self.extractor.extract_columns_fetched(afc, &mut block, fetched)?;
-                self.bytes_read.fetch_add(afc.bytes_read(), Ordering::Relaxed);
-                self.afc_count.fetch_add(1, Ordering::Relaxed);
+                self.counters.bytes_read.fetch_add(afc.bytes_read(), Ordering::Relaxed);
+                self.counters.afcs.fetch_add(1, Ordering::Relaxed);
                 all_full &= verdicts[i] == PruneVerdict::Full;
                 batched_rows += afc.num_rows;
                 i += 1;
@@ -514,11 +498,11 @@ impl NodeWorker {
         let seq = *cursor;
         let scanned = block.len() as u64;
         *cursor += scanned;
-        self.rows_scanned.fetch_add(scanned, Ordering::Relaxed);
+        self.counters.rows_scanned.fetch_add(scanned, Ordering::Relaxed);
 
         let predicate = if skip_filter { None } else { self.predicate.as_ref().as_ref() };
         filter_columns(&mut block, predicate, cx);
-        self.rows_selected.fetch_add(block.selected() as u64, Ordering::Relaxed);
+        self.counters.rows_selected.fetch_add(block.selected() as u64, Ordering::Relaxed);
         if block.is_empty() {
             return Ok(());
         }
@@ -547,7 +531,7 @@ impl NodeWorker {
             AggBlock::new(self.node, agg.group_pos.len(), &agg.funcs),
         );
         let bytes = send_agg(tx, 0, block, sink.rows_in, &self.mover_stats)?;
-        self.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.counters.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
         sink.rows_in = 0;
         Ok(())
     }
@@ -571,11 +555,11 @@ impl NodeWorker {
         let seq = *cursor;
         let scanned = block.len() as u64;
         *cursor += scanned;
-        self.rows_scanned.fetch_add(scanned, Ordering::Relaxed);
+        self.counters.rows_scanned.fetch_add(scanned, Ordering::Relaxed);
 
         let predicate = if skip_filter { None } else { self.predicate.as_ref().as_ref() };
         filter_columns(&mut block, predicate, cx);
-        self.rows_selected.fetch_add(block.selected() as u64, Ordering::Relaxed);
+        self.counters.rows_selected.fetch_add(block.selected() as u64, Ordering::Relaxed);
         if block.is_empty() {
             return Ok(());
         }
@@ -588,7 +572,7 @@ impl NodeWorker {
         let rows_for = self.agg.is_none().then_some(&self.cancel);
         if self.opts.client_processors == 1 {
             let bytes = send_columns(tx, 0, seq, block, rows_for, &self.mover_stats)?;
-            self.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
+            self.counters.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
         } else {
             let parts =
                 partition_columns(block, &self.opts.partition, self.opts.client_processors, seq);
@@ -597,7 +581,7 @@ impl NodeWorker {
                     continue;
                 }
                 let bytes = send_columns(tx, p, seq, part, rows_for, &self.mover_stats)?;
-                self.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
+                self.counters.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
             }
         }
         Ok(())

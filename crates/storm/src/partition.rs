@@ -6,6 +6,7 @@
 //! (§2.3): selected rows are split among the client's processors
 //! *before* transfer, so each processor receives exactly its share.
 
+use dv_types::column::Picks;
 use dv_types::{ColumnBlock, Value};
 
 /// How rows are distributed over the client's processors.
@@ -63,10 +64,10 @@ fn range_processor(v: f64, bounds: &[f64], processors: usize) -> usize {
     bounds.partition_point(|b| *b <= v).min(processors - 1)
 }
 
-/// Split a columnar block's *selected* rows into dense per-processor
+/// Split a columnar block's *selected* rows into per-processor
 /// columnar blocks. Assignment reads only the key column, as `f64`s
-/// straight from its typed pieces; the gather then touches each
-/// payload column exactly once.
+/// straight from its typed pieces; the gather then copies each payload
+/// column once, piece by piece ([`dv_types::Column::gather`]).
 /// `base_ordinal` is the *scanned* ordinal of the block's first
 /// pre-filter row — a plan-time quantity (rows materialized by all
 /// earlier AFCs in the node's schedule) — and round-robin keys on it
@@ -82,8 +83,11 @@ pub fn partition_columns(
     let mut idx: Vec<Vec<u32>> = (0..processors).map(|_| Vec::new()).collect();
     match strategy {
         PartitionStrategy::RoundRobin => {
-            for i in block.selected_rows() {
-                idx[((base_ordinal + i as u64) % processors as u64) as usize].push(i);
+            let mut put =
+                |i: u32| idx[((base_ordinal + i as u64) % processors as u64) as usize].push(i);
+            match block.picks() {
+                Picks::Range(a, b) => (a as u32..b as u32).for_each(put),
+                Picks::Sel(sel) => sel.iter().for_each(|&i| put(i)),
             }
         }
         PartitionStrategy::HashAttr { position } => {

@@ -39,7 +39,7 @@ use crate::cluster::Cluster;
 use crate::executor::{AggExec, ExecutorService, NodeWorker};
 use crate::mover::{absorb_transfer, MoverMessage, MoverStats};
 use crate::options::QueryOptions;
-use crate::stats::{MorselStats, QueryStats};
+use crate::stats::{MorselStats, QueryCounters, QueryStats};
 
 /// Identifier the service assigns to each admitted query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -701,15 +701,7 @@ pub(crate) fn run_session(
         .with_shared_handles(&core.shared_handles)
         .with_cancel(cancel.clone());
 
-    let rows_scanned = Arc::new(AtomicU64::new(0));
-    let rows_selected = Arc::new(AtomicU64::new(0));
-    let bytes_read = Arc::new(AtomicU64::new(0));
-    let bytes_moved = Arc::new(AtomicU64::new(0));
-    let afc_count = Arc::new(AtomicU64::new(0));
-    let prune_total = Arc::new(AtomicU64::new(0));
-    let prune_pruned = Arc::new(AtomicU64::new(0));
-    let prune_full = Arc::new(AtomicU64::new(0));
-    let prune_bytes_avoided = Arc::new(AtomicU64::new(0));
+    let counters = Arc::new(QueryCounters::default());
     let io_stats = Arc::new(IoStats::default());
     let mover_stats = Arc::new(MoverStats::default());
     let morsel_stats = Arc::new(MorselStats::default());
@@ -739,15 +731,7 @@ pub(crate) fn run_session(
             schema_len,
             opts: opts.clone(),
             cancel: cancel.clone(),
-            rows_scanned: Arc::clone(&rows_scanned),
-            rows_selected: Arc::clone(&rows_selected),
-            bytes_read: Arc::clone(&bytes_read),
-            bytes_moved: Arc::clone(&bytes_moved),
-            afc_count: Arc::clone(&afc_count),
-            prune_total: Arc::clone(&prune_total),
-            prune_pruned: Arc::clone(&prune_pruned),
-            prune_full: Arc::clone(&prune_full),
-            prune_bytes_avoided: Arc::clone(&prune_bytes_avoided),
+            counters: Arc::clone(&counters),
             io_stats: Arc::clone(&io_stats),
             mover_stats: Arc::clone(&mover_stats),
             morsel_stats: Arc::clone(&morsel_stats),
@@ -762,11 +746,11 @@ pub(crate) fn run_session(
             // centrally; reuse that plan instead of planning twice.
             Some(plans) => {
                 let np = &plans[node];
-                worker.record_prune(&np.prune);
+                worker.counters.record_prune(&np.prune);
                 worker.run(&np.afcs, &np.prune.verdicts, &worker_tx)
             }
             None => compiled.plan_node(&prep, node).and_then(|np| {
-                worker.record_prune(&np.prune);
+                worker.counters.record_prune(&np.prune);
                 worker.run(&np.afcs, &np.prune.verdicts, &worker_tx)
             }),
         });
@@ -857,15 +841,7 @@ pub(crate) fn run_session(
         finalize_agg(agg, aprep, &core.compiled.model.schema, &mut tables[0]);
     }
 
-    stats.rows_scanned = rows_scanned.load(Ordering::Relaxed);
-    stats.rows_selected = rows_selected.load(Ordering::Relaxed);
-    stats.bytes_read = bytes_read.load(Ordering::Relaxed);
-    stats.bytes_moved = bytes_moved.load(Ordering::Relaxed);
-    stats.afcs = afc_count.load(Ordering::Relaxed);
-    stats.groups_total = prune_total.load(Ordering::Relaxed);
-    stats.groups_pruned = prune_pruned.load(Ordering::Relaxed);
-    stats.groups_full = prune_full.load(Ordering::Relaxed);
-    stats.bytes_avoided = prune_bytes_avoided.load(Ordering::Relaxed);
+    counters.write_into(&mut stats);
     stats.io = io_stats.snapshot();
     stats.mover = mover_stats.snapshot();
     stats.morsels = morsel_stats.snapshot();

@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use dv_layout::IoSnapshot;
+use dv_layout::{IoSnapshot, PruneCertificate};
 
 use crate::mover::MoverSnapshot;
 
@@ -57,6 +57,46 @@ impl MorselStats {
             worker_bytes_max: self.worker_bytes_max.load(Ordering::Relaxed),
             pool_wait: Duration::from_nanos(self.pool_wait_ns.load(Ordering::Relaxed)),
         }
+    }
+}
+
+/// The row, byte, AFC and prune counters of one query, shared by every
+/// node worker and written into the [`QueryStats`] fields of the same
+/// names once the query has drained.
+#[derive(Debug, Default)]
+pub(crate) struct QueryCounters {
+    pub rows_scanned: AtomicU64,
+    pub rows_selected: AtomicU64,
+    pub bytes_read: AtomicU64,
+    pub bytes_moved: AtomicU64,
+    pub afcs: AtomicU64,
+    pub groups_total: AtomicU64,
+    pub groups_pruned: AtomicU64,
+    pub groups_full: AtomicU64,
+    pub bytes_avoided: AtomicU64,
+}
+
+impl QueryCounters {
+    /// Fold a node plan's prune accounting in.
+    pub fn record_prune(&self, cert: &PruneCertificate) {
+        self.groups_total.fetch_add(cert.groups_total, Ordering::Relaxed);
+        self.groups_pruned.fetch_add(cert.groups_pruned, Ordering::Relaxed);
+        self.groups_full.fetch_add(cert.groups_full, Ordering::Relaxed);
+        self.bytes_avoided.fetch_add(cert.bytes_avoided, Ordering::Relaxed);
+    }
+
+    /// Copy every counter into its `stats` field.
+    pub fn write_into(&self, stats: &mut QueryStats) {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        stats.rows_scanned = get(&self.rows_scanned);
+        stats.rows_selected = get(&self.rows_selected);
+        stats.bytes_read = get(&self.bytes_read);
+        stats.bytes_moved = get(&self.bytes_moved);
+        stats.afcs = get(&self.afcs);
+        stats.groups_total = get(&self.groups_total);
+        stats.groups_pruned = get(&self.groups_pruned);
+        stats.groups_full = get(&self.groups_full);
+        stats.bytes_avoided = get(&self.bytes_avoided);
     }
 }
 

@@ -13,8 +13,11 @@
 //!
 //! Implicit attributes (constant over an AFC, or affine in the row
 //! ordinal) are kept as *lazy runs* — generator descriptions appended
-//! per chunk — and materialize only when something actually gathers or
-//! enumerates their values.
+//! per chunk. Every kernel reads a column through one selection-aware
+//! visitor, [`Column::pieces`], which hands it the dense prefix as a
+//! typed slice and each lazy run as its generator; runs materialize
+//! only when decoded data is appended after them or a gather picks
+//! affine rows.
 
 use crate::datatype::DataType;
 use crate::row::Rows;
@@ -99,6 +102,25 @@ impl ColumnData {
             ColumnData::Long(v) => v.reserve(n),
             ColumnData::Float(v) => v.reserve(n),
             ColumnData::Double(v) => v.reserve(n),
+        }
+    }
+
+    /// Append `src[i]` for every `i` of `rows` (`src` of the same
+    /// type): one typed loop, no per-cell dispatch.
+    fn extend_gather(&mut self, src: &ColumnData, rows: &[u32]) {
+        macro_rules! typed {
+            ($d:expr, $s:expr) => {
+                $d.extend(rows.iter().map(|&i| $s[i as usize]))
+            };
+        }
+        match (self, src) {
+            (ColumnData::Char(d), ColumnData::Char(s)) => typed!(d, s),
+            (ColumnData::Short(d), ColumnData::Short(s)) => typed!(d, s),
+            (ColumnData::Int(d), ColumnData::Int(s)) => typed!(d, s),
+            (ColumnData::Long(d), ColumnData::Long(s)) => typed!(d, s),
+            (ColumnData::Float(d), ColumnData::Float(s)) => typed!(d, s),
+            (ColumnData::Double(d), ColumnData::Double(s)) => typed!(d, s),
+            _ => panic!("type mismatch gathering into typed column"),
         }
     }
 
@@ -362,13 +384,6 @@ impl Column {
         self.len() == 0
     }
 
-    /// The dense prefix and the lazy suffix, for kernels that want to
-    /// specialize over both representations.
-    #[inline]
-    pub fn parts(&self) -> (&ColumnData, &[LazyRun]) {
-        (&self.data, &self.runs)
-    }
-
     /// Mutable access to the dense vector for appending decoded
     /// values; any lazy runs are materialized first so the dense part
     /// stays a prefix.
@@ -410,32 +425,6 @@ impl Column {
         let r = &self.runs[at];
         debug_assert!(i >= r.start && i < r.start + r.len);
         r.gen.value_at(i - r.start, self.dtype)
-    }
-
-    /// All values as `f64` in row order (the view predicate kernels
-    /// and partitioning compare on).
-    pub fn f64_vec(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.len());
-        match &self.data {
-            ColumnData::Char(v) => out.extend(v.iter().map(|&x| x as f64)),
-            ColumnData::Short(v) => out.extend(v.iter().map(|&x| x as f64)),
-            ColumnData::Int(v) => out.extend(v.iter().map(|&x| x as f64)),
-            ColumnData::Long(v) => out.extend(v.iter().map(|&x| x as f64)),
-            ColumnData::Float(v) => out.extend(v.iter().map(|&x| x as f64)),
-            ColumnData::Double(v) => out.extend(v.iter().copied()),
-        }
-        for r in &self.runs {
-            match r.gen {
-                ColumnGen::Const(v) => {
-                    let x = v.as_f64();
-                    out.extend(std::iter::repeat_n(x, r.len));
-                }
-                ColumnGen::Affine { .. } => {
-                    out.extend((0..r.len).map(|k| r.gen.value_at(k, self.dtype).as_f64()));
-                }
-            }
-        }
-        out
     }
 
     /// The selection-aware visitor: the column under `picks`, cut at
@@ -482,23 +471,30 @@ impl Column {
     }
 
     /// Gather the rows named by the ascending index list into a fresh
-    /// dense column (lazy constants stay lazy — a gather of a constant
-    /// run is still constant).
+    /// column, piece by piece: dense picks are copied by one typed loop,
+    /// picks in a constant run stay a lazy run (a gather wholly inside
+    /// one constant run is still constant), and affine picks are
+    /// generated.
     pub fn gather(&self, idx: &[u32]) -> Column {
-        // Fast path: one constant run covering everything stays lazy.
-        if self.data.is_empty() && self.runs.len() == 1 {
-            if let ColumnGen::Const(_) = self.runs[0].gen {
-                let mut out = Column::new(self.dtype);
-                out.push_run(idx.len(), self.runs[0].gen);
-                return out;
+        let mut out = Column::new(self.dtype);
+        let mut rest = idx;
+        for piece in self.pieces(Picks::Sel(idx)) {
+            let (rows, tail) = rest.split_at(piece.picks().len());
+            rest = tail;
+            match piece {
+                Piece::Dense(data, _) => out.append_data().extend_gather(data, rows),
+                Piece::Run(run @ LazyRun { gen: ColumnGen::Const(_), .. }, _, _) => {
+                    out.push_run(rows.len(), run.gen)
+                }
+                Piece::Run(run, dtype, _) => {
+                    let data = out.append_data();
+                    for &i in rows {
+                        data.push_value(run.gen.value_at(i as usize - run.start, dtype));
+                    }
+                }
             }
         }
-        let mut data = ColumnData::empty(self.dtype);
-        data.reserve(idx.len());
-        for &i in idx {
-            data.push_value(self.value_at(i as usize));
-        }
-        Column { dtype: self.dtype, data, runs: Vec::new() }
+        out
     }
 }
 
@@ -597,14 +593,6 @@ impl ColumnBlock {
         match &self.sel {
             None => Picks::Range(0, self.len),
             Some(sel) => Picks::Sel(sel),
-        }
-    }
-
-    /// The selected row indices, materialized.
-    pub fn selected_rows(&self) -> Vec<u32> {
-        match &self.sel {
-            Some(s) => s.clone(),
-            None => (0..self.len as u32).collect(),
         }
     }
 
@@ -809,6 +797,23 @@ mod tests {
         (0..c.len()).map(|i| c.value_at(i)).collect()
     }
 
+    /// Every cell's `f64` view, read through the visitor and checked
+    /// against `value_at`.
+    fn f64s(c: &Column) -> Vec<f64> {
+        let mut out = Vec::new();
+        for piece in c.pieces(Picks::Range(0, c.len())) {
+            piece.for_each_f64(|_, x| out.push(x));
+        }
+        let by_cell: Vec<f64> = values(c).iter().map(|v| v.as_f64()).collect();
+        assert_eq!(out, by_cell);
+        out
+    }
+
+    /// True when the column is one lazy constant run.
+    fn is_one_constant_run(c: &Column) -> bool {
+        c.data.is_empty() && matches!(c.runs[..], [LazyRun { gen: ColumnGen::Const(_), .. }])
+    }
+
     #[test]
     fn bitmap_ops() {
         let mut a = Bitmap::new_false(70);
@@ -864,7 +869,7 @@ mod tests {
         assert_eq!(c.value_at(1), Value::Int(7));
         assert_eq!(c.value_at(3), Value::Int(10));
         assert_eq!(c.value_at(4), Value::Int(12));
-        assert_eq!(c.f64_vec(), vec![7.0, 7.0, 7.0, 10.0, 12.0]);
+        assert_eq!(f64s(&c), vec![7.0, 7.0, 7.0, 10.0, 12.0]);
         // Appending decoded data materializes the lazy prefix.
         c.append_data().push_value(Value::Int(99));
         assert_eq!(c.len(), 6);
@@ -878,7 +883,7 @@ mod tests {
         let mut c = Column::new(DataType::Short);
         c.push_run(2, ColumnGen::Affine { start: 65536 + 5, step: 1 });
         assert_eq!(c.value_at(0), Value::Short(5));
-        assert_eq!(c.f64_vec(), vec![5.0, 6.0]);
+        assert_eq!(f64s(&c), vec![5.0, 6.0]);
     }
 
     #[test]
@@ -893,9 +898,7 @@ mod tests {
         let mut k = Column::new(DataType::Int);
         k.push_run(100, ColumnGen::Const(Value::Int(3)));
         let gk = k.gather(&[5, 50]);
-        let (data, runs) = gk.parts();
-        assert!(data.is_empty());
-        assert_eq!(runs.len(), 1);
+        assert!(is_one_constant_run(&gk));
         assert_eq!(values(&gk), vec![Value::Int(3), Value::Int(3)]);
     }
 
@@ -911,7 +914,7 @@ mod tests {
         b.set_selection(Some(vec![1, 3]));
         assert_eq!(b.selected(), 2);
         assert_eq!(b.wire_bytes(), 2 * 12);
-        assert_eq!(b.selected_rows(), vec![1, 3]);
+        assert_eq!(b.selection(), Some(&[1, 3][..]));
         let want: Rows =
             [vec![Value::Int(1), Value::Double(1.0)], vec![Value::Int(3), Value::Double(3.0)]]
                 .into_iter()
@@ -964,7 +967,7 @@ mod tests {
                 let mut block =
                     ColumnBlock::from_columns(3, cols.iter().map(|c| c.build(n)).collect());
                 block.set_selection(sel.build(n));
-                let picked = block.selected_rows();
+                let picked = sel.build(n).unwrap_or_else(|| (0..n as u32).collect());
                 let rows = block.to_rows();
                 prop_assert_eq!(rows.len(), picked.len());
                 for (row, &i) in rows.iter().zip(&picked) {
@@ -1000,12 +1003,48 @@ mod tests {
                         seen.push((row as u32, x.to_bits()));
                     });
                 }
-                let want: Vec<(u32, u64)> = block
-                    .selected_rows()
+                let want: Vec<(u32, u64)> = sel
+                    .build(n)
+                    .unwrap_or_else(|| (0..n as u32).collect())
                     .into_iter()
                     .map(|i| (i, col.value_at(i as usize).as_f64().to_bits()))
                     .collect();
                 prop_assert_eq!(seen, want);
+            }
+
+            // A gather copies exactly the picked cells, and picks that
+            // all fall in one constant run stay one lazy constant run.
+            #[test]
+            fn gather_equals_value_at(
+                n in 0usize..600,
+                recipe in arb_col(),
+                sel in arb_sel(),
+            ) {
+                let col = recipe.build(n);
+                let idx = sel.build(n).unwrap_or_else(|| (0..n as u32).collect());
+                let mut gathers = vec![idx.clone()];
+                for run in &col.runs {
+                    let inside: Vec<u32> = idx
+                        .iter()
+                        .copied()
+                        .filter(|&i| (run.start..run.start + run.len).contains(&(i as usize)))
+                        .collect();
+                    if matches!(run.gen, ColumnGen::Const(_)) && !inside.is_empty() {
+                        prop_assert!(is_one_constant_run(&col.gather(&inside)));
+                    }
+                    gathers.push(inside);
+                }
+                for idx in gathers {
+                    let got = col.gather(&idx);
+                    prop_assert_eq!(got.len(), idx.len());
+                    for (k, &i) in idx.iter().enumerate() {
+                        let (cell, want) = (got.value_at(k), col.value_at(i as usize));
+                        prop_assert!(
+                            same_cell(cell, want),
+                            "pick {k} (row {i}): gather {cell:?}, value_at {want:?}"
+                        );
+                    }
+                }
             }
         }
     }
