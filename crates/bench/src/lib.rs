@@ -41,7 +41,7 @@ pub fn time_best_of<T>(n: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
 /// permitted). The paper's evaluation is disk-bound — its DBMS
 /// comparison hinges on the 3× storage inflation costing 3× the I/O —
 /// so the repro binaries measure cold-cache runs.
-pub fn drop_caches() -> bool {
+fn drop_caches() -> bool {
     let _ = std::process::Command::new("sync").status();
     std::fs::write("/proc/sys/vm/drop_caches", "3").is_ok()
 }
@@ -85,7 +85,7 @@ pub fn warm_dir(dir: &std::path::Path) {
 }
 
 /// True when `DV_QUICK` asks for a fast smoke-sized run.
-pub fn quick_mode() -> bool {
+fn quick_mode() -> bool {
     std::env::var("DV_QUICK").map(|v| v == "1" || v.eq_ignore_ascii_case("true")).unwrap_or(false)
 }
 

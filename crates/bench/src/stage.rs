@@ -4,10 +4,9 @@
 use std::path::PathBuf;
 
 use dv_datagen::{ipars, titan, IparsConfig, IparsLayout, TitanConfig};
-use dv_descriptor::CodecKind;
 
 /// Root directory for staged benchmark datasets.
-pub fn data_root() -> PathBuf {
+fn data_root() -> PathBuf {
     match std::env::var("DV_DATA") {
         Ok(p) => PathBuf::from(p),
         Err(_) => {
@@ -47,48 +46,6 @@ pub fn stage_ipars(key: &str, cfg: &IparsConfig, layout: IparsLayout) -> (PathBu
         base.display()
     );
     let descriptor = ipars::generate(&base, cfg, layout).expect("generate ipars");
-    std::fs::write(&marker_path, marker).unwrap();
-    std::fs::write(base.join("descriptor.txt"), &descriptor).unwrap();
-    (base, descriptor)
-}
-
-/// Stage an Ipars dataset re-encoded through `kind`; returns
-/// `(base_dir, descriptor_text)`. Same marker discipline as
-/// [`stage_ipars`], with the codec folded into the key.
-pub fn stage_ipars_codec(
-    key: &str,
-    cfg: &IparsConfig,
-    layout: IparsLayout,
-    kind: CodecKind,
-) -> (PathBuf, String) {
-    let base = data_root().join(key);
-    let marker_path = base.join("marker.json");
-    let marker = format!(
-        "{{\"kind\":\"ipars\",\"layout\":\"{}\",\"codec\":\"{}\",\"realizations\":{},\
-         \"time_steps\":{},\"grid_per_dir\":{},\"dirs\":{},\"nodes\":{},\"seed\":{}}}",
-        layout.tag(),
-        kind.descriptor_name(),
-        cfg.realizations,
-        cfg.time_steps,
-        cfg.grid_per_dir,
-        cfg.dirs,
-        cfg.nodes,
-        cfg.seed,
-    );
-    if std::fs::read_to_string(&marker_path).map(|m| m == marker).unwrap_or(false) {
-        let descriptor = std::fs::read_to_string(base.join("descriptor.txt")).unwrap();
-        return (base, descriptor);
-    }
-    let _ = std::fs::remove_dir_all(&base);
-    std::fs::create_dir_all(&base).expect("create staging dir");
-    eprintln!(
-        "[stage] generating ipars {} as {} ({} rows) under {} ...",
-        layout.label(),
-        kind.descriptor_name(),
-        cfg.rows(),
-        base.display()
-    );
-    let descriptor = ipars::generate_with_codec(&base, cfg, layout, kind).expect("generate ipars");
     std::fs::write(&marker_path, marker).unwrap();
     std::fs::write(base.join("descriptor.txt"), &descriptor).unwrap();
     (base, descriptor)

@@ -13,8 +13,7 @@ pub struct Args {
     pub switches: Vec<String>,
 }
 
-/// Options that take a value (everything else starting with `--` is a
-/// switch).
+/// Options that take a value.
 const VALUED: [&str; 15] = [
     "base",
     "format",
@@ -33,6 +32,10 @@ const VALUED: [&str; 15] = [
     "link-deadline",
 ];
 
+/// Bare `--switch`es; any other `--name` not in [`VALUED`] is an error,
+/// so a typo or a retired switch is never silently ignored.
+const SWITCHES: [&str; 3] = ["stats", "deny-warnings", "no-prune"];
+
 /// Parse raw arguments (excluding argv[0]).
 pub fn parse(raw: &[String]) -> Result<Args, String> {
     let mut args = Args::default();
@@ -47,8 +50,10 @@ pub fn parse(raw: &[String]) -> Result<Args, String> {
             if VALUED.contains(&name) {
                 let value = it.next().ok_or_else(|| format!("--{name} requires a value"))?.clone();
                 args.options.insert(name.to_string(), value);
-            } else {
+            } else if SWITCHES.contains(&name) {
                 args.switches.push(name.to_string());
+            } else {
+                return Err(format!("unknown option --{name}"));
             }
         } else {
             args.positionals.push(a.clone());
@@ -144,6 +149,19 @@ mod tests {
     fn missing_subcommand_is_error() {
         assert!(parse(&sv(&[])).is_err());
         assert!(parse(&sv(&["--base", "x"])).is_err());
+    }
+
+    #[test]
+    fn removed_switch_is_error() {
+        let err = parse(&sv(&["query", "d.desc", "--no-agg-pushdown"])).unwrap_err();
+        assert!(err.contains("--no-agg-pushdown"), "{err}");
+    }
+
+    #[test]
+    fn misspelt_switch_is_error() {
+        let err = parse(&sv(&["query", "d.desc", "--stat"])).unwrap_err();
+        assert!(err.contains("--stat"), "{err}");
+        assert!(parse(&sv(&["query", "d.desc", "--stats", "--no-prune"])).is_ok());
     }
 
     #[test]

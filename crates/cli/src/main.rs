@@ -8,7 +8,7 @@
 //! datavirt lint     <descriptor> [<SQL>]              static analysis: DV0xx/DV1xx diagnostics
 //! datavirt verify   <descriptor> [<SQL>]              semantic verification: DV2xx refutations + certificate
 //! datavirt cost     <descriptor> <SQL>                static resource bounds + DV4xx budget checks
-//! datavirt query    <descriptor> --base <dir> <SQL>   run a query  [--format table|csv] [--limit N] [--stats] [--timeout D] [--no-prune] [--no-agg-pushdown]
+//! datavirt query    <descriptor> --base <dir> <SQL>   run a query  [--format table|csv] [--limit N] [--stats] [--timeout D] [--no-prune]
 //! datavirt serve    <descriptor> --base <dir> --workload <file>   run a query workload concurrently
 //! datavirt explain  <descriptor> --base <dir> <SQL>   show the AFC schedule
 //! datavirt codegen  <descriptor> --base <dir>         render the generated index/extractor functions
@@ -72,7 +72,7 @@ USAGE:
   datavirt lint     <descriptor> [\"<SQL>\"] [--format human|json|sarif] [--deny-warnings] [--byte-budget <B>] [--group-memory-budget <B>] [--link-bytes-per-sec <B> --link-deadline <dur>]
   datavirt verify   <descriptor> [\"<SQL>\"] [--base <dir>] [--format human|json|sarif] [--deny-warnings]
   datavirt cost     <descriptor> \"<SQL>\" [--byte-budget <B>] [--group-memory-budget <B>] [--link-bytes-per-sec <B> --link-deadline <dur>] [--deny-warnings]
-  datavirt query    <descriptor> --base <dir> \"<SQL>\" [--format table|csv] [--limit N] [--stats] [--timeout <dur>] [--threads <N>] [--morsel-bytes <B>] [--byte-budget <B>] [--group-memory-budget <B>] [--no-prune] [--no-agg-pushdown] [--deny-warnings]
+  datavirt query    <descriptor> --base <dir> \"<SQL>\" [--format table|csv] [--limit N] [--stats] [--timeout <dur>] [--threads <N>] [--morsel-bytes <B>] [--byte-budget <B>] [--group-memory-budget <B>] [--no-prune] [--deny-warnings]
   datavirt serve    <descriptor> --base <dir> --workload <file> [--max-concurrent <N>] [--timeout <dur>] [--threads <N>] [--morsel-bytes <B>]
   datavirt explain  <descriptor> --base <dir> \"<SQL>\" [--deny-warnings]
   datavirt codegen  <descriptor> --base <dir>
@@ -182,9 +182,6 @@ fn query_options(a: &args::Args) -> Result<dv_core::QueryOptions, String> {
     }
     if a.has("no-prune") {
         opts.no_prune = true;
-    }
-    if a.has("no-agg-pushdown") {
-        opts.no_agg_pushdown = true;
     }
     Ok(opts)
 }

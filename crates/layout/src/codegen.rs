@@ -103,14 +103,9 @@ pub fn render_plan(c: &CompiledDataset, plan: &QueryPlan) -> String {
             .collect();
         let _ = writeln!(
             out,
-            "// aggregation: group by [{}] -> [{}] ({})",
+            "// aggregation: group by [{}] -> [{}] (pushdown: per-AFC partials folded node-side)",
             keys.join(", "),
             calls.join(", "),
-            if plan.agg_pushdown {
-                "pushdown: per-AFC partials folded node-side"
-            } else {
-                "pushdown disabled: rows ship, absorber aggregates"
-            }
         );
     }
     let io = crate::io::IoOptions::default();

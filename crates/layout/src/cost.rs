@@ -46,12 +46,12 @@
 //!   `num_rows`) — the aggregation reduction bound.
 //! * `peak_buffered_blocks` / `absorber_bytes` — the reorder buffer
 //!   only ever holds blocks in flight, so the send bounds cap it;
-//!   aggregate queries fold arrivals immediately and buffer nothing.
+//!   aggregate queries collect partials and buffer nothing.
 //!
 //! The bounds are *contracts*, not estimates: every query of the
 //! eight differential suites under `tests/` is checked against them at
 //! the test edge (`dv_integration::query_checked`), and `cost_diff`
-//! sweeps layouts × queries × prune/pushdown/thread settings asserting
+//! sweeps layouts × queries × prune/thread settings asserting
 //! no counter ever exceeds its bound. The runtime itself consults the
 //! report only for cost-based admission.
 
@@ -213,7 +213,6 @@ impl CostReport {
             &plan.working,
             &plan.output_positions,
             plan.agg.as_ref(),
-            plan.agg_pushdown,
             params,
         )
     }
@@ -226,7 +225,6 @@ impl CostReport {
         working: &WorkingSet,
         output_positions: &[usize],
         agg: Option<&AggPrep>,
-        agg_pushdown: bool,
         params: &CostParams,
     ) -> CostReport {
         let group_pos: Option<&[usize]> = agg.map(|a| a.group_pos.as_slice());
@@ -259,7 +257,7 @@ impl CostReport {
         let processors = params.client_processors as u64;
 
         let (mover_sends, mover_bytes, agg_groups, peak_blocks) = match agg {
-            Some(a) if agg_pushdown => {
+            Some(a) => {
                 // Pushdown: one partial block per morsel (morsels group
                 // whole AFCs) plus one per AGG_FLUSH_ENTRIES entries;
                 // each entry wires a seq tag, the packed key, and one
@@ -280,18 +278,6 @@ impl CostReport {
                 (
                     CostBound::at_most(sends),
                     CostBound::at_most(groups_hi.saturating_mul(entry_bytes)),
-                    CostBound::at_most(groups_hi),
-                    CostBound::exact(0),
-                )
-            }
-            Some(_) => {
-                // Ablation: nodes ship filtered projected rows (at most
-                // one block per AFC, partitioned), and the absorber
-                // folds each arrival immediately — nothing buffers and
-                // no node-side aggregate counters move.
-                (
-                    CostBound::at_most(afcs.saturating_mul(processors)),
-                    CostBound::at_most(rows.saturating_mul(out_row_bytes)),
                     CostBound::at_most(groups_hi),
                     CostBound::exact(0),
                 )

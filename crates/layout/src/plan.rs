@@ -68,8 +68,6 @@ pub struct QueryPlan {
     pub ranges: HashMap<String, IntervalSet>,
     /// Aggregation context (`None` = plain scan query).
     pub agg: Option<AggPrep>,
-    /// Whether nodes fold partial aggregates before shipping.
-    pub agg_pushdown: bool,
 }
 
 impl QueryPlan {
@@ -280,7 +278,6 @@ impl CompiledDataset {
             predicate: query.predicate.clone(),
             prune_enabled: true,
             agg,
-            agg_pushdown: true,
         })
     }
 
@@ -338,7 +335,6 @@ impl CompiledDataset {
             node_plans,
             ranges: prep.ranges,
             agg: prep.agg,
-            agg_pushdown: prep.agg_pushdown,
         })
     }
 }
@@ -401,10 +397,6 @@ pub struct QueryPrep {
     pub prune_enabled: bool,
     /// Aggregation context (`None` = plain scan query).
     pub agg: Option<AggPrep>,
-    /// Partial-aggregation pushdown switch (default on;
-    /// `QueryOptions::no_agg_pushdown` turns it off: nodes then ship
-    /// filtered rows and the absorber aggregates client-side).
-    pub agg_pushdown: bool,
 }
 
 /// Convenience: compile a descriptor text directly against a single

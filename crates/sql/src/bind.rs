@@ -121,7 +121,7 @@ pub struct BoundQuery {
     /// Indices of the selected attributes, in output order. For
     /// aggregate queries this is the sorted, deduplicated union of the
     /// `GROUP BY` columns and aggregate arguments — exactly what the
-    /// nodes must materialize (and what the ablation mode ships).
+    /// nodes must materialize.
     pub projection: Vec<usize>,
     /// Bound WHERE clause, if any.
     pub predicate: Option<BoundExpr>,

@@ -211,10 +211,6 @@ pub(crate) struct AggExec {
     pub funcs: Vec<AggFunc>,
     pub group_pos: Vec<usize>,
     pub arg_pos: Vec<Option<usize>>,
-    /// `true` = nodes fold per-AFC partials and ship accumulators;
-    /// `false` = ablation mode, nodes ship filtered rows (one block
-    /// per AFC so the absorber can reproduce the same fold tree).
-    pub pushdown: bool,
 }
 
 /// One worker's in-flight aggregation state for the current morsel:
@@ -422,8 +418,7 @@ impl NodeWorker {
     /// Decode one fetched working-set group into blocks of at most
     /// `batch_rows` and run each through filter → project → partition
     /// → move. Aggregate queries cap every block at a single AFC — the
-    /// canonical float-fold unit — so block sequence tags identify AFCs
-    /// in pushdown and ablation mode alike.
+    /// canonical float-fold unit — so block sequence tags identify AFCs.
     #[allow(clippy::too_many_arguments)]
     fn decode_and_ship(
         &self,
@@ -458,9 +453,9 @@ impl NodeWorker {
         Ok(())
     }
 
-    /// A fresh aggregation sink when this query folds node-side.
+    /// A fresh aggregation sink when this query aggregates.
     fn new_sink(&self) -> Option<AggSink> {
-        self.agg.as_ref().filter(|a| a.pushdown).map(|a| AggSink::new(self.node, a))
+        self.agg.as_ref().map(|a| AggSink::new(self.node, a))
     }
 
     /// End-of-morsel bookkeeping: flush the aggregation sink (if any),
@@ -481,10 +476,10 @@ impl NodeWorker {
     }
 
     /// Filter one single-AFC block and fold the survivors into the
-    /// worker's aggregation sink (pushdown path). The partials drain
-    /// into the outgoing block tagged with the AFC's scanned ordinal;
-    /// the absorber leftfolds them per group in `(node, seq)` order,
-    /// reproducing the serial fold bit for bit.
+    /// worker's aggregation sink. The partials drain into the outgoing
+    /// block tagged with the AFC's scanned ordinal; the absorber
+    /// leftfolds them per group in `(node, seq)` order, reproducing the
+    /// serial fold bit for bit.
     fn fold_columns(
         &self,
         mut block: ColumnBlock,
@@ -566,12 +561,8 @@ impl NodeWorker {
 
         block.project(&self.output_positions);
 
-        // A plain scan delivers these rows, so a sender facing a full
-        // channel may rebuild them; an aggregate query without
-        // pushdown has the absorber fold the block column-wise.
-        let rows_for = self.agg.is_none().then_some(&self.cancel);
         if self.opts.client_processors == 1 {
-            let bytes = send_columns(tx, 0, seq, block, rows_for, &self.mover_stats)?;
+            let bytes = send_columns(tx, 0, seq, block, &self.cancel, &self.mover_stats)?;
             self.counters.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
         } else {
             let parts =
@@ -580,7 +571,7 @@ impl NodeWorker {
                 if part.is_empty() {
                     continue;
                 }
-                let bytes = send_columns(tx, p, seq, part, rows_for, &self.mover_stats)?;
+                let bytes = send_columns(tx, p, seq, part, &self.cancel, &self.mover_stats)?;
                 self.counters.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
             }
         }

@@ -248,18 +248,16 @@ pub fn absorb_transfer(
 /// the payload — exactly what a serializing mover would put on the
 /// wire.
 ///
-/// `rows_for` says what the client does with the block. `Some(cancel)`:
-/// it delivers the rows, so a sender that finds the channel full
-/// rebuilds them itself before waiting (see the module docs) — unless
-/// the query is already cancelled, when there is nobody to rebuild
-/// them for. `None`: the absorber folds the block column-wise
-/// (aggregation without pushdown), so it always travels columnar.
+/// The client delivers the block's rows, so a sender that finds the
+/// channel full rebuilds them itself before waiting (see the module
+/// docs) — unless `cancel` says the query is already cancelled, when
+/// there is nobody to rebuild them for.
 pub fn send_columns(
     tx: &Sender<MoverMessage>,
     processor: usize,
     seq: u64,
     block: ColumnBlock,
-    rows_for: Option<&CancelToken>,
+    cancel: &CancelToken,
     stats: &MoverStats,
 ) -> Result<usize> {
     let bytes = block.wire_bytes();
@@ -270,13 +268,13 @@ pub fn send_columns(
     // The full-channel rule: ship what the absorber would otherwise
     // have to produce from the block. A cancelled query gets an error
     // instead — no work for a dead query.
-    let msg = match (refused, rows_for) {
-        (MoverMessage::Columns { block, .. }, Some(cancel)) => {
+    let msg = match refused {
+        MoverMessage::Columns { block, .. } => {
             cancel.check()?;
             stats.sender_rebuilds.fetch_add(1, Ordering::Relaxed);
             MoverMessage::Rows { processor, node, seq, wire_bytes: bytes, rows: block.to_rows() }
         }
-        (refused, _) => refused,
+        refused => refused,
     };
     send_refused(tx, msg, stats)?;
     Ok(bytes)
@@ -343,7 +341,7 @@ mod tests {
 
     /// Occupy the one slot of a capacity-1 channel.
     fn fill(tx: &Sender<MoverMessage>, stats: &MoverStats) {
-        send_columns(tx, 0, 0, selected_columns(), None, stats).unwrap();
+        send_columns(tx, 0, 0, selected_columns(), &CancelToken::new(), stats).unwrap();
     }
 
     #[test]
@@ -351,7 +349,7 @@ mod tests {
         let (tx, rx) = unbounded();
         let cancel = CancelToken::new();
         let stats = MoverStats::default();
-        let bytes = send_columns(&tx, 2, 8, selected_columns(), Some(&cancel), &stats).unwrap();
+        let bytes = send_columns(&tx, 2, 8, selected_columns(), &cancel, &stats).unwrap();
         assert_eq!(bytes, 2 * 12);
         match rx.recv().unwrap() {
             MoverMessage::Columns { processor, seq, block } => {
@@ -366,11 +364,13 @@ mod tests {
         assert_eq!(snap.sender_rebuilds, 0, "a channel with room ships columns");
     }
 
-    /// Fill a capacity-1 channel, then send `selected_columns()` into
-    /// it while a consumer (released by the returned sender having
-    /// observed the full channel — `blocked_sends` — not by a sleep)
-    /// drains both messages. Returns the second message and the stats.
-    fn send_into_full_channel(rows_for: Option<&CancelToken>) -> (MoverMessage, MoverSnapshot) {
+    /// Fill a capacity-1 channel, then `send` into it while a consumer
+    /// (released by the sender having observed the full channel —
+    /// `blocked_sends` — not by a sleep) drains both messages. Returns
+    /// the second message and the stats.
+    fn send_into_full_channel(
+        send: impl FnOnce(&Sender<MoverMessage>, &MoverStats),
+    ) -> (MoverMessage, MoverSnapshot) {
         let (tx, rx) = crossbeam::channel::bounded(1);
         let stats = MoverStats::default();
         fill(&tx, &stats);
@@ -383,8 +383,7 @@ mod tests {
                 rx.recv().unwrap();
                 rx.recv().unwrap()
             });
-            let bytes = send_columns(&tx, 1, 8, selected_columns(), rows_for, stats).unwrap();
-            assert_eq!(bytes, 2 * 12);
+            send(&tx, stats);
             consumer.join().unwrap()
         });
         (second, stats.snapshot())
@@ -392,8 +391,11 @@ mod tests {
 
     #[test]
     fn full_channel_makes_the_sender_rebuild_rows() {
-        let cancel = CancelToken::new();
-        let (msg, snap) = send_into_full_channel(Some(&cancel));
+        let (msg, snap) = send_into_full_channel(|tx, stats| {
+            let cancel = CancelToken::new();
+            let bytes = send_columns(tx, 1, 8, selected_columns(), &cancel, stats).unwrap();
+            assert_eq!(bytes, 2 * 12);
+        });
         match msg {
             MoverMessage::Rows { processor, node, seq, wire_bytes, rows } => {
                 assert_eq!((processor, node, seq, wire_bytes), (1, 5, 8, 2 * 12));
@@ -412,8 +414,15 @@ mod tests {
 
     #[test]
     fn full_channel_keeps_aggregate_blocks_columnar() {
-        let (msg, snap) = send_into_full_channel(None);
-        assert!(matches!(msg, MoverMessage::Columns { .. }), "unexpected {msg:?}");
+        let (msg, snap) = send_into_full_channel(|tx, stats| {
+            let funcs = [dv_types::AggFunc::Count];
+            let mut table = dv_types::AggTable::new(&funcs, 0);
+            table.fold_row(Default::default(), &[0.0]);
+            let mut block = AggBlock::new(5, 0, &funcs);
+            table.drain_into(8, &mut block);
+            send_agg(tx, 0, block, 1, stats).unwrap();
+        });
+        assert!(matches!(msg, MoverMessage::Agg { ref block, .. } if block.len() == 1), "{msg:?}");
         assert_eq!((snap.sends, snap.blocked_sends, snap.sender_rebuilds), (2, 1, 0));
     }
 
@@ -431,7 +440,7 @@ mod tests {
                 }
                 drop(rx);
             });
-            send_columns(&tx, 0, 1, selected_columns(), Some(&cancel), stats).unwrap_err()
+            send_columns(&tx, 0, 1, selected_columns(), &cancel, stats).unwrap_err()
         });
         assert!(err.to_string().contains("client disconnected"), "{err}");
     }
@@ -444,7 +453,7 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         // Nobody drains: a sender that waited would hang here.
-        let err = send_columns(&tx, 0, 1, selected_columns(), Some(&cancel), &stats).unwrap_err();
+        let err = send_columns(&tx, 0, 1, selected_columns(), &cancel, &stats).unwrap_err();
         assert!(err.is_cancelled(), "{err}");
         let snap = stats.snapshot();
         assert_eq!((snap.blocked_sends, snap.sender_rebuilds), (1, 0));
@@ -455,7 +464,7 @@ mod tests {
         let (tx, rx) = unbounded();
         drop(rx);
         let stats = MoverStats::default();
-        assert!(send_columns(&tx, 0, 0, selected_columns(), None, &stats).is_err());
+        assert!(send_columns(&tx, 0, 0, selected_columns(), &CancelToken::new(), &stats).is_err());
     }
 
     #[test]
@@ -495,7 +504,7 @@ mod tests {
             let second = rx.recv();
             (first.is_ok(), second.is_ok())
         });
-        send_columns(&tx, 0, 1, selected_columns(), None, &stats).unwrap();
+        send_columns(&tx, 0, 1, selected_columns(), &CancelToken::new(), &stats).unwrap();
         let (first, second) = consumer.join().unwrap();
         assert!(first && second);
         let snap = stats.snapshot();

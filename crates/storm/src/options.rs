@@ -58,12 +58,6 @@ pub struct QueryOptions {
     /// Disable static partition pruning for this query (ablation
     /// baseline).
     pub no_prune: bool,
-    /// Disable aggregation pushdown for this query (ablation
-    /// baseline). Nodes ship
-    /// filtered projected rows and the absorber aggregates client-side
-    /// over the identical per-AFC fold units, so results stay
-    /// bit-identical across modes.
-    pub no_agg_pushdown: bool,
 }
 
 impl Default for QueryOptions {
@@ -80,7 +74,6 @@ impl Default for QueryOptions {
             io: IoOptions::default(),
             mover_capacity: 64,
             no_prune: false,
-            no_agg_pushdown: false,
         }
     }
 }

@@ -401,22 +401,6 @@ enum Shipped {
     Built(Rows),
 }
 
-/// Aggregation half of the absorber: per-AFC partials collected from
-/// the nodes (pushdown) or computed here on arrival (ablation), merged
-/// and finalized deterministically when every node is done.
-struct AbsorbAgg {
-    /// Positions of group keys / aggregate arguments within *shipped*
-    /// blocks (= the query projection) — used only in ablation mode,
-    /// where the nodes ship filtered projected rows.
-    group_pos: Vec<usize>,
-    arg_pos: Vec<Option<usize>>,
-    /// Reusable per-block fold table (ablation mode).
-    scratch: AggTable,
-    /// Partial-aggregate blocks, merged in `(node, seq)` order at the
-    /// end. Each `(node, seq, key)` entry appears exactly once.
-    parts: Vec<AggBlock>,
-}
-
 /// Client-side streaming reassembly of mover blocks.
 ///
 /// Blocks arrive in whatever order morsel workers and stealing produced
@@ -446,7 +430,10 @@ struct Absorber<'a> {
     watermark: Vec<u64>,
     buffered: u64,
     mover_stats: &'a MoverStats,
-    agg: Option<AbsorbAgg>,
+    /// Aggregate queries: the per-AFC partial blocks the nodes folded,
+    /// merged in `(node, seq)` order when every node is done. Each
+    /// `(node, seq, key)` entry appears exactly once.
+    agg_parts: Vec<AggBlock>,
 }
 
 impl<'a> Absorber<'a> {
@@ -454,7 +441,6 @@ impl<'a> Absorber<'a> {
         processors: usize,
         node_count: usize,
         output_schema: &Schema,
-        agg: Option<AbsorbAgg>,
         mover_stats: &'a MoverStats,
     ) -> Absorber<'a> {
         Absorber {
@@ -469,36 +455,21 @@ impl<'a> Absorber<'a> {
             watermark: vec![0; node_count],
             buffered: 0,
             mover_stats,
-            agg,
+            agg_parts: Vec::new(),
         }
     }
 
-    /// A data block arrived. Aggregate-ablation queries fold it into a
-    /// per-block partial immediately (one block = one AFC = one
-    /// canonical fold unit — nothing is buffered); everything else
-    /// enters the reorder buffer until its watermark covers it.
+    /// A data block arrived: it enters the reorder buffer until its
+    /// watermark covers it.
     fn on_data(&mut self, processor: usize, node: usize, seq: u64, shipped: Shipped) {
-        if let Some(agg) = &mut self.agg {
-            let Shipped::Cols(b) = &shipped else {
-                unreachable!("aggregate blocks are never sender-rebuilt")
-            };
-            agg.scratch.clear();
-            agg.scratch.fold_block(b, &agg.group_pos, &agg.arg_pos);
-            let mut out = AggBlock::new(node, agg.scratch.key_width(), agg.scratch.funcs());
-            agg.scratch.drain_into(seq, &mut out);
-            agg.parts.push(out);
-            return;
-        }
         self.buf[processor][node].insert(seq, shipped);
         self.buffered += 1;
         self.mover_stats.note_buffered(self.buffered);
     }
 
-    /// A partial-aggregate block arrived (pushdown mode).
+    /// A partial-aggregate block arrived.
     fn on_agg(&mut self, block: AggBlock) {
-        if let Some(agg) = &mut self.agg {
-            agg.parts.push(block);
-        }
+        self.agg_parts.push(block);
     }
 
     /// Advance `node`'s watermark with a completed-morsel span and
@@ -535,8 +506,9 @@ impl<'a> Absorber<'a> {
     }
 
     /// Move the per-node runs into the client tables, node-major —
-    /// exactly the old global `(node, seq)` order.
-    fn finish(mut self, tables: &mut [Table]) -> Option<AbsorbAgg> {
+    /// exactly the old global `(node, seq)` order — and hand back the
+    /// collected partial-aggregate blocks.
+    fn finish(mut self, tables: &mut [Table]) -> Vec<AggBlock> {
         for node in 0..self.node_count {
             self.on_node_done(node);
         }
@@ -545,22 +517,21 @@ impl<'a> Absorber<'a> {
                 t.rows.append(&mut self.runs[p][node].rows);
             }
         }
-        self.agg
+        self.agg_parts
     }
 }
 
 /// Merge the collected per-AFC partials in ascending `(node, seq)`
 /// order and finalize into result rows sorted by decoded group key —
-/// the deterministic fold tree shared by every engine, thread count and
-/// pushdown mode.
-fn finalize_agg(agg: AbsorbAgg, prep: &AggPrep, schema: &Schema, out: &mut Table) {
+/// the deterministic fold tree shared by every engine and thread count.
+fn finalize_agg(parts: Vec<AggBlock>, prep: &AggPrep, schema: &Schema, out: &mut Table) {
     let spec = &prep.spec;
     let mut order: Vec<(usize, usize)> =
-        agg.parts.iter().enumerate().flat_map(|(p, b)| (0..b.len()).map(move |e| (p, e))).collect();
-    order.sort_by_key(|&(p, e)| (agg.parts[p].source_node, agg.parts[p].seqs[e]));
+        parts.iter().enumerate().flat_map(|(p, b)| (0..b.len()).map(move |e| (p, e))).collect();
+    order.sort_by_key(|&(p, e)| (parts[p].source_node, parts[p].seqs[e]));
     let mut table = AggTable::new(&spec.funcs(), spec.group_by.len());
     for (p, e) in order {
-        let b = &agg.parts[p];
+        let b = &parts[p];
         table.merge_entry(b.keys[e], &b.states_at(e));
     }
     let group_dtypes = spec.group_dtypes(schema);
@@ -603,9 +574,6 @@ pub(crate) fn run_session(
     if opts.no_prune {
         prep.prune_enabled = false;
     }
-    if opts.no_agg_pushdown {
-        prep.agg_pushdown = false;
-    }
     let prep = Arc::new(prep);
 
     // Phase 2a': cost-based admission (dv-cost). When a budget is
@@ -626,7 +594,6 @@ pub(crate) fn run_session(
             &prep.working,
             &prep.output_positions,
             prep.agg.as_ref(),
-            prep.agg_pushdown,
             &params,
         );
         if let Some(budget) = core.max_plan_bytes {
@@ -658,35 +625,15 @@ pub(crate) fn run_session(
     };
     stats.plan_time = plan_start.elapsed();
 
-    // Per-query aggregation context shared by all node workers. With
-    // pushdown on, each worker folds morsels into per-AFC partial
-    // tables and ships compact aggregate blocks; with it off, the
-    // nodes ship filtered projected rows (one block per AFC) and the
-    // absorber computes the identical per-AFC partials on arrival.
+    // Per-query aggregation context shared by all node workers: each
+    // worker folds morsels into per-AFC partial tables and ships
+    // compact aggregate blocks, which the absorber only collects.
     let agg_exec: Option<Arc<AggExec>> = prep.agg.as_ref().map(|a| {
         Arc::new(AggExec {
             funcs: a.spec.funcs(),
             group_pos: a.group_pos.clone(),
             arg_pos: a.arg_pos.clone(),
-            pushdown: prep.agg_pushdown,
         })
-    });
-    // Absorber-side fold positions index into *shipped* blocks, whose
-    // columns follow the query projection (sorted dedup of group keys
-    // and aggregate arguments).
-    let absorb_agg = prep.agg.as_ref().map(|a| {
-        let ppos = |attr: usize| {
-            bq.projection
-                .iter()
-                .position(|&x| x == attr)
-                .expect("aggregate attr missing from projection")
-        };
-        AbsorbAgg {
-            group_pos: a.spec.group_by.iter().map(|&g| ppos(g)).collect(),
-            arg_pos: a.spec.aggs.iter().map(|ag| ag.arg.map(ppos)).collect(),
-            scratch: AggTable::new(&a.spec.funcs(), a.spec.group_by.len()),
-            parts: Vec::new(),
-        }
     });
 
     let output_schema = bq.output_schema();
@@ -765,7 +712,7 @@ pub(crate) fn run_session(
     // across thread counts and steal orders — without holding the
     // whole result in the reorder buffer.
     let mut absorber =
-        Absorber::new(opts.client_processors, node_count, &output_schema, absorb_agg, &mover_stats);
+        Absorber::new(opts.client_processors, node_count, &output_schema, &mover_stats);
 
     // Drain messages until `want` Done messages arrive. Always drains
     // to completion — a cancelled query still collects every node's
@@ -836,9 +783,9 @@ pub(crate) fn run_session(
     // Move the drained runs into the client tables; for aggregate
     // queries, merge and finalize the collected partials instead —
     // aggregate results are always delivered whole to processor 0.
-    let agg_state = absorber.finish(&mut tables);
-    if let (Some(agg), Some(aprep)) = (agg_state, prep.agg.as_ref()) {
-        finalize_agg(agg, aprep, &core.compiled.model.schema, &mut tables[0]);
+    let agg_parts = absorber.finish(&mut tables);
+    if let Some(aprep) = prep.agg.as_ref() {
+        finalize_agg(agg_parts, aprep, &core.compiled.model.schema, &mut tables[0]);
     }
 
     counters.write_into(&mut stats);

@@ -1,7 +1,7 @@
 //! Aggregation differential tests: GROUP BY results must be
 //! *bit-identical* — same rows, same order, same float bit patterns —
 //! to the serial reference executor's (`dv_integration::reference`)
-//! across prune on/off, aggregation pushdown on/off, and thread counts
+//! across prune on/off and thread counts
 //! (with injected per-morsel jitter shuffling steal orders). The
 //! canonical fold unit is the aligned file chunk, so every
 //! configuration folds the same tree; the reference and the
@@ -22,8 +22,8 @@ fn cfg() -> IparsConfig {
     IparsConfig { realizations: 2, time_steps: 40, grid_per_dir: 50, dirs: 2, nodes: 2, seed: 93 }
 }
 
-fn opts(threads: usize, no_prune: bool, no_agg_pushdown: bool) -> QueryOptions {
-    QueryOptions { intra_node_threads: threads, no_prune, no_agg_pushdown, ..query_options() }
+fn opts(threads: usize, no_prune: bool) -> QueryOptions {
+    QueryOptions { intra_node_threads: threads, no_prune, ..query_options() }
 }
 
 /// The engine's aggregate result (always delivered whole to processor 0).
@@ -64,7 +64,7 @@ fn assert_bit_identical(a: &Table, b: &Table, what: &str) {
     }
 }
 
-/// Every (prune × pushdown × thread-count) configuration of the engine
+/// Every (prune × thread-count) configuration of the engine
 /// returns exactly the reference's result, bit for bit, even with
 /// jitter shuffling morsel completion order.
 #[test]
@@ -80,16 +80,13 @@ fn aggregates_bit_match_across_engines_prune_pushdown_threads() {
         let oracle = run_reference(&v, sql);
         assert!(!oracle.rows.is_empty(), "{sql}: degenerate diff");
         for no_prune in [false, true] {
-            for no_push in [false, true] {
-                for threads in [1usize, 2, 8] {
-                    let o =
-                        QueryOptions { morsel_jitter_ms: 2, ..opts(threads, no_prune, no_push) };
-                    assert_bit_identical(
-                        &run(&v, sql, &o),
-                        &oracle,
-                        &format!("{sql} [no_prune={no_prune} no_push={no_push} threads={threads}]"),
-                    );
-                }
+            for threads in [1usize, 2, 8] {
+                let o = QueryOptions { morsel_jitter_ms: 2, ..opts(threads, no_prune) };
+                assert_bit_identical(
+                    &run(&v, sql, &o),
+                    &oracle,
+                    &format!("{sql} [no_prune={no_prune} threads={threads}]"),
+                );
             }
         }
     }
@@ -112,7 +109,7 @@ fn aggregates_bit_match_handwritten_oracle() {
         let expect = hand.execute_agg(&bq).unwrap();
         for threads in [1usize, 8] {
             assert_bit_identical(
-                &run(&v, sql, &opts(threads, false, false)),
+                &run(&v, sql, &opts(threads, false)),
                 &expect,
                 &format!("{sql} [threads={threads}] vs handwritten"),
             );
@@ -150,14 +147,12 @@ fn aggregates_bit_match_on_other_layouts() {
             .unwrap();
         let sql = AGG_QUERIES[0];
         let oracle = run_reference(&v, sql);
-        for no_push in [false, true] {
-            for threads in [1usize, 8] {
-                assert_bit_identical(
-                    &run(&v, sql, &opts(threads, false, no_push)),
-                    &oracle,
-                    &format!("{} [no_push={no_push} threads={threads}]", layout.tag()),
-                );
-            }
+        for threads in [1usize, 8] {
+            assert_bit_identical(
+                &run(&v, sql, &opts(threads, false)),
+                &oracle,
+                &format!("{} [threads={threads}]", layout.tag()),
+            );
         }
     }
 }
@@ -170,16 +165,14 @@ fn empty_selection_yields_empty_table() {
     let base = scratch("agg-diff-empty");
     let descriptor = ipars::generate(&base, &cfg(), IparsLayout::L0).unwrap();
     let v = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
-    for no_push in [false, true] {
-        let sql = "SELECT COUNT(*), SUM(SOIL) FROM IparsData WHERE TIME > 90000";
-        assert!(run(&v, sql, &opts(2, false, no_push)).rows.is_empty(), "no_push={no_push}");
-    }
+    let sql = "SELECT COUNT(*), SUM(SOIL) FROM IparsData WHERE TIME > 90000";
+    assert!(run(&v, sql, &opts(2, false)).rows.is_empty());
 }
 
 /// NaN-laden data: every NaN bit pattern collapses into one group key;
 /// SUM/AVG propagate NaN; MIN/MAX use total_cmp (NaN above all
 /// numbers); -0.0 and +0.0 form distinct groups. All of it stable
-/// across pushdown modes and thread counts, and equal to the reference.
+/// across thread counts, and equal to the reference.
 #[test]
 fn nan_and_signed_zero_groups() {
     const DESC: &str = r#"
@@ -249,15 +242,9 @@ DATASET "D" {
     // MAX(V) of the 1.5 group is 1.5 exactly.
     assert_eq!(oracle.rows[2][4], Value::Float(1.5));
 
-    for no_push in [false, true] {
-        for threads in [1usize, 2, 8] {
-            let o = QueryOptions { morsel_jitter_ms: 1, ..opts(threads, false, no_push) };
-            assert_bit_identical(
-                &run(&v, sql, &o),
-                &oracle,
-                &format!("nan [no_push={no_push} threads={threads}]"),
-            );
-        }
+    for threads in [1usize, 2, 8] {
+        let o = QueryOptions { morsel_jitter_ms: 1, ..opts(threads, false) };
+        assert_bit_identical(&run(&v, sql, &o), &oracle, &format!("nan [threads={threads}]"));
     }
 }
 
@@ -337,8 +324,8 @@ fn l0_virtualizer() -> &'static Virtualizer {
     })
 }
 
-/// Run `SELECT group, calls FROM table [pred] GROUP BY group` in both
-/// pushdown modes, serial and parallel, against the reference's fold.
+/// Run `SELECT group, calls FROM table [pred] GROUP BY group` serial
+/// and parallel against the reference's fold.
 fn check_group_by(v: &Virtualizer, table: &str, group: &[&str], calls: &[&str], pred: &str) {
     let mut calls = calls.to_vec();
     calls.sort();
@@ -350,11 +337,11 @@ fn check_group_by(v: &Virtualizer, table: &str, group: &[&str], calls: &[&str], 
         group.join(", "),
     );
     let oracle = run_reference(v, &sql);
-    for (no_push, threads) in [(false, 1), (true, 1), (true, 8), (false, 8)] {
+    for threads in [1, 8] {
         assert_bit_identical(
-            &run(v, &sql, &opts(threads, false, no_push)),
+            &run(v, &sql, &opts(threads, false)),
             &oracle,
-            &format!("{sql} [no_push={no_push} threads={threads}]"),
+            &format!("{sql} [threads={threads}]"),
         );
     }
 }
@@ -363,7 +350,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random GROUP BY queries over constant-run keys (`REL`, `TIME`
-    /// on L0): both pushdown modes, serial and parallel, agree with the
+    /// on L0): serial and parallel runs agree with the
     /// reference's fold, bit for bit.
     #[test]
     fn prop_random_group_by_queries(

@@ -236,8 +236,8 @@ fn partitioned_columnar_unions_to_row_result() {
 }
 
 /// Random predicates and projections: the columnar evaluator (bitmap
-/// kernels + UDF row-fallback) must agree with the reference's
-/// row-at-a-time evaluation on every generated query.
+/// kernels + UDF calls on the masked rows) must agree with the
+/// reference's row-at-a-time evaluation on every generated query.
 mod random_queries {
     use super::*;
     use proptest::prelude::*;

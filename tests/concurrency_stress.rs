@@ -352,21 +352,15 @@ fn absorber_reorder_buffer_is_bounded_by_inflight_blocks() {
     let (_, par) = v.query_with("SELECT * FROM IparsData", &jittered).unwrap();
     assert!(par.mover.peak_buffered_blocks <= par.mover.sends);
 
-    // Aggregate queries never enter the reorder buffer at all: with
-    // pushdown the nodes ship partials, without it the absorber folds
-    // each block into a partial on arrival.
-    for no_agg_pushdown in [false, true] {
-        let (_, agg) = v
-            .query_with(
-                "SELECT REL, TIME, AVG(SOIL) FROM IparsData GROUP BY REL, TIME",
-                &QueryOptions { intra_node_threads: 8, no_agg_pushdown, ..query_options() },
-            )
-            .unwrap();
-        assert_eq!(
-            agg.mover.peak_buffered_blocks, 0,
-            "aggregation (no_agg_pushdown={no_agg_pushdown}) must not buffer data blocks"
-        );
-    }
+    // Aggregate queries never enter the reorder buffer at all: the
+    // nodes ship partials, which the absorber only collects.
+    let (_, agg) = v
+        .query_with(
+            "SELECT REL, TIME, AVG(SOIL) FROM IparsData GROUP BY REL, TIME",
+            &QueryOptions { intra_node_threads: 8, ..query_options() },
+        )
+        .unwrap();
+    assert_eq!(agg.mover.peak_buffered_blocks, 0, "aggregation must not buffer data blocks");
 }
 
 /// Poll `cond` for up to two seconds before failing — session threads

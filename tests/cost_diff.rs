@@ -1,9 +1,8 @@
 //! Soundness suite for the dv-cost static analysis: across every
-//! shipped layout, the bench-style query set, prune on/off,
-//! aggregation pushdown on/off and thread counts {1, 8}, every runtime
-//! counter in `QueryStats` must stay within its static bound — the
-//! empirical half of the soundness argument in
-//! `crates/layout/src/cost.rs`. Every query runs through
+//! shipped layout, the bench-style query set, prune on/off and thread
+//! counts {1, 8}, every runtime counter in `QueryStats` must stay
+//! within its static bound — the empirical half of the soundness
+//! argument in `crates/layout/src/cost.rs`. Every query runs through
 //! [`query_checked`], which rebuilds the `CostReport` exactly as the
 //! admission path does and asserts each bound; the other differential
 //! suites run their queries through it too.
@@ -36,16 +35,13 @@ fn bounds_hold_across_all_layouts_and_modes() {
         let v = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
         for sql in QUERIES {
             for no_prune in [false, true] {
-                for no_agg_pushdown in [false, true] {
-                    for threads in [1usize, 8] {
-                        let opts = QueryOptions {
-                            no_prune,
-                            no_agg_pushdown,
-                            intra_node_threads: threads,
-                            ..Default::default()
-                        };
-                        query_checked(&v, sql, &opts);
-                    }
+                for threads in [1usize, 8] {
+                    let opts = QueryOptions {
+                        no_prune,
+                        intra_node_threads: threads,
+                        ..Default::default()
+                    };
+                    query_checked(&v, sql, &opts);
                 }
             }
         }
@@ -93,7 +89,6 @@ mod random {
         group_by_rel: bool,
         threads: usize,
         no_prune: bool,
-        no_agg_pushdown: bool,
     }
 
     fn arb_spec() -> impl Strategy<Value = Spec> {
@@ -105,10 +100,9 @@ mod random {
             any::<bool>(),
             prop_oneof![Just(1usize), Just(8usize)],
             any::<bool>(),
-            any::<bool>(),
         )
             .prop_map(
-                |(
+                |(time_lo, time_width, soil_gt, udf, group_by_rel, threads, no_prune)| Spec {
                     time_lo,
                     time_width,
                     soil_gt,
@@ -116,16 +110,6 @@ mod random {
                     group_by_rel,
                     threads,
                     no_prune,
-                    no_agg_pushdown,
-                )| Spec {
-                    time_lo,
-                    time_width,
-                    soil_gt,
-                    udf,
-                    group_by_rel,
-                    threads,
-                    no_prune,
-                    no_agg_pushdown,
                 },
             )
     }
@@ -156,7 +140,6 @@ mod random {
             let sql = spec_sql(&spec);
             let opts = QueryOptions {
                 no_prune: spec.no_prune,
-                no_agg_pushdown: spec.no_agg_pushdown,
                 intra_node_threads: spec.threads,
                 ..Default::default()
             };

@@ -44,14 +44,13 @@ pub fn query_options() -> QueryOptions {
 /// static dv-cost bound of its plan — the soundness contract of
 /// `crates/layout/src/cost.rs`, checked on every query of the
 /// differential suites. The report is rebuilt exactly as the admission
-/// path builds it: same prep (prune/pushdown toggles applied), same
+/// path builds it: same prep (prune toggle applied), same
 /// per-node plans, same cost parameters.
 pub fn query_checked(v: &Virtualizer, sql: &str, opts: &QueryOptions) -> (Vec<Table>, QueryStats) {
     let bq = v.service().bind_sql(sql).unwrap();
     let compiled = v.service().compiled();
     let mut prep = compiled.prepare_query(&bq).unwrap();
     prep.prune_enabled = !opts.no_prune;
-    prep.agg_pushdown = !opts.no_agg_pushdown;
     let plans: Vec<NodePlan> =
         (0..compiled.model.node_count()).map(|n| compiled.plan_node(&prep, n).unwrap()).collect();
     let params = CostParams::new(&opts.io, opts.client_processors, bq.predicate.is_some());
@@ -60,7 +59,6 @@ pub fn query_checked(v: &Virtualizer, sql: &str, opts: &QueryOptions) -> (Vec<Ta
         &prep.working,
         &prep.output_positions,
         prep.agg.as_ref(),
-        prep.agg_pushdown,
         &params,
     );
 

@@ -242,11 +242,12 @@ fn back_pressure_changes_who_rebuilds_rows_not_the_result() {
     }
 }
 
-/// Aggregation without pushdown ships filtered columnar blocks for the
-/// absorber to fold column-wise; those stay columnar however full the
-/// channel is, and the result still matches the hand-written fold.
+/// Partial-aggregate blocks pushed through one slot behind a slow
+/// absorber: the senders block, ship their partials as they are (no
+/// sender rebuilds), and the merged result still matches the
+/// hand-written fold bit for bit.
 #[test]
-fn blocked_aggregate_senders_keep_their_blocks_columnar() {
+fn blocked_partial_aggregate_senders_match_the_handwritten_fold() {
     let base = scratch("morsel-backpressure-agg");
     let descriptor = ipars::generate(&base, &cfg(), IparsLayout::L0).unwrap();
     let v = Virtualizer::builder(&descriptor)
@@ -259,9 +260,11 @@ fn blocked_aggregate_senders_keep_their_blocks_columnar() {
     let hand = HandIparsL0::new(base, cfg(), UdfRegistry::with_builtins());
     let bq = bind(&parse(sql).unwrap(), v.schema(), &UdfRegistry::with_builtins()).unwrap();
     let expect = hand.execute_agg(&bq).unwrap();
+    // One-byte morsels: every fetch group is its own morsel and ships
+    // its own partial block, so the 2 × 8 senders contend for the slot.
     let opts = QueryOptions {
-        no_agg_pushdown: true,
         mover_capacity: 1,
+        morsel_bytes: 1,
         intra_node_threads: 8,
         bandwidth: slow_absorber(),
         ..query_options()
@@ -273,8 +276,9 @@ fn blocked_aggregate_senders_keep_their_blocks_columnar() {
             assert_eq!(a.as_f64().to_bits(), b.as_f64().to_bits(), "{got:?} vs {want:?}");
         }
     }
+    assert!(stats.mover.agg_blocks > 0, "the nodes must have shipped partials");
     assert!(stats.mover.blocked_sends > 0, "the channel must have filled");
-    assert_eq!(stats.mover.sender_rebuilds, 0, "aggregate blocks are folded column-wise");
+    assert_eq!(stats.mover.sender_rebuilds, 0, "partial blocks are never rebuilt into rows");
 }
 
 /// Cancelling while every sender sits behind a full one-slot channel:
