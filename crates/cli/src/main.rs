@@ -539,12 +539,13 @@ fn cmd_query(a: &args::Args) -> Result<ExitCode, String> {
     }
     if a.has("stats") {
         eprintln!(
-            "rows: {} selected / {} scanned; bytes read: {}; AFCs: {}; plan: {:?}; exec: {:?}",
+            "rows: {} selected / {} scanned; bytes read: {}; AFCs: {}; plan: {:?}; node plan: {:?}; exec: {:?}",
             stats.rows_selected,
             stats.rows_scanned,
             stats.bytes_read,
             stats.afcs,
             stats.plan_time,
+            stats.node_plan_time,
             stats.exec_time
         );
         eprintln!(

@@ -240,4 +240,22 @@ DATASET "D" {
         assert!(text.contains("group by [TIME] -> [COUNT(*), AVG(V)]"), "{text}");
         assert!(text.contains("pushdown"), "{text}");
     }
+
+    #[test]
+    fn plan_rendering_is_deterministic() {
+        // Each implicit's `supply` line follows the AFC's implicit
+        // order: two fresh compilations must render the same bytes.
+        let render = || {
+            let desc = include_str!("../../../examples/descriptors/ipars_l0.desc");
+            let c = crate::plan::compile_from_text(desc, std::path::Path::new("/x")).unwrap();
+            let q =
+                parse("SELECT REL, TIME, COUNT(*), AVG(SOIL) FROM IparsData GROUP BY REL, TIME")
+                    .unwrap();
+            let b = bind(&q, &c.model.schema, &UdfRegistry::new()).unwrap();
+            render_plan(&c, &c.plan_query(&b).unwrap())
+        };
+        let text = render();
+        assert!(text.contains("supply REL <- Const(Short(0))"), "{text}");
+        assert_eq!(text, render());
+    }
 }

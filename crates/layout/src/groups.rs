@@ -1,29 +1,27 @@
 //! `Find_File_Groups` — the first phase of the paper's Figure 5
-//! algorithm.
+//! algorithm, run once per node when its plan catalog is built.
 //!
-//! 1. Match every file against the query: a file whose implicit
-//!    extents cannot overlap the query's attribute ranges is dropped
-//!    (`S` = survivors).
-//! 2. Classify survivors by the set of *needed* attributes they store
-//!    (`S_1..S_m`). Files storing nothing the query needs normally
-//!    drop out; when *no* file stores a needed attribute (a purely
-//!    implicit projection like `SELECT REL, TIME`), classification
-//!    falls back to full stored-attribute sets so the table's
-//!    cardinality is still produced.
-//! 3. Enumerate combinations `{s_1..s_m}`, one file per class,
+//! 1. Classify the node's files by the set of attributes they store
+//!    (`S_1..S_m`). A file storing only auxiliary attributes still
+//!    defines cardinality and is classified by its dataset name.
+//! 2. Enumerate combinations `{s_1..s_m}`, one file per class,
 //!    discarding combinations whose implicit attributes are
 //!    inconsistent. The enumeration is a DFS with partial-consistency
 //!    pruning — semantically the paper's cartesian product + filter,
 //!    without materializing the product.
+//!
+//! No query is involved: a query selects the groups whose every file
+//! survives [`file_matches`] (`plan.rs`). Because every group holds one
+//! file of each class, a class the query empties drops every group —
+//! `TIME >= 1000` leaves the coordinate files alone with no group, not
+//! coordinate-only rows.
 
 use std::collections::HashMap;
 
 use dv_descriptor::{DatasetModel, FileModel};
 use dv_types::IntervalSet;
 
-use crate::afc::WorkingSet;
-
-/// Result of file matching + classification + combination.
+/// File groups of one node, each in class order.
 pub type FileGroups<'a> = Vec<Vec<&'a FileModel>>;
 
 /// Does the file survive the query's range constraints?
@@ -42,7 +40,7 @@ pub fn file_matches(file: &FileModel, ranges: &HashMap<String, IntervalSet>) -> 
 /// Are two files consistent enough to contribute to the same rows?
 /// (Shared implicit variables must overlap; exact alignment is checked
 /// later at the segment level.) Also used by `dv-lint` to decide which
-/// file pairs would group together at query time.
+/// file pairs group together.
 pub fn consistent(a: &FileModel, b: &FileModel) -> bool {
     for (var, ea) in &a.extents {
         if let Some(eb) = b.extents.get(var) {
@@ -56,74 +54,47 @@ pub fn consistent(a: &FileModel, b: &FileModel) -> bool {
     true
 }
 
-/// Compute the file groups for one cluster node.
-pub fn find_file_groups<'a>(
-    model: &'a DatasetModel,
-    node: usize,
-    ranges: &HashMap<String, IntervalSet>,
-    working: &WorkingSet,
-) -> FileGroups<'a> {
-    // Classify ALL files of the node first, then prune within each
-    // class. The order matters: a class whose files are all pruned away
-    // empties the cartesian product (e.g. `TIME >= 1000` eliminates
-    // every data file, so the surviving COORDS files alone must yield
-    // zero groups, not coordinate-only rows).
-    let all_files: Vec<&FileModel> = model.files_on_node(node).collect();
-    if all_files.is_empty() {
-        return Vec::new();
-    }
-
+/// Compute the file groups of one cluster node.
+pub fn node_file_groups(model: &DatasetModel, node: usize) -> FileGroups<'_> {
     // Classification key: the FULL set of stored attributes, exactly
     // as the paper specifies ("classify files in S by the set of
-    // attributes they have"). Classifying only by *needed* attributes
-    // would be wrong: a `SELECT X, Y, Z WHERE REL = 1` query still
-    // needs the per-realization data files in the join — they supply
-    // the REL/TIME implicit values and the table's cardinality, even
-    // though none of their stored bytes are read (their field-less AFC
-    // entries are dropped after alignment).
-    let full_key = |f: &FileModel| -> Vec<String> {
-        let mut key = f.stored_attrs.clone();
-        key.sort();
-        if key.is_empty() {
-            // A file storing only auxiliary attributes still defines
-            // cardinality; classify it by dataset name.
-            key.push(format!("__dataset:{}", f.dataset));
-        }
-        key
-    };
-    let mut classes: Vec<(Vec<String>, Vec<&FileModel>)> = Vec::new();
-    for f in &all_files {
-        let key = full_key(f);
-        match classes.iter_mut().find(|(k, _)| *k == key) {
+    // attributes they have"), whatever a query later needs. A
+    // `SELECT X, Y, Z WHERE REL = 1` query still needs the
+    // per-realization data files in the join — they supply the REL/TIME
+    // implicit values and the table's cardinality, even though none of
+    // their stored bytes are read (their field-less AFC entries are
+    // dropped when the query instantiates its chunks).
+    type Key<'a> = (Vec<&'a str>, Option<&'a str>);
+    fn key(f: &FileModel) -> Key<'_> {
+        let mut attrs: Vec<&str> = f.stored_attrs.iter().map(String::as_str).collect();
+        attrs.sort_unstable();
+        let dataset = attrs.is_empty().then_some(f.dataset.as_str());
+        (attrs, dataset)
+    }
+    let mut classes: Vec<(Key<'_>, Vec<&FileModel>)> = Vec::new();
+    for f in model.files_on_node(node) {
+        let k = key(f);
+        match classes.iter_mut().find(|(c, _)| *c == k) {
             Some((_, files)) => files.push(f),
-            None => classes.push((key, vec![f])),
+            None => classes.push((k, vec![f])),
         }
     }
-    let _ = working;
     if classes.is_empty() {
         return Vec::new();
     }
-
-    // Prune within classes; an emptied class empties the product.
-    for (_, files) in &mut classes {
-        files.retain(|f| file_matches(f, ranges));
-        if files.is_empty() {
-            return Vec::new();
-        }
-    }
+    let mut classes: Vec<Vec<&FileModel>> = classes.into_iter().map(|(_, f)| f).collect();
 
     // Smallest classes first: cheap pruning near the root of the DFS.
-    classes.sort_by_key(|(_, files)| files.len());
+    classes.sort_by_key(|files| files.len());
 
-    // Step 3: DFS over one-file-per-class combinations.
-    let mut groups: FileGroups<'a> = Vec::new();
+    let mut groups: FileGroups<'_> = Vec::new();
     let mut current: Vec<&FileModel> = Vec::new();
     dfs(&classes, 0, &mut current, &mut groups);
     groups
 }
 
 fn dfs<'a>(
-    classes: &[(Vec<String>, Vec<&'a FileModel>)],
+    classes: &[Vec<&'a FileModel>],
     depth: usize,
     current: &mut Vec<&'a FileModel>,
     out: &mut FileGroups<'a>,
@@ -132,7 +103,7 @@ fn dfs<'a>(
         out.push(current.clone());
         return;
     }
-    for candidate in &classes[depth].1 {
+    for candidate in &classes[depth] {
         if current.iter().all(|chosen| consistent(chosen, candidate)) {
             current.push(candidate);
             dfs(classes, depth + 1, current, out);
@@ -144,7 +115,7 @@ fn dfs<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::afc::WorkingSet;
+    use crate::plan::test_support::{ranges, selected_groups};
     use dv_descriptor::compile;
     use dv_types::Interval;
 
@@ -187,10 +158,6 @@ DATASET "IparsData" {
 }
 "#;
 
-    fn ranges(pairs: &[(&str, IntervalSet)]) -> HashMap<String, IntervalSet> {
-        pairs.iter().map(|(k, v)| (k.to_string(), v.clone())).collect()
-    }
-
     #[test]
     fn paper_worked_example() {
         // Query: REL in {0, 1}, TIME in [1, 100]. The paper finds, per
@@ -198,13 +165,12 @@ DATASET "IparsData" {
         // {DIR[k]/COORDS, DIR[k]/DATA1} — 8 groups over 4 nodes, i.e.
         // 2 groups on each node.
         let m = compile(DESC).unwrap();
-        let working = WorkingSet::new(&m, (0..m.schema.len()).collect());
-        let r = ranges(&[
+        let r = [
             ("REL", IntervalSet::points(&[0.0, 1.0])),
             ("TIME", IntervalSet::single(Interval::closed(1.0, 100.0))),
-        ]);
+        ];
         for node in 0..4 {
-            let groups = find_file_groups(&m, node, &r, &working);
+            let groups = selected_groups(&m, node, &r);
             assert_eq!(groups.len(), 2, "node {node}");
             for g in &groups {
                 assert_eq!(g.len(), 2);
@@ -220,9 +186,7 @@ DATASET "IparsData" {
     #[test]
     fn rel_pruning_drops_files() {
         let m = compile(DESC).unwrap();
-        let working = WorkingSet::new(&m, (0..m.schema.len()).collect());
-        let r = ranges(&[("REL", IntervalSet::points(&[3.0]))]);
-        let groups = find_file_groups(&m, 0, &r, &working);
+        let groups = selected_groups(&m, 0, &[("REL", IntervalSet::points(&[3.0]))]);
         assert_eq!(groups.len(), 1);
         let data = groups[0].iter().find(|f| f.dataset == "ipars2").unwrap();
         assert_eq!(data.env["REL"], 3);
@@ -231,21 +195,18 @@ DATASET "IparsData" {
     #[test]
     fn time_out_of_range_eliminates_everything() {
         let m = compile(DESC).unwrap();
-        let working = WorkingSet::new(&m, (0..m.schema.len()).collect());
-        let r = ranges(&[("TIME", IntervalSet::single(Interval::closed(1000.0, 1100.0)))]);
-        let groups = find_file_groups(&m, 0, &r, &working);
+        let r = [("TIME", IntervalSet::single(Interval::closed(1000.0, 1100.0)))];
+        let groups = selected_groups(&m, 0, &r);
         assert!(groups.is_empty());
     }
 
     #[test]
     fn projection_groups_keep_full_structure() {
-        // SELECT SOIL-ish working set: groups still pair COORDS with
-        // the data files (classification uses the full attribute sets;
+        // Groups pair COORDS with the data files whatever a query
+        // projects (classification uses the full attribute sets;
         // projection push-down happens later, at the AFC-entry level).
         let m = compile(DESC).unwrap();
-        let soil = m.schema.index_of("SOIL").unwrap();
-        let working = WorkingSet::new(&m, vec![soil]);
-        let groups = find_file_groups(&m, 0, &HashMap::new(), &working);
+        let groups = node_file_groups(&m, 0);
         assert_eq!(groups.len(), 4); // one per REL
         assert!(groups.iter().all(|g| g.len() == 2));
     }
@@ -253,12 +214,10 @@ DATASET "IparsData" {
     #[test]
     fn implicit_only_projection_falls_back_to_structure() {
         // SELECT REL, TIME: nothing needed is stored anywhere, yet the
-        // groups must still produce the table's cardinality.
+        // groups a query selects must still produce the table's
+        // cardinality.
         let m = compile(DESC).unwrap();
-        let rel = m.schema.index_of("REL").unwrap();
-        let time = m.schema.index_of("TIME").unwrap();
-        let working = WorkingSet::new(&m, vec![rel, time]);
-        let groups = find_file_groups(&m, 0, &HashMap::new(), &working);
+        let groups = selected_groups(&m, 0, &[]);
         // Full structure: coords × data per REL.
         assert_eq!(groups.len(), 4);
         assert!(groups.iter().all(|g| g.len() == 2));
@@ -274,9 +233,8 @@ DATASET "IparsData" {
             .replace("DIR[3] = osu3/ipars", "DIR[3] = osu3x/ipars");
         let m = compile(&desc).unwrap();
         assert_eq!(m.node_count(), 3);
-        let working = WorkingSet::new(&m, (0..m.schema.len()).collect());
         // Node 0 hosts DIR[0] and DIR[1]: 2 dirs × 4 RELs.
-        let groups = find_file_groups(&m, 0, &HashMap::new(), &working);
+        let groups = node_file_groups(&m, 0);
         assert_eq!(groups.len(), 8);
         for g in &groups {
             let coords = g.iter().find(|f| f.dataset == "ipars1").unwrap();

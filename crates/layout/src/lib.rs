@@ -13,16 +13,19 @@
 //! the paper:
 //!
 //! * **Phase 1 — [`plan::CompiledDataset::compile`]** runs once per
-//!   descriptor (no query): it validates the model, loads `CHUNKED`
-//!   index files, builds R-trees over chunk MBRs, and freezes
-//!   per-file layout programs. This is the "generated index and
-//!   extraction function" — in this Rust reproduction, a specialized
-//!   plan object rather than emitted C++ source (see DESIGN.md;
-//!   [`codegen`] renders the equivalent source for inspection).
+//!   descriptor (no query): it loads `CHUNKED` index files and builds
+//!   R-trees over chunk MBRs. Each node's plan catalog follows on the
+//!   node's first plan: file groups (`Find_File_Groups`), unclipped
+//!   segment tables and the groups' joined chunks
+//!   (`Process_File_Groups`), built once. This is the "generated index
+//!   and extraction function" — in this Rust reproduction, a
+//!   specialized plan object rather than emitted C++ source (see
+//!   DESIGN.md; [`codegen`] renders the equivalent source for
+//!   inspection).
 //! * **Phase 2 — [`plan::CompiledDataset::plan_query`]** runs per
-//!   query: range analysis prunes files, outer loop iterations and
-//!   chunks; surviving segments are grouped (`Find_File_Groups`) and
-//!   aligned (`Process_File_Groups`) into AFCs.
+//!   query and only selects: range analysis drops files, outer loop
+//!   iterations and chunks from the catalog; the surviving chunks are
+//!   instantiated for the query's working row, clipped and pruned.
 //!
 //! [`extract::Extractor`] then executes AFCs against the filesystem,
 //! producing working rows for the filtering service. By default reads
@@ -50,4 +53,3 @@ pub use io::{IoOptions, IoScheduler, IoSnapshot, IoStats, SegmentCache};
 pub use morsel::{adaptive_morsel_bytes, Morsel, MorselPlan, MORSELS_PER_THREAD};
 pub use plan::{AggPrep, Certificate, CompiledDataset, FileIssue, NodePlan, QueryPlan, QueryPrep};
 pub use prune::{PruneCertificate, PruneVerdict};
-pub use segment::{InnerSig, Segment};

@@ -1,21 +1,29 @@
 //! Two-phase plan compilation.
 //!
-//! **Phase 1** ([`CompiledDataset::compile`]) corresponds to the
-//! paper's meta-data compilation: it runs once per descriptor, before
-//! any query. All descriptor-text processing is already done
-//! (`dv-descriptor`); this phase performs the remaining expensive,
-//! query-independent work — loading `CHUNKED` index files and building
-//! R-trees over chunk MBRs — and freezes everything the generated
-//! index/extractor functions need.
+//! **Phase 1** corresponds to the paper's meta-data compilation: it
+//! runs once per descriptor, before any query. All descriptor-text
+//! processing is already done (`dv-descriptor`).
+//! [`CompiledDataset::compile`] loads the `CHUNKED` index files and
+//! builds R-trees over chunk MBRs. Each node's **plan catalog** is
+//! built on the node's first [`CompiledDataset::plan_node`] call, on
+//! the node's worker and once only: names interned to dense ids, the
+//! node's file groups (`Find_File_Groups` with no query), every file's
+//! unclipped segment table, and every group's joined partials
+//! (`Process_File_Groups` before clipping and projection).
 //!
-//! **Phase 2** ([`CompiledDataset::plan_query`]) runs per query: range
-//! analysis, file matching, group finding and AFC alignment. Its
-//! output, a [`QueryPlan`], is a pure data structure the runtime
-//! executes without further meta-data reasoning.
+//! **Phase 2** runs per query and only selects from the catalog:
+//! [`CompiledDataset::prepare_query`] does range analysis and lays out
+//! the working row centrally; [`CompiledDataset::plan_node`] drops the
+//! groups holding a file the ranges exclude, drops the partials whose
+//! outer-loop values or chunk ordinals the ranges exclude, instantiates
+//! the rest with one schedule per partial shape, clips inner loops, and
+//! prunes statically empty chunks. Its output, a [`QueryPlan`], is a
+//! pure data structure the runtime executes without further meta-data
+//! reasoning.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dv_descriptor::{DatasetModel, ResolvedItem};
 use dv_index::read_chunk_index;
@@ -23,10 +31,10 @@ use dv_sql::analysis::attribute_ranges;
 use dv_sql::BoundQuery;
 use dv_types::{DvError, IntervalSet, Result};
 
-use crate::afc::{build_afcs, Afc, WorkingSet};
-use crate::groups::find_file_groups;
+use crate::afc::{buckets, Afc, Bucket, JoinedGroup, QueryView, Side, WorkingSet};
+use crate::groups::{file_matches, node_file_groups};
 use crate::prune::{prune_afcs, PruneCertificate};
-use crate::segment::{enumerate_segments, LoadedChunkIndex, Segment};
+use crate::segment::{Interner, LoadedChunkIndex, SegmentTable, CHUNK_VAR};
 
 /// Per-node slice of a query plan.
 #[derive(Debug, Clone)]
@@ -121,6 +129,8 @@ pub struct CompiledDataset {
     pub roots: Vec<PathBuf>,
     /// Loaded chunk indexes, keyed by file id (only chunked files).
     chunk_indexes: HashMap<usize, Arc<LoadedChunkIndex>>,
+    /// Per node, the plan catalog, built on the node's first plan.
+    catalogs: Vec<OnceLock<NodeCatalog>>,
 }
 
 impl CompiledDataset {
@@ -163,7 +173,16 @@ impl CompiledDataset {
                 chunk_indexes.insert(f.id, loaded);
             }
         }
-        Ok(CompiledDataset { model, roots, chunk_indexes })
+        Ok(CompiledDataset::new(model, roots, chunk_indexes))
+    }
+
+    fn new(
+        model: Arc<DatasetModel>,
+        roots: Vec<PathBuf>,
+        chunk_indexes: HashMap<usize, Arc<LoadedChunkIndex>>,
+    ) -> CompiledDataset {
+        let catalogs = (0..model.node_count()).map(|_| OnceLock::new()).collect();
+        CompiledDataset { model, roots, chunk_indexes, catalogs }
     }
 
     /// Accepts a verification verdict and does nothing with it: the
@@ -282,35 +301,44 @@ impl CompiledDataset {
     }
 
     /// Phase 2b — the *per-node* part of planning (the generated index
-    /// function): file grouping and AFC alignment for one node. In
-    /// STORM the indexing service is distributed, so this runs on each
-    /// node's worker and counts as that node's work.
+    /// function): selection from the node's plan catalog. In STORM the
+    /// indexing service is distributed, so this runs on each node's
+    /// worker and counts as that node's work; the node's first call
+    /// also builds its catalog.
     pub fn plan_node(&self, prep: &QueryPrep, node: usize) -> Result<NodePlan> {
-        // Segment enumeration is cached per file within the node plan:
-        // a file (e.g. COORDS) may participate in many groups.
-        let mut seg_cache: HashMap<usize, Arc<Vec<Segment>>> = HashMap::new();
-        let groups = find_file_groups(&self.model, node, &prep.ranges, &prep.working);
+        let cat = self.catalogs[node].get_or_init(|| NodeCatalog::build(self, node));
+        let q = QueryView::new(&cat.names, &prep.working, &prep.ranges);
+        let matches: Vec<bool> =
+            cat.files.iter().map(|f| file_matches(&self.model.files[f.id], &prep.ranges)).collect();
+        let needed: Vec<bool> =
+            cat.files.iter().map(|f| f.records.iter().any(|&r| q.needs_record(r))).collect();
+        // The R-tree lookup of every chunked file the query may reach.
+        let chunk_sets: Vec<Option<Vec<bool>>> = cat
+            .files
+            .iter()
+            .zip(&matches)
+            .map(|(f, &ok)| {
+                let index = self.chunk_index(f.id).filter(|_| ok)?;
+                let mut set = vec![false; index.entries.len()];
+                for ord in index.matching_chunks(&prep.ranges) {
+                    set[ord] = true;
+                }
+                Some(set)
+            })
+            .collect();
+
         let mut afcs = Vec::new();
-        for group in &groups {
-            let mut segs: Vec<Arc<Vec<Segment>>> = Vec::with_capacity(group.len());
-            for f in group {
-                let entry = match seg_cache.get(&f.id) {
-                    Some(s) => Arc::clone(s),
-                    None => {
-                        let s = Arc::new(enumerate_segments(
-                            f,
-                            &self.model.attr_sizes,
-                            &prep.ranges,
-                            self.chunk_index(f.id),
-                        )?);
-                        seg_cache.insert(f.id, Arc::clone(&s));
-                        s
-                    }
-                };
-                segs.push(entry);
+        for g in cat.groups.iter().filter(|g| g.files.iter().all(|&f| matches[f])) {
+            match &g.joined {
+                Ok(joined) => {
+                    let needed: Vec<bool> = g.files.iter().map(|&f| needed[f]).collect();
+                    let chunks: Vec<Option<&[bool]>> =
+                        g.files.iter().map(|&f| chunk_sets[f].as_deref()).collect();
+                    joined.select(&q, &cat.names, &needed, &chunks, &mut afcs)?;
+                }
+                Err(e) if cat.reaches(g, &q, &needed, &chunk_sets) => return Err(e.raise()),
+                Err(_) => {}
             }
-            let seg_slices: Vec<&[Segment]> = segs.iter().map(|s| s.as_slice()).collect();
-            afcs.extend(build_afcs(&self.model, group, &seg_slices, &prep.working, &prep.ranges)?);
         }
         // Abstract-interpret the predicate over each AFC's implicit
         // hulls: provably-empty chunks leave the plan here, before the
@@ -335,6 +363,120 @@ impl CompiledDataset {
             node_plans,
             ranges: prep.ranges,
             agg: prep.agg,
+        })
+    }
+}
+
+/// A catalog-time planning error, raised again for every query that
+/// reaches it.
+#[derive(Debug)]
+struct Deferred(DvError);
+
+impl Deferred {
+    fn raise(&self) -> DvError {
+        match &self.0 {
+            DvError::Alignment(m) => DvError::Alignment(m.clone()),
+            DvError::DescriptorSemantic(m) => DvError::DescriptorSemantic(m.clone()),
+            DvError::Runtime(m) => DvError::Runtime(m.clone()),
+            other => DvError::Runtime(other.to_string()),
+        }
+    }
+}
+
+/// One node file in the catalog.
+#[derive(Debug)]
+struct CatalogFile {
+    /// Model file id.
+    id: usize,
+    /// Distinct record layouts the file's segments read.
+    records: Vec<u32>,
+    table: std::result::Result<SegmentTable, Deferred>,
+}
+
+/// One file group in the catalog.
+#[derive(Debug)]
+struct CatalogGroup {
+    /// Indices into [`NodeCatalog::files`], in group order.
+    files: Vec<usize>,
+    joined: std::result::Result<JoinedGroup, Deferred>,
+}
+
+/// Everything query-independent about planning one node.
+#[derive(Debug)]
+struct NodeCatalog {
+    names: Interner,
+    files: Vec<CatalogFile>,
+    /// Groups in `Find_File_Groups` order.
+    groups: Vec<CatalogGroup>,
+}
+
+impl NodeCatalog {
+    fn build(c: &CompiledDataset, node: usize) -> NodeCatalog {
+        let model = &c.model;
+        let mut names = Interner::new();
+        let mut files: Vec<CatalogFile> = Vec::new();
+        let mut file_buckets: Vec<Vec<Bucket>> = Vec::new();
+        let mut slot_of: HashMap<usize, usize> = HashMap::new();
+        let mut groups = Vec::new();
+        for group in node_file_groups(model, node) {
+            let mut idx = Vec::with_capacity(group.len());
+            for f in group {
+                let i = *slot_of.entry(f.id).or_insert(files.len());
+                if i == files.len() {
+                    let table =
+                        SegmentTable::build(f, &model.attr_sizes, c.chunk_index(f.id), &mut names);
+                    let mut records: Vec<u32> = Vec::new();
+                    for s in table.iter().flat_map(|t| &t.segments) {
+                        if !records.contains(&s.record) {
+                            records.push(s.record);
+                        }
+                    }
+                    file_buckets.push(table.as_ref().map(buckets).unwrap_or_default());
+                    files.push(CatalogFile { id: f.id, records, table: table.map_err(Deferred) });
+                }
+                idx.push(i);
+            }
+            let joined = idx
+                .iter()
+                .map(|&i| files[i].table.as_ref().map_err(Deferred::raise))
+                .collect::<Result<Vec<_>>>()
+                .and_then(|tables| {
+                    let ids: Vec<usize> = idx.iter().map(|&i| files[i].id).collect();
+                    let sides: Vec<Side<'_>> = idx
+                        .iter()
+                        .zip(tables)
+                        .map(|(&i, table)| Side { table, buckets: &file_buckets[i] })
+                        .collect();
+                    JoinedGroup::build(model, &ids, &sides, &mut names)
+                })
+                .map_err(Deferred);
+            groups.push(CatalogGroup { files: idx, joined });
+        }
+        NodeCatalog { names, files, groups }
+    }
+
+    /// Does the query reach a group whose catalog build failed? A
+    /// segment-table error is reached as soon as the group's files
+    /// match; a failed join once every file keeps a segment the query
+    /// selects.
+    fn reaches(
+        &self,
+        g: &CatalogGroup,
+        q: &QueryView<'_>,
+        needed: &[bool],
+        chunk_sets: &[Option<Vec<bool>>],
+    ) -> bool {
+        let tables: Option<Vec<(usize, &SegmentTable)>> =
+            g.files.iter().map(|&f| self.files[f].table.as_ref().ok().map(|t| (f, t))).collect();
+        let Some(tables) = tables else { return true };
+        tables.into_iter().all(|(f, table)| {
+            table.segments.iter().any(|s| {
+                (!needed[f] || q.needs_record(s.record))
+                    && table.coords(s).iter().all(|&(var, x)| match &chunk_sets[f] {
+                        Some(set) if var == CHUNK_VAR => set[x as usize],
+                        _ => q.admits(var, x),
+                    })
+            })
         })
     }
 }
@@ -406,6 +548,91 @@ pub fn compile_from_text(descriptor: &str, base: &Path) -> Result<CompiledDatase
     let model = Arc::new(dv_descriptor::compile(descriptor)?);
     let roots = model.nodes.iter().map(|n| base.join(n)).collect();
     CompiledDataset::compile(model, roots)
+}
+
+/// Builders the layout modules' unit tests share.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::*;
+    use dv_descriptor::FileModel;
+    use dv_types::Value;
+
+    pub fn ranges(pairs: &[(&str, IntervalSet)]) -> HashMap<String, IntervalSet> {
+        pairs.iter().map(|(k, v)| (k.to_string(), v.clone())).collect()
+    }
+
+    fn dataset(
+        model: DatasetModel,
+        indexes: HashMap<usize, Arc<LoadedChunkIndex>>,
+    ) -> CompiledDataset {
+        let roots =
+            (0..model.node_count()).map(|n| PathBuf::from(format!("/nonexistent/n{n}"))).collect();
+        CompiledDataset::new(Arc::new(model), roots, indexes)
+    }
+
+    fn prep(c: &CompiledDataset, r: &[(&str, IntervalSet)], working: &[&str]) -> QueryPrep {
+        let mut attrs: Vec<usize> =
+            working.iter().map(|n| c.model.schema.index_of(n).expect("schema attribute")).collect();
+        attrs.sort_unstable();
+        QueryPrep {
+            output_positions: (0..attrs.len()).collect(),
+            working: WorkingSet::new(&c.model, attrs),
+            ranges: ranges(r),
+            predicate: None,
+            prune_enabled: true,
+            agg: None,
+        }
+    }
+
+    /// The AFCs node `node` plans for a query over `desc` that needs
+    /// the attributes `working` under the constraints `r`.
+    pub fn afcs_of(
+        desc: &str,
+        r: &[(&str, IntervalSet)],
+        working: &[&str],
+        node: usize,
+    ) -> Result<Vec<Afc>> {
+        let c = dataset(dv_descriptor::compile(desc)?, HashMap::new());
+        Ok(c.plan_node(&prep(&c, r, working), node)?.afcs)
+    }
+
+    /// [`afcs_of`] on node 0 of a descriptor whose file 0 is chunked
+    /// with index `index`.
+    pub fn afcs_with_index(
+        desc: &str,
+        index: LoadedChunkIndex,
+        r: &[(&str, IntervalSet)],
+        working: &[&str],
+    ) -> Result<Vec<Afc>> {
+        let indexes = HashMap::from([(0, Arc::new(index))]);
+        let c = dataset(dv_descriptor::compile(desc)?, indexes);
+        Ok(c.plan_node(&prep(&c, r, working), 0)?.afcs)
+    }
+
+    /// The catalog groups of `node` a query with constraints `r`
+    /// selects.
+    pub fn selected_groups<'m>(
+        m: &'m DatasetModel,
+        node: usize,
+        r: &[(&str, IntervalSet)],
+    ) -> Vec<Vec<&'m FileModel>> {
+        let c = dataset(m.clone(), HashMap::new());
+        let cat = NodeCatalog::build(&c, node);
+        let r = ranges(r);
+        cat.groups
+            .iter()
+            .map(|g| g.files.iter().map(|&f| &m.files[cat.files[f].id]).collect::<Vec<_>>())
+            .filter(|g| g.iter().all(|f| file_matches(f, &r)))
+            .collect()
+    }
+
+    /// The constant an AFC supplies at working position `pos`.
+    pub fn const_at(afc: &Afc, pos: usize) -> Value {
+        match afc.implicits.iter().find(|(p, _)| *p == pos) {
+            Some((_, crate::afc::ImplicitValue::Const(v))) => *v,
+            other => panic!("no constant at working position {pos}: {other:?}"),
+        }
+    }
 }
 
 #[cfg(test)]

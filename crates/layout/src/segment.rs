@@ -1,5 +1,5 @@
-//! Segment enumeration: flattening a file's loop nest into contiguous
-//! byte runs.
+//! Segment tables: a file's loop nest flattened into contiguous byte
+//! runs, once per descriptor.
 //!
 //! A **segment** is the unit the aligner works with: a contiguous run
 //! of `rows` fixed-width records inside one file, labelled with
@@ -10,26 +10,118 @@
 //!   loop (`GRID` over `201..=300`), a single record, or a chunk from a
 //!   `CHUNKED` index.
 //!
-//! Enumeration clips outer loops against the query's attribute ranges
-//! (a `LOOP TIME` iteration whose value cannot satisfy the query is
-//! skipped by adding the body size to the running offset — no I/O, no
-//! further recursion) and prunes chunks through the R-tree built at
-//! compile time.
+//! [`SegmentTable::build`] walks the whole loop nest with no query in
+//! sight: every outer iteration, and every chunk of a `CHUNKED` index.
+//! Queries never re-walk it. They select from the aligned chunks built
+//! over the table (`plan.rs`): an outer-loop value the query's ranges
+//! do not contain, or a chunk the R-tree lookup does not return, drops
+//! the chunks built from it, and every offset stays where the full walk
+//! put it.
+//!
+//! Names are interned to dense ids before anything is built, and each
+//! distinct record layout (attribute list) is stored once and shared by
+//! every segment that reads it.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use dv_descriptor::{FileModel, ResolvedItem};
 use dv_index::{ChunkIndexEntry, RTree, Rect};
 use dv_types::{DvError, IntervalSet, Result};
 
+/// Name id of the chunk-ordinal coordinate of `CHUNKED` segments (no
+/// attribute or variable can take it: it is interned first).
+pub(crate) const CHUNK_VAR: u32 = 0;
+
+/// One record layout: attribute name ids with their byte offsets
+/// inside the record, and the record's size.
+#[derive(Debug)]
+pub(crate) struct Record {
+    /// `(name id, byte offset)` per attribute, in byte order.
+    pub attrs: Vec<(u32, usize)>,
+    /// Bytes per record.
+    pub stride: u64,
+}
+
+/// Dense ids for every attribute and loop-variable name, and every
+/// distinct record layout, of one node's files.
+#[derive(Debug)]
+pub(crate) struct Interner {
+    names: Vec<String>,
+    name_ids: HashMap<String, u32>,
+    records: Vec<Record>,
+    record_ids: HashMap<Vec<u32>, u32>,
+}
+
+impl Interner {
+    pub fn new() -> Interner {
+        let mut i = Interner {
+            names: Vec::new(),
+            name_ids: HashMap::new(),
+            records: Vec::new(),
+            record_ids: HashMap::new(),
+        };
+        i.name("__CHUNK");
+        i
+    }
+
+    /// Id of `name`, interning it on first sight.
+    pub fn name(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.name_ids.get(name) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.names.push(name.to_string());
+        self.name_ids.insert(name.to_string(), id);
+        id
+    }
+
+    /// Every interned name, indexed by id.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// The record layout with id `id`.
+    pub fn record(&self, id: u32) -> &Record {
+        &self.records[id as usize]
+    }
+
+    /// Number of distinct record layouts.
+    pub fn record_count(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Id of the record layout `attrs`, interning it on first sight.
+    fn intern_record(
+        &mut self,
+        attrs: &[String],
+        attr_sizes: &HashMap<String, usize>,
+    ) -> Result<u32> {
+        let key: Vec<u32> = attrs.iter().map(|a| self.name(a)).collect();
+        if let Some(&id) = self.record_ids.get(&key) {
+            return Ok(id);
+        }
+        let mut fields = Vec::with_capacity(attrs.len());
+        let mut stride = 0usize;
+        for (a, &id) in attrs.iter().zip(&key) {
+            fields.push((id, stride));
+            stride += *attr_sizes.get(a).ok_or_else(|| {
+                DvError::DescriptorSemantic(format!("attribute `{a}` has no declared size"))
+            })?;
+        }
+        let id = self.records.len() as u32;
+        self.records.push(Record { attrs: fields, stride: stride as u64 });
+        self.record_ids.insert(key, id);
+        Ok(id)
+    }
+}
+
 /// Inner structure of one segment row.
-#[derive(Debug, Clone, PartialEq)]
-pub enum InnerSig {
-    /// Rows correspond to an innermost loop: row `k` carries
-    /// `var = lo + k*step`; the full (unclipped) loop has
-    /// `hi` as its last value. Alignment requires identical signatures.
-    Loop { var: String, lo: i64, hi: i64, step: i64 },
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum InnerSig {
+    /// Rows correspond to an innermost loop over name id `var`: row `k`
+    /// carries `var = lo + k*step`; the full loop has `hi` as its last
+    /// value. Alignment requires identical signatures.
+    Loop { var: u32, lo: i64, hi: i64, step: i64 },
     /// A single record outside any innermost loop.
     Record,
     /// Rows of one variable-length chunk (row values are data, not
@@ -39,29 +131,140 @@ pub enum InnerSig {
 
 /// A contiguous run of fixed-width records in one file.
 #[derive(Debug, Clone)]
-pub struct Segment {
-    /// File id in the dataset model.
-    pub file: usize,
-    /// Outer loop variable values, sorted by name.
-    pub coords: Vec<(String, i64)>,
+pub(crate) struct Segment {
+    /// `start..end` of the segment's coordinates in its table; read
+    /// them with [`SegmentTable::coords`].
+    coords: (u32, u32),
     /// Inner row structure.
     pub inner: InnerSig,
     /// Number of records.
     pub rows: u64,
-    /// Attribute names of one record, in byte order (shared — segments
-    /// of the same layout item alias one allocation).
-    pub attrs: Arc<Vec<String>>,
+    /// Record layout id in the [`Interner`].
+    pub record: u32,
     /// Byte offset of record 0 in the file.
     pub offset: u64,
-    /// Bytes per record.
-    pub stride: u64,
 }
 
-impl Segment {
-    /// The join/alignment key: coords plus inner signature must match
-    /// for two segments to belong to the same aligned file chunk.
-    pub fn sig(&self) -> &InnerSig {
-        &self.inner
+/// Every segment of one file, in file order.
+#[derive(Debug)]
+pub(crate) struct SegmentTable {
+    pub segments: Vec<Segment>,
+    /// Coordinates of every segment, back to back (consecutive
+    /// segments with equal coordinates share one copy).
+    coords: Vec<(u32, i64)>,
+}
+
+impl SegmentTable {
+    /// Walk `file`'s whole layout. `chunk_index` must be provided for
+    /// `CHUNKED` files (the compile phase loads it); `attr_sizes` gives
+    /// the byte width of every attribute appearing in layouts.
+    pub fn build(
+        file: &FileModel,
+        attr_sizes: &HashMap<String, usize>,
+        chunk_index: Option<&LoadedChunkIndex>,
+        interner: &mut Interner,
+    ) -> Result<SegmentTable> {
+        let mut w = Walk {
+            file,
+            attr_sizes,
+            chunk_index,
+            interner,
+            offset: 0,
+            out: SegmentTable { segments: Vec::new(), coords: Vec::new() },
+        };
+        w.walk(&file.layout, &mut Vec::new())?;
+        Ok(w.out)
+    }
+
+    /// Outer loop `(name id, value)` pairs of `s`, sorted by id; a
+    /// chunk's ordinal rides under [`CHUNK_VAR`].
+    pub fn coords(&self, s: &Segment) -> &[(u32, i64)] {
+        &self.coords[s.coords.0 as usize..s.coords.1 as usize]
+    }
+}
+
+struct Walk<'a> {
+    file: &'a FileModel,
+    attr_sizes: &'a HashMap<String, usize>,
+    chunk_index: Option<&'a LoadedChunkIndex>,
+    interner: &'a mut Interner,
+    offset: u64,
+    out: SegmentTable,
+}
+
+impl Walk<'_> {
+    fn push(
+        &mut self,
+        coords: &[(u32, i64)],
+        inner: InnerSig,
+        rows: u64,
+        record: u32,
+        offset: u64,
+    ) {
+        let t = &mut self.out;
+        let start = t.coords.len();
+        t.coords.extend_from_slice(coords);
+        t.coords[start..].sort_unstable();
+        let mut at = (start as u32, t.coords.len() as u32);
+        if let Some(last) = t.segments.last() {
+            if t.coords(last) == &t.coords[start..] {
+                t.coords.truncate(start);
+                at = last.coords;
+            }
+        }
+        t.segments.push(Segment { coords: at, inner, rows, record, offset });
+    }
+
+    fn walk(&mut self, items: &[ResolvedItem], coords: &mut Vec<(u32, i64)>) -> Result<()> {
+        for item in items {
+            match item {
+                ResolvedItem::Attrs(attrs) => {
+                    let record = self.interner.intern_record(attrs, self.attr_sizes)?;
+                    self.push(coords, InnerSig::Record, 1, record, self.offset);
+                    self.offset += self.interner.record(record).stride;
+                }
+                ResolvedItem::Loop { var, lo, hi, step, body } => {
+                    let iters = ResolvedItem::loop_iterations(*lo, *hi, *step);
+                    let var = self.interner.name(var);
+                    // Innermost loop over a single record: one segment.
+                    if let [ResolvedItem::Attrs(attrs)] = body.as_slice() {
+                        let record = self.interner.intern_record(attrs, self.attr_sizes)?;
+                        let inner = InnerSig::Loop { var, lo: *lo, hi: *hi, step: *step };
+                        self.push(coords, inner, iters, record, self.offset);
+                        self.offset += iters * self.interner.record(record).stride;
+                        continue;
+                    }
+                    // Structured body: peel every iteration.
+                    dv_descriptor::model::items_byte_size(body, self.attr_sizes).ok_or_else(
+                        || {
+                            DvError::DescriptorSemantic(
+                                "CHUNKED layout nested under a loop has no static size".into(),
+                            )
+                        },
+                    )?;
+                    for i in 0..iters {
+                        coords.push((var, lo + i as i64 * step));
+                        self.walk(body, coords)?;
+                        coords.pop();
+                    }
+                }
+                ResolvedItem::Chunked { attrs, .. } => {
+                    let index = self.chunk_index.ok_or_else(|| {
+                        DvError::Runtime(format!(
+                            "file `{}` has a CHUNKED layout but its index was not loaded",
+                            self.file.rel_path
+                        ))
+                    })?;
+                    let record = self.interner.intern_record(attrs, self.attr_sizes)?;
+                    for (ord, e) in index.entries.iter().enumerate() {
+                        coords.push((CHUNK_VAR, ord as i64));
+                        self.push(coords, InnerSig::Chunk, e.rows, record, e.offset);
+                        coords.pop();
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -127,140 +330,12 @@ impl LoadedChunkIndex {
     }
 }
 
-/// Enumerate the segments of `file` that can contribute to a query
-/// with the given per-attribute `ranges` (keys are upper-cased
-/// attribute/variable names; missing keys mean unconstrained).
-///
-/// `chunk_index` must be provided for `CHUNKED` files (compile phase
-/// loads it); `attr_sizes` gives the byte width of every attribute
-/// appearing in layouts.
-pub fn enumerate_segments(
-    file: &FileModel,
-    attr_sizes: &HashMap<String, usize>,
-    ranges: &HashMap<String, IntervalSet>,
-    chunk_index: Option<&LoadedChunkIndex>,
-) -> Result<Vec<Segment>> {
-    let mut out = Vec::new();
-    let mut coords: Vec<(String, i64)> = Vec::new();
-    walk(file, &file.layout, attr_sizes, ranges, chunk_index, &mut 0u64, &mut coords, &mut out)?;
-    Ok(out)
-}
-
-fn record_size(attrs: &[String], attr_sizes: &HashMap<String, usize>) -> Result<u64> {
-    let mut total = 0u64;
-    for a in attrs {
-        total += *attr_sizes.get(a).ok_or_else(|| {
-            DvError::DescriptorSemantic(format!("attribute `{a}` has no declared size"))
-        })? as u64;
-    }
-    Ok(total)
-}
-
-fn items_size(items: &[ResolvedItem], attr_sizes: &HashMap<String, usize>) -> Result<u64> {
-    dv_descriptor::model::items_byte_size(items, attr_sizes).ok_or_else(|| {
-        DvError::DescriptorSemantic("CHUNKED layout nested under a loop has no static size".into())
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    file: &FileModel,
-    items: &[ResolvedItem],
-    attr_sizes: &HashMap<String, usize>,
-    ranges: &HashMap<String, IntervalSet>,
-    chunk_index: Option<&LoadedChunkIndex>,
-    offset: &mut u64,
-    coords: &mut Vec<(String, i64)>,
-    out: &mut Vec<Segment>,
-) -> Result<()> {
-    for item in items {
-        match item {
-            ResolvedItem::Attrs(attrs) => {
-                let stride = record_size(attrs, attr_sizes)?;
-                out.push(Segment {
-                    file: file.id,
-                    coords: sorted(coords),
-                    inner: InnerSig::Record,
-                    rows: 1,
-                    attrs: Arc::new(attrs.clone()),
-                    offset: *offset,
-                    stride,
-                });
-                *offset += stride;
-            }
-            ResolvedItem::Loop { var, lo, hi, step, body } => {
-                let iters = ResolvedItem::loop_iterations(*lo, *hi, *step);
-                // Innermost loop over a single record: one segment.
-                if let [ResolvedItem::Attrs(attrs)] = body.as_slice() {
-                    let stride = record_size(attrs, attr_sizes)?;
-                    out.push(Segment {
-                        file: file.id,
-                        coords: sorted(coords),
-                        inner: InnerSig::Loop { var: var.clone(), lo: *lo, hi: *hi, step: *step },
-                        rows: iters,
-                        attrs: Arc::new(attrs.clone()),
-                        offset: *offset,
-                        stride,
-                    });
-                    *offset += iters * stride;
-                    continue;
-                }
-                // Structured body: peel each iteration, pruning by the
-                // query range for this variable when one exists.
-                let body_size = items_size(body, attr_sizes)?;
-                let constraint = ranges.get(var);
-                let mut v = *lo;
-                while v <= *hi {
-                    let accepted = constraint.map(|s| s.contains(v as f64)).unwrap_or(true);
-                    if accepted {
-                        coords.push((var.clone(), v));
-                        walk(file, body, attr_sizes, ranges, chunk_index, offset, coords, out)?;
-                        coords.pop();
-                    } else {
-                        *offset += body_size;
-                    }
-                    v += *step;
-                }
-            }
-            ResolvedItem::Chunked { attrs, .. } => {
-                let index = chunk_index.ok_or_else(|| {
-                    DvError::Runtime(format!(
-                        "file `{}` has a CHUNKED layout but its index was not loaded",
-                        file.rel_path
-                    ))
-                })?;
-                let stride = record_size(attrs, attr_sizes)?;
-                for ord in index.matching_chunks(ranges) {
-                    let e = &index.entries[ord];
-                    let mut c = sorted(coords);
-                    c.push(("__CHUNK".to_string(), ord as i64));
-                    out.push(Segment {
-                        file: file.id,
-                        coords: c,
-                        inner: InnerSig::Chunk,
-                        rows: e.rows,
-                        attrs: Arc::new(attrs.clone()),
-                        offset: e.offset,
-                        stride,
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn sorted(coords: &[(String, i64)]) -> Vec<(String, i64)> {
-    let mut c = coords.to_vec();
-    c.sort();
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::test_support::{afcs_of, afcs_with_index, const_at, ranges};
     use dv_descriptor::compile;
-    use dv_types::Interval;
+    use dv_types::{Interval, Value};
 
     const DESC: &str = r#"
 [IPARS]
@@ -293,69 +368,84 @@ DATASET "IparsData" {
 }
 "#;
 
-    fn ranges(pairs: &[(&str, IntervalSet)]) -> HashMap<String, IntervalSet> {
-        pairs.iter().map(|(k, v)| (k.to_string(), v.clone())).collect()
+    fn table(m: &dv_descriptor::DatasetModel, path: &str) -> (SegmentTable, Interner) {
+        let f = m.files.iter().find(|f| f.rel_path == path).unwrap();
+        let mut names = Interner::new();
+        let t = SegmentTable::build(f, &m.attr_sizes, None, &mut names).unwrap();
+        (t, names)
+    }
+
+    fn attr_names(names: &Interner, record: u32) -> Vec<&str> {
+        let r = names.record(record);
+        r.attrs.iter().map(|&(id, _)| names.names()[id as usize].as_str()).collect()
+    }
+
+    /// The data file's `(TIME, offset)` pairs a query over `DATA0`
+    /// (with `REL = 0`) selects, read from its AFC schedule.
+    fn selected_data_segments(r: &[(&str, IntervalSet)]) -> Vec<(i64, u64)> {
+        let mut r = r.to_vec();
+        r.push(("REL", IntervalSet::points(&[0.0])));
+        let afcs = afcs_of(DESC, &r, &["TIME", "SOIL"], 0).unwrap();
+        afcs.iter()
+            .map(|a| {
+                assert_eq!(a.entries.len(), 1);
+                let Value::Int(t) = const_at(a, 0) else { panic!("TIME is not an int const") };
+                (t as i64, a.entries[0].offset)
+            })
+            .collect()
     }
 
     #[test]
     fn coords_file_single_segment() {
         let m = compile(DESC).unwrap();
-        let coords = m.files.iter().find(|f| f.dataset == "coords").unwrap();
-        let segs = enumerate_segments(coords, &m.attr_sizes, &HashMap::new(), None).unwrap();
-        assert_eq!(segs.len(), 1);
-        let s = &segs[0];
+        let (t, names) = table(&m, "d/COORDS");
+        assert_eq!(t.segments.len(), 1);
+        let s = &t.segments[0];
         assert_eq!(s.rows, 10);
-        assert_eq!(s.stride, 4);
+        assert_eq!(names.record(s.record).stride, 4);
         assert_eq!(s.offset, 0);
-        assert!(s.coords.is_empty());
-        assert_eq!(s.inner, InnerSig::Loop { var: "GRID".into(), lo: 1, hi: 10, step: 1 });
+        assert!(t.coords(s).is_empty());
+        let grid = names.names().iter().position(|n| n == "GRID").unwrap() as u32;
+        assert_eq!(s.inner, InnerSig::Loop { var: grid, lo: 1, hi: 10, step: 1 });
     }
 
     #[test]
     fn data_file_segment_per_time() {
         let m = compile(DESC).unwrap();
-        let data = m.files.iter().find(|f| f.rel_path == "d/DATA0").unwrap();
-        let segs = enumerate_segments(data, &m.attr_sizes, &HashMap::new(), None).unwrap();
+        let (t, names) = table(&m, "d/DATA0");
+        let segs = &t.segments;
         assert_eq!(segs.len(), 20);
         // Offsets advance by 10 records × 8 bytes.
         assert_eq!(segs[0].offset, 0);
         assert_eq!(segs[1].offset, 80);
-        assert_eq!(segs[0].coords, vec![("TIME".to_string(), 1)]);
-        assert_eq!(segs[19].coords, vec![("TIME".to_string(), 20)]);
-        assert_eq!(*segs[0].attrs, vec!["SOIL", "SGAS"]);
+        let time = names.names().iter().position(|n| n == "TIME").unwrap() as u32;
+        assert_eq!(t.coords(&segs[0]), [(time, 1)]);
+        assert_eq!(t.coords(&segs[19]), [(time, 20)]);
+        assert_eq!(attr_names(&names, segs[0].record), vec!["SOIL", "SGAS"]);
     }
 
     #[test]
     fn outer_loop_pruning_preserves_offsets() {
-        let m = compile(DESC).unwrap();
-        let data = m.files.iter().find(|f| f.rel_path == "d/DATA0").unwrap();
-        let r = ranges(&[("TIME", IntervalSet::single(Interval::closed(5.0, 7.0)))]);
-        let segs = enumerate_segments(data, &m.attr_sizes, &r, None).unwrap();
+        let segs =
+            selected_data_segments(&[("TIME", IntervalSet::single(Interval::closed(5.0, 7.0)))]);
         assert_eq!(segs.len(), 3);
         // TIME=5 is the 5th chunk (index 4): offset 4 × 80.
-        assert_eq!(segs[0].coords, vec![("TIME".to_string(), 5)]);
-        assert_eq!(segs[0].offset, 320);
-        assert_eq!(segs[2].offset, 480);
+        assert_eq!(segs[0], (5, 320));
+        assert_eq!(segs[2].1, 480);
     }
 
     #[test]
     fn empty_constraint_prunes_everything() {
-        let m = compile(DESC).unwrap();
-        let data = m.files.iter().find(|f| f.rel_path == "d/DATA1").unwrap();
-        let r = ranges(&[("TIME", IntervalSet::empty())]);
-        let segs = enumerate_segments(data, &m.attr_sizes, &r, None).unwrap();
+        let segs = selected_data_segments(&[("TIME", IntervalSet::empty())]);
         assert!(segs.is_empty());
     }
 
     #[test]
     fn point_constraints_from_in_list() {
-        let m = compile(DESC).unwrap();
-        let data = m.files.iter().find(|f| f.rel_path == "d/DATA0").unwrap();
-        let r = ranges(&[("TIME", IntervalSet::points(&[3.0, 17.0]))]);
-        let segs = enumerate_segments(data, &m.attr_sizes, &r, None).unwrap();
+        let segs = selected_data_segments(&[("TIME", IntervalSet::points(&[3.0, 17.0]))]);
         assert_eq!(segs.len(), 2);
-        assert_eq!(segs[0].coords, vec![("TIME".to_string(), 3)]);
-        assert_eq!(segs[1].coords, vec![("TIME".to_string(), 17)]);
+        assert_eq!(segs[0].0, 3);
+        assert_eq!(segs[1].0, 17);
     }
 
     #[test]
@@ -390,17 +480,23 @@ DATASET "TitanData" {
         let m = compile(text).unwrap();
         let f = &m.files[0];
         assert!(f.is_chunked());
-        let r = ranges(&[("X", IntervalSet::single(Interval::closed(12.0, 25.0)))]);
-        let segs = enumerate_segments(f, &m.attr_sizes, &r, Some(&idx)).unwrap();
-        assert_eq!(segs.len(), 2);
-        assert_eq!(segs[0].offset, 80);
-        assert_eq!(segs[0].rows, 10);
-        assert_eq!(segs[1].offset, 160);
-        assert_eq!(segs[1].rows, 4);
-        assert_eq!(segs[0].coords, vec![("__CHUNK".to_string(), 1)]);
+        // The table holds every chunk; the query selects through the
+        // R-tree.
+        let mut names = Interner::new();
+        let t = SegmentTable::build(f, &m.attr_sizes, Some(&idx), &mut names).unwrap();
+        assert_eq!(t.segments.len(), 3);
+        assert_eq!(t.coords(&t.segments[1]), [(CHUNK_VAR, 1)]);
+        let r = [("X", IntervalSet::single(Interval::closed(12.0, 25.0)))];
+        assert_eq!(idx.matching_chunks(&ranges(&r)), vec![1, 2]);
+        let afcs = afcs_with_index(text, idx, &r, &["X", "S1"]).unwrap();
+        assert_eq!(afcs.len(), 2);
+        assert_eq!(afcs[0].entries[0].offset, 80);
+        assert_eq!(afcs[0].num_rows, 10);
+        assert_eq!(afcs[1].entries[0].offset, 160);
+        assert_eq!(afcs[1].num_rows, 4);
 
         // Missing index is an error.
-        assert!(enumerate_segments(f, &m.attr_sizes, &r, None).is_err());
+        assert!(SegmentTable::build(f, &m.attr_sizes, None, &mut Interner::new()).is_err());
     }
 
     #[test]
@@ -430,18 +526,20 @@ DATASET "D" {
 }
 "#;
         let m = compile(text).unwrap();
-        let segs = enumerate_segments(&m.files[0], &m.attr_sizes, &HashMap::new(), None).unwrap();
+        let mut names = Interner::new();
+        let t = SegmentTable::build(&m.files[0], &m.attr_sizes, None, &mut names).unwrap();
+        let segs = &t.segments;
         // 1 header record + 3 time-steps × 2 arrays.
         assert_eq!(segs.len(), 7);
         assert_eq!(segs[0].inner, InnerSig::Record);
-        assert_eq!(segs[0].stride, 8);
+        assert_eq!(names.record(segs[0].record).stride, 8);
         // First A-array starts after the 8-byte header.
         assert_eq!(segs[1].offset, 8);
-        assert_eq!(*segs[1].attrs, vec!["A"]);
+        assert_eq!(attr_names(&names, segs[1].record), vec!["A"]);
         // B-array of the same time-step follows 5×4 bytes later.
         assert_eq!(segs[2].offset, 28);
-        assert_eq!(*segs[2].attrs, vec!["B"]);
-        assert_eq!(segs[1].coords, segs[2].coords);
+        assert_eq!(attr_names(&names, segs[2].record), vec!["B"]);
+        assert_eq!(t.coords(&segs[1]), t.coords(&segs[2]));
         // Next time-step.
         assert_eq!(segs[3].offset, 48);
     }

@@ -11,8 +11,7 @@ use dv_descriptor::ast::{DataAst, DatasetAst, DescriptorAst, SpaceItem};
 use dv_descriptor::expr::{Env, Expr};
 use dv_descriptor::model::{items_byte_size, ResolvedItem, VarExtent};
 use dv_descriptor::DatasetModel;
-use dv_layout::afc::WorkingSet;
-use dv_layout::groups::{consistent, find_file_groups};
+use dv_layout::groups::{consistent, node_file_groups};
 use dv_types::Span;
 
 use crate::diag::{Code, Diagnostic};
@@ -539,12 +538,10 @@ fn check_tiny_runs(ast: &DescriptorAst, model: &DatasetModel) -> Vec<Diagnostic>
     if index.is_empty() {
         return Vec::new();
     }
-    let working = WorkingSet::new(model, (0..model.schema.len()).collect());
-    let ranges = HashMap::new();
     let mut reported: BTreeSet<String> = BTreeSet::new();
     let mut diags = Vec::new();
     for node in 0..model.node_count() {
-        for group in find_file_groups(model, node, &ranges, &working) {
+        for group in node_file_groups(model, node) {
             if group.len() < DV104_FAN_IN {
                 continue;
             }

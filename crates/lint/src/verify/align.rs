@@ -7,12 +7,11 @@
 //! iteration present in one file of the group but not the other, and
 //! the byte range of the orphaned record.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use dv_descriptor::model::VarExtent;
 use dv_descriptor::DatasetModel;
-use dv_layout::afc::WorkingSet;
-use dv_layout::groups::find_file_groups;
+use dv_layout::groups::node_file_groups;
 use dv_types::Span;
 
 use super::extent::PseudoFile;
@@ -46,12 +45,10 @@ pub fn check_alignment(model: &DatasetModel, files: &[PseudoFile]) -> Vec<Findin
     let by_path: BTreeMap<(&str, &str), &PseudoFile> =
         files.iter().map(|f| ((f.node.as_str(), f.rel_path.as_str()), f)).collect();
 
-    let working = WorkingSet::new(model, (0..model.schema.len()).collect());
-    let ranges = HashMap::new();
     let mut reported: BTreeSet<(String, String, String)> = BTreeSet::new();
     let mut findings = Vec::new();
     for node in 0..model.node_count() {
-        for group in find_file_groups(model, node, &ranges, &working) {
+        for group in node_file_groups(model, node) {
             for (i, a) in group.iter().enumerate() {
                 for b in group.iter().skip(i + 1) {
                     if a.dataset == b.dataset {

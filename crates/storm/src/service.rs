@@ -582,11 +582,17 @@ pub(crate) fn run_session(
     // DV-coded error before any fragment is dispatched. The plans are
     // reused by the dispatch closure, so admitted queries pay the
     // analysis but never plan twice.
+    let counters = Arc::new(QueryCounters::default());
     let budgeted = core.max_plan_bytes.is_some() || core.max_group_memory.is_some();
     let pre_planned = if budgeted {
         let node_count = core.compiled.model.node_count();
         let plans: Vec<dv_layout::NodePlan> = (0..node_count)
-            .map(|node| core.compiled.plan_node(&prep, node))
+            .map(|node| {
+                let start = Instant::now();
+                let plan = core.compiled.plan_node(&prep, node);
+                counters.record_node_plan(start.elapsed());
+                plan
+            })
             .collect::<Result<_>>()?;
         let params = CostParams::new(&opts.io, opts.client_processors, bq.predicate.is_some());
         let report = CostReport::analyze_nodes(
@@ -648,7 +654,6 @@ pub(crate) fn run_session(
         .with_shared_handles(&core.shared_handles)
         .with_cancel(cancel.clone());
 
-    let counters = Arc::new(QueryCounters::default());
     let io_stats = Arc::new(IoStats::default());
     let mover_stats = Arc::new(MoverStats::default());
     let morsel_stats = Arc::new(MorselStats::default());
@@ -696,10 +701,15 @@ pub(crate) fn run_session(
                 worker.counters.record_prune(&np.prune);
                 worker.run(&np.afcs, &np.prune.verdicts, &worker_tx)
             }
-            None => compiled.plan_node(&prep, node).and_then(|np| {
-                worker.counters.record_prune(&np.prune);
-                worker.run(&np.afcs, &np.prune.verdicts, &worker_tx)
-            }),
+            None => {
+                let start = Instant::now();
+                let planned = compiled.plan_node(&prep, node);
+                worker.counters.record_node_plan(start.elapsed());
+                planned.and_then(|np| {
+                    worker.counters.record_prune(&np.prune);
+                    worker.run(&np.afcs, &np.prune.verdicts, &worker_tx)
+                })
+            }
         });
     };
 

@@ -74,6 +74,8 @@ pub(crate) struct QueryCounters {
     pub groups_pruned: AtomicU64,
     pub groups_full: AtomicU64,
     pub bytes_avoided: AtomicU64,
+    /// Longest single node's `plan_node` call, in nanoseconds.
+    pub node_plan_ns: AtomicU64,
 }
 
 impl QueryCounters {
@@ -83,6 +85,11 @@ impl QueryCounters {
         self.groups_pruned.fetch_add(cert.groups_pruned, Ordering::Relaxed);
         self.groups_full.fetch_add(cert.groups_full, Ordering::Relaxed);
         self.bytes_avoided.fetch_add(cert.bytes_avoided, Ordering::Relaxed);
+    }
+
+    /// Fold one node's planning time in (one call per node per query).
+    pub fn record_node_plan(&self, elapsed: Duration) {
+        self.node_plan_ns.fetch_max(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Copy every counter into its `stats` field.
@@ -97,6 +104,7 @@ impl QueryCounters {
         stats.groups_pruned = get(&self.groups_pruned);
         stats.groups_full = get(&self.groups_full);
         stats.bytes_avoided = get(&self.bytes_avoided);
+        stats.node_plan_time = Duration::from_nanos(get(&self.node_plan_ns));
     }
 }
 
@@ -155,12 +163,22 @@ pub struct QueryStats {
     /// Morsel scheduler counters: work planned, stolen, and how evenly
     /// the worker pools shared the bytes.
     pub morsels: MorselSnapshot,
-    /// Time spent planning (phase 2: grouping + AFC alignment).
+    /// Time spent in central planning: range analysis and the working
+    /// row (`prepare_query`). Under a cost budget it also covers every
+    /// node's plan and the cost analysis, which then run centrally.
+    /// Node planning otherwise runs inside each node's fragment; see
+    /// `node_plan_time`.
     pub plan_time: Duration,
+    /// Longest single node's planning (`plan_node`: selection from the
+    /// node's plan catalog, AFC instantiation and static pruning; the
+    /// node's first query also builds the catalog). Counted inside
+    /// `exec_time` and `node_busy`, unless a cost budget moved node
+    /// planning into `plan_time`.
+    pub node_plan_time: Duration,
     /// Wall time of the parallel execute/transfer phase.
     pub exec_time: Duration,
-    /// Per-node pipeline busy time (extract + filter + partition +
-    /// move), indexed by completion order.
+    /// Per-node pipeline busy time (node planning + extract + filter +
+    /// partition + move), indexed by completion order.
     pub node_busy: Vec<Duration>,
 }
 
@@ -207,7 +225,7 @@ impl fmt::Display for QueryStats {
         };
         write!(
             f,
-            "{} rows selected / {} scanned ({} AFCs, {} KiB read, {} KiB moved) in {:?}              (plan {:?}, exec {:?}; simulated cluster {:?}; prune: {}/{} groups pruned, {} full, {} KiB avoided; io: {} syscalls, coalesce {:.1}x, {} KiB issued / {} KiB used, cache hit {:.0}%, decode: {} calls, {} KiB; mover: {} sends, {} blocked {:?}, {} rebuilt by sender, peak buffer {}{agg}; morsels: {} planned, {} stolen, {} workers, {}..{} KiB/worker, pool wait {:?}; queued {:?})",
+            "{} rows selected / {} scanned ({} AFCs, {} KiB read, {} KiB moved) in {:?}              (plan {:?}, node plan {:?}, exec {:?}; simulated cluster {:?}; prune: {}/{} groups pruned, {} full, {} KiB avoided; io: {} syscalls, coalesce {:.1}x, {} KiB issued / {} KiB used, cache hit {:.0}%, decode: {} calls, {} KiB; mover: {} sends, {} blocked {:?}, {} rebuilt by sender, peak buffer {}{agg}; morsels: {} planned, {} stolen, {} workers, {}..{} KiB/worker, pool wait {:?}; queued {:?})",
             self.rows_selected,
             self.rows_scanned,
             self.afcs,
@@ -215,6 +233,7 @@ impl fmt::Display for QueryStats {
             self.bytes_moved / 1024,
             self.total_time(),
             self.plan_time,
+            self.node_plan_time,
             self.exec_time,
             self.simulated_parallel_time(),
             self.groups_pruned,
@@ -296,11 +315,13 @@ mod tests {
                 worker_bytes_max: 2048,
                 ..Default::default()
             },
+            node_plan_time: Duration::from_millis(3),
             ..Default::default()
         };
         let text = s.to_string();
         assert!(text.contains("40 rows selected / 100 scanned"), "{text}");
         assert!(text.contains("7 AFCs"), "{text}");
+        assert!(text.contains("node plan 3ms"), "{text}");
         assert!(text.contains("3 syscalls"), "{text}");
         assert!(text.contains("coalesce 4.0x"), "{text}");
         assert!(text.contains("2 KiB issued / 4 KiB used"), "{text}");

@@ -320,6 +320,12 @@ fn sequential_nodes_same_result_and_busy_times() {
     // One busy sample per node in both modes.
     assert_eq!(seq_stats.node_busy.len(), 2);
     assert_eq!(par_stats.node_busy.len(), 2);
+    // Each node plans inside its own busy time.
+    for stats in [&seq_stats, &par_stats] {
+        let busiest = stats.node_busy.iter().max().copied().unwrap_or_default();
+        assert!(stats.node_plan_time > std::time::Duration::ZERO, "{stats}");
+        assert!(stats.node_plan_time <= busiest, "{stats}");
+    }
     // Simulated parallel time is bounded by total wall time in
     // sequential mode (it takes the max, not the sum).
     assert!(seq_stats.simulated_parallel_time() <= seq_stats.total_time());

@@ -177,3 +177,124 @@ mod titan_boxes {
         }
     }
 }
+
+/// Selection equals restriction: a REL/TIME window plans exactly the
+/// full-scan plan's AFCs whose implicit REL and TIME lie in the window —
+/// same order, entries, fields and implicits — whether range analysis
+/// sees the window (`BETWEEN`) or not (`TIME*2 > …`, recovered by
+/// pruning). Planning touches no data file, so these cases only compile
+/// descriptors.
+mod selection {
+    use std::path::Path;
+
+    use proptest::prelude::*;
+
+    use super::{arb_cfg, arb_layout};
+    use dv_datagen::ipars;
+    use dv_layout::plan::compile_from_text;
+    use dv_layout::prune::prune_afcs;
+    use dv_layout::{Afc, CompiledDataset, ImplicitValue};
+    use dv_sql::{bind, parse, BoundQuery, UdfRegistry};
+
+    fn bound(c: &CompiledDataset, sql: &str) -> BoundQuery {
+        bind(&parse(sql).unwrap(), &c.model.schema, &UdfRegistry::with_builtins()).unwrap()
+    }
+
+    fn const_at(afc: &Afc, pos: usize) -> f64 {
+        match afc.implicits.iter().find(|(p, _)| *p == pos) {
+            Some((_, ImplicitValue::Const(v))) => v.as_f64(),
+            other => panic!("working position {pos} is not a constant: {other:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn window_plan_is_full_plan_restricted(
+            cfg in arb_cfg(),
+            layout in arb_layout(),
+            rel_lo in 0i64..3,
+            rel_w in 0i64..2,
+            time_lo in 0i64..6,
+            time_w in 0i64..4,
+            select in prop_oneof![
+                Just("*"),
+                Just("REL, TIME, SOIL"),
+                Just("REL, TIME"),
+                Just("X, TIME, REL"),
+            ],
+        ) {
+            let desc = ipars::descriptor(&cfg, layout);
+            let c = compile_from_text(&desc, Path::new("/nonexistent")).unwrap();
+            let (rel_hi, time_hi) = (rel_lo + rel_w, time_lo + time_w);
+            let full = c.plan_query(&bound(&c, &format!("SELECT {select} FROM IparsData"))).unwrap();
+            let rel = full.working.position_of("REL").unwrap();
+            let time = full.working.position_of("TIME").unwrap();
+            let in_window = |a: &Afc| {
+                let (r, t) = (const_at(a, rel), const_at(a, time));
+                (rel_lo as f64..=rel_hi as f64).contains(&r)
+                    && (time_lo as f64..=time_hi as f64).contains(&t)
+            };
+            let forms = [
+                (
+                    false,
+                    format!(
+                        "REL BETWEEN {rel_lo} AND {rel_hi} AND TIME BETWEEN {time_lo} AND {time_hi}"
+                    ),
+                ),
+                (
+                    true,
+                    format!(
+                        "REL*2 > {} AND REL*2 < {} AND TIME*2 > {} AND TIME*2 < {}",
+                        2 * rel_lo - 1,
+                        2 * rel_hi + 1,
+                        2 * time_lo - 1,
+                        2 * time_hi + 1
+                    ),
+                ),
+            ];
+            for (opaque, window) in forms {
+                let sql = format!("SELECT {select} FROM IparsData WHERE {window}");
+                let bq = bound(&c, &sql);
+                let plan = c.plan_query(&bq).unwrap();
+                for (f, w) in full.node_plans.iter().zip(&plan.node_plans) {
+                    let restricted: Vec<Afc> = f.afcs.iter().filter(|a| in_window(a)).cloned().collect();
+                    prop_assert_eq!(&w.afcs, &restricted, "{} node {}: {sql}", layout.label(), f.node);
+                    // Pruning sees what range analysis left: everything
+                    // when the window is opaque to it.
+                    let left = if opaque { f.afcs.clone() } else { restricted };
+                    let (_, cert) = prune_afcs(bq.predicate.as_ref(), &plan.working, left);
+                    prop_assert_eq!(
+                        (cert.groups_total, cert.groups_pruned, cert.groups_full, cert.bytes_avoided),
+                        (w.prune.groups_total, w.prune.groups_pruned, w.prune.groups_full, w.prune.bytes_avoided),
+                        "{} node {}: {sql}", layout.label(), f.node
+                    );
+                    prop_assert_eq!(&cert.verdicts, &w.prune.verdicts);
+                }
+            }
+        }
+
+        #[test]
+        fn concurrent_first_plans_agree(cfg in arb_cfg(), layout in arb_layout(), time_lo in 0i64..6) {
+            // The first plan of a node builds its catalog; two threads
+            // racing for it must both see the one catalog.
+            let desc = ipars::descriptor(&cfg, layout);
+            let c = compile_from_text(&desc, Path::new("/nonexistent")).unwrap();
+            let bq = bound(&c, &format!("SELECT * FROM IparsData WHERE TIME >= {time_lo}"));
+            let prep = c.prepare_query(&bq).unwrap();
+            let node = cfg.nodes - 1;
+            let (a, b) = std::thread::scope(|s| {
+                let a = s.spawn(|| c.plan_node(&prep, node).unwrap());
+                let b = s.spawn(|| c.plan_node(&prep, node).unwrap());
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            prop_assert_eq!(&a.afcs, &b.afcs, "{}", layout.label());
+            prop_assert_eq!(&a.prune.verdicts, &b.prune.verdicts);
+            prop_assert_eq!(
+                (a.prune.groups_total, a.prune.groups_pruned, a.prune.groups_full),
+                (b.prune.groups_total, b.prune.groups_pruned, b.prune.groups_full)
+            );
+        }
+    }
+}
