@@ -261,8 +261,8 @@ pub fn lint_query(model: &DatasetModel, sql: &str, udfs: &UdfRegistry) -> Result
                 Diagnostic::new(
                     Code::Dv103,
                     span,
-                    "user-defined filter has no vectorizable guard; every block falls back to \
-                     row-at-a-time evaluation",
+                    "user-defined filter has no vectorizable guard; the UDF is called on every \
+                     row of every block",
                 )
                 .with_help(
                     "AND a plain comparison (e.g. a range on an attribute) so the columnar \

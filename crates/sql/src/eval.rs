@@ -14,15 +14,19 @@
 //!   differential tests, and the minidb engine);
 //! * [`EvalContext::eval_block`] — a whole [`ColumnBlock`], column at a
 //!   time, reading cells only through the column visitor
-//!   ([`dv_types::Column::pieces`]): `ATTR op CONST` comparisons run
-//!   as typed kernels producing selection [`Bitmap`]s, boolean
-//!   connectives combine bitmaps word-wise, and every other comparison
-//!   reads only the rows the surrounding conjuncts have not already
-//!   rejected — so a UDF is called once per such row, over typed
-//!   argument columns.
+//!   ([`dv_types::Column::pieces`]) into a selection [`Bitmap`] written
+//!   a word at a time. `ATTR op CONST` (either way round) runs over the
+//!   whole block through [`dv_types::column::Piece::select_f64`]: one
+//!   loop per (operator, column type) builds each 64-row word of a
+//!   dense slice without a branch, a constant run is tested once.
+//!   Boolean connectives combine bitmaps word-wise. Every other
+//!   comparison (`BETWEEN`, `IN`, arithmetic, UDF calls) reads only the
+//!   rows the surrounding conjuncts have not already rejected — so a
+//!   UDF is called once per such row, over typed argument columns —
+//!   and writes its answers without a branch.
 
-use dv_types::column::{Picks, Piece};
-use dv_types::{Bitmap, ColumnBlock, ColumnGen, LazyRun, Value};
+use dv_types::column::Picks;
+use dv_types::{Bitmap, ColumnBlock, Value};
 
 use crate::ast::CmpOp;
 use crate::bind::{BoundExpr, BoundScalar};
@@ -150,19 +154,19 @@ impl<'a> EvalContext<'a> {
                 r.not();
                 r
             }
-            BoundExpr::Cmp { op, lhs, rhs } => {
-                if let (BoundScalar::Attr(a), BoundScalar::Const(c)) = (lhs, rhs) {
-                    return self.cmp_attr_const(*op, *a, *c, block);
+            BoundExpr::Cmp { op, lhs, rhs } => match (lhs, rhs) {
+                (BoundScalar::Attr(a), BoundScalar::Const(c)) => {
+                    self.cmp_attr_const(*op, *a, *c, block)
                 }
-                if let (BoundScalar::Const(c), BoundScalar::Attr(a)) = (lhs, rhs) {
-                    return self.cmp_attr_const(op.flip(), *a, *c, block);
+                (BoundScalar::Const(c), BoundScalar::Attr(a)) => {
+                    self.cmp_attr_const(op.flip(), *a, *c, block)
                 }
-                bitmap_where(block.len(), mask, |rows| {
+                _ => bitmap_where(block.len(), mask, |rows| {
                     let l = self.scalar_col(lhs, block, rows);
                     let r = self.scalar_col(rhs, block, rows);
                     move |k| op.apply(l.at(k), r.at(k))
-                })
-            }
+                }),
+            },
             BoundExpr::InList { expr, list, negated } => bitmap_where(block.len(), mask, |rows| {
                 let v = self.scalar_col(expr, block, rows);
                 let items: Vec<ScalarCol> =
@@ -186,25 +190,26 @@ impl<'a> EvalContext<'a> {
         }
     }
 
-    /// Typed comparison kernel for the dominant `ATTR op CONST` shape:
-    /// one monomorphic loop per visitor piece (the `op` and constant
-    /// are loop-invariant), with constant lazy runs decided once per
-    /// run instead of once per row.
+    /// `ATTR op CONST` over the whole block: one word kernel per
+    /// (operator, column type), the operator fixed in each.
     fn cmp_attr_const(&self, op: CmpOp, attr: usize, c: f64, block: &ColumnBlock) -> Bitmap {
+        match op {
+            CmpOp::Lt => self.attr_where(attr, block, |x| x < c),
+            CmpOp::Le => self.attr_where(attr, block, |x| x <= c),
+            CmpOp::Gt => self.attr_where(attr, block, |x| x > c),
+            CmpOp::Ge => self.attr_where(attr, block, |x| x >= c),
+            CmpOp::Eq => self.attr_where(attr, block, |x| x == c),
+            CmpOp::Ne => self.attr_where(attr, block, |x| x != c),
+        }
+    }
+
+    /// The bitmap of the block rows whose `attr` cell passes `test`
+    /// (given the cell's `f64` view), built piece by piece through
+    /// [`dv_types::column::Piece::select_f64`].
+    fn attr_where(&self, attr: usize, block: &ColumnBlock, test: impl Fn(f64) -> bool) -> Bitmap {
         let mut bm = Bitmap::new_false(block.len());
         for piece in block.columns[self.position(attr)].pieces(Picks::Range(0, block.len())) {
-            match piece {
-                Piece::Run(LazyRun { gen: ColumnGen::Const(v), .. }, _, Picks::Range(a, b)) => {
-                    if op.apply(v.as_f64(), c) {
-                        bm.set_range(a, b);
-                    }
-                }
-                piece => piece.for_each_f64(|i, x| {
-                    if op.apply(x, c) {
-                        bm.set(i);
-                    }
-                }),
-            }
+            piece.select_f64(&mut bm, &test);
         }
         bm
     }
@@ -277,25 +282,24 @@ impl ScalarCol {
 /// The bitmap, over `len` rows, of the rows set in `mask` that a test
 /// accepts. `test` receives the mask's rows as picks (the whole block
 /// when every row is set) and returns the test of the `k`-th pick.
+/// Its answers are written without a branch: a word per 64 rows when
+/// every row is set, one OR per pick otherwise.
 fn bitmap_where<F: Fn(usize) -> bool>(
     len: usize,
     mask: &Bitmap,
     test: impl FnOnce(Picks<'_>) -> F,
 ) -> Bitmap {
-    let sel;
-    let rows = if mask.count() == len {
-        Picks::Range(0, len)
-    } else {
-        sel = mask.indices();
-        Picks::Sel(&sel)
-    };
-    let keep = test(rows);
+    let sel = mask.selection();
     let mut bm = Bitmap::new_false(len);
-    for_each_pick(rows, |k, row| {
-        if keep(k) {
-            bm.set(row);
+    match &sel {
+        None => bm.set_range_from(0, len, test(Picks::Range(0, len))),
+        Some(sel) => {
+            let keep = test(Picks::Sel(sel));
+            for (k, &row) in sel.iter().enumerate() {
+                bm.set_if(row as usize, keep(k));
+            }
         }
-    });
+    }
     bm
 }
 
@@ -347,7 +351,7 @@ mod tests {
     use crate::bind::bind;
     use crate::parser::parse;
     use crate::udf::UdfRegistry;
-    use dv_types::{Attribute, DataType, Schema};
+    use dv_types::{Attribute, ColumnGen, DataType, Schema};
 
     fn schema() -> Schema {
         Schema::new(
@@ -727,6 +731,177 @@ mod tests {
                 for i in 0..n {
                     let row: Vec<Value> = block.columns.iter().map(|c| c.value_at(i)).collect();
                     prop_assert_eq!(bm.get(i), cx.eval(&pred, &row), "row {} of {:?}", i, pred);
+                }
+            }
+        }
+    }
+
+    /// The single-attribute shapes with constant operands (`ATTR op
+    /// CONST` both ways round through the word kernels, and `[NOT]
+    /// BETWEEN` and `[NOT] IN` through the branch-free `bitmap_where`)
+    /// against `eval` over `value_at` rows: every operator on every
+    /// column type, over blocks of several words whose dense prefix
+    /// ends anywhere, followed by constant and affine runs.
+    mod word_kernels {
+        use super::*;
+        use dv_types::Column;
+        use proptest::prelude::*;
+
+        const DTYPES: [DataType; 6] = [
+            DataType::Char,
+            DataType::Short,
+            DataType::Int,
+            DataType::Long,
+            DataType::Float,
+            DataType::Double,
+        ];
+
+        const OPS: [CmpOp; 6] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+
+        /// Integers that `as f64` rounds (past 2^53), the ends of `i64`,
+        /// the edges of the narrow types (which wrap), and a small grid
+        /// so that constants hit cells.
+        fn arb_int() -> impl Strategy<Value = i64> {
+            const WIDE: [i64; 8] = [
+                (1 << 53) + 1,
+                -(1 << 53) - 1,
+                1 << 53,
+                i64::MIN,
+                i64::MAX,
+                255,
+                -32_768,
+                2_147_483_648,
+            ];
+            prop_oneof![-4i64..4, (0..WIDE.len()).prop_map(|i| WIDE[i])]
+        }
+
+        fn arb_float() -> impl Strategy<Value = f64> {
+            const SPECIALS: [f64; 7] =
+                [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0, 1e300, -1.5];
+            prop_oneof![
+                (-4i64..4).prop_map(|v| v as f64 / 2.0),
+                (0..SPECIALS.len()).prop_map(|i| SPECIALS[i]),
+            ]
+        }
+
+        /// Comparison constants: the cells' own values (integers as
+        /// `f64`, so wide ones round), NaN and both infinities.
+        fn arb_const() -> impl Strategy<Value = f64> {
+            prop_oneof![arb_float(), arb_int().prop_map(|v| v as f64)]
+        }
+
+        /// One column: a dense prefix of `dense` rows (cut to the block
+        /// length), then runs sharing the rest by weight — constant
+        /// cells (`None`) or affine from a small start (`Some(step)`).
+        #[derive(Debug, Clone)]
+        struct ColRecipe {
+            dense: usize,
+            cells: Vec<(i64, f64)>,
+            runs: Vec<(usize, (i64, f64), Option<i64>)>,
+        }
+
+        fn cell(dtype: DataType, (int, float): (i64, f64)) -> Value {
+            match dtype {
+                DataType::Float | DataType::Double => Value::from_f64(dtype, float),
+                _ => Value::from_i64(dtype, int),
+            }
+        }
+
+        impl ColRecipe {
+            fn build(&self, dtype: DataType, n: usize) -> Column {
+                let mut c = Column::new(dtype);
+                let dense = self.dense.min(n);
+                for &raw in &self.cells[..dense] {
+                    c.append_data().push_value(cell(dtype, raw));
+                }
+                let (lazy, total) = (n - dense, self.runs.iter().map(|r| r.0).sum::<usize>());
+                let mut left = lazy;
+                for (k, &(weight, raw, step)) in self.runs.iter().enumerate() {
+                    let last = k + 1 == self.runs.len();
+                    let len = if last { left } else { (lazy * weight / total).min(left) };
+                    let gen = match step {
+                        // Affine starts stay small: `start + k * step`
+                        // must not overflow.
+                        Some(step) => ColumnGen::Affine { start: raw.0.clamp(-300, 300), step },
+                        None => ColumnGen::Const(cell(dtype, raw)),
+                    };
+                    c.push_run(len, gen);
+                    left -= len;
+                }
+                c
+            }
+        }
+
+        const MAX_ROWS: usize = 300;
+
+        fn arb_col() -> impl Strategy<Value = ColRecipe> {
+            let raw = || (arb_int(), arb_float());
+            let run = (1usize..40, raw(), prop::option::of(-3i64..4));
+            (
+                0..MAX_ROWS + 1,
+                prop::collection::vec(raw(), MAX_ROWS),
+                prop::collection::vec(run, 1..4),
+            )
+                .prop_map(|(dense, cells, runs)| ColRecipe { dense, cells, runs })
+        }
+
+        /// Every single-attribute shape on attribute `a`, with constants
+        /// `c` (comparisons, and the first two as `BETWEEN` bounds) and
+        /// `list` (`IN` items).
+        fn shapes(a: usize, c: [f64; 2], list: &[f64]) -> Vec<BoundExpr> {
+            let (attr, k) = (BoundScalar::Attr(a), BoundScalar::Const(c[0]));
+            let mut out = Vec::new();
+            for op in OPS {
+                out.push(BoundExpr::Cmp { op, lhs: attr.clone(), rhs: k.clone() });
+                out.push(BoundExpr::Cmp { op, lhs: k.clone(), rhs: attr.clone() });
+            }
+            for negated in [false, true] {
+                out.push(BoundExpr::Between {
+                    expr: attr.clone(),
+                    lo: BoundScalar::Const(c[0]),
+                    hi: BoundScalar::Const(c[1]),
+                    negated,
+                });
+                out.push(BoundExpr::InList {
+                    expr: attr.clone(),
+                    list: list.iter().map(|&x| BoundScalar::Const(x)).collect(),
+                    negated,
+                });
+            }
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+            #[test]
+            fn word_kernels_equal_eval_over_value_at(
+                n in 0..MAX_ROWS + 1,
+                cols in prop::collection::vec(arb_col(), DTYPES.len()),
+                c in (arb_const(), arb_const()),
+                list in prop::collection::vec(arb_const(), 1..5),
+            ) {
+                let s = Schema::new(
+                    "W",
+                    DTYPES.iter().enumerate().map(|(i, &d)| Attribute::new(format!("A{i}"), d)).collect(),
+                )
+                .unwrap();
+                let udfs = UdfRegistry::new();
+                let working: Vec<usize> = (0..s.len()).collect();
+                let columns = cols.iter().zip(DTYPES).map(|(c, d)| c.build(d, n));
+                let block = ColumnBlock::from_columns(0, columns.collect());
+                let cx = EvalContext::new(s.len(), &working, &udfs);
+                let rows: Vec<Vec<Value>> = (0..n)
+                    .map(|i| block.columns.iter().map(|c| c.value_at(i)).collect())
+                    .collect();
+                for a in 0..DTYPES.len() {
+                    for pred in shapes(a, [c.0, c.1], &list) {
+                        let bm = cx.eval_block(&pred, &block);
+                        prop_assert_eq!(bm.len(), n);
+                        for (i, row) in rows.iter().enumerate() {
+                            prop_assert_eq!(bm.get(i), cx.eval(&pred, row), "row {} of {:?}", i, pred);
+                        }
+                    }
                 }
             }
         }

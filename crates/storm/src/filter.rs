@@ -24,12 +24,7 @@ pub fn filter_columns(
 ) -> usize {
     let Some(pred) = predicate else { return 0 };
     let before = block.selected();
-    let bm = cx.eval_block(pred, block);
-    if bm.count() == block.len() {
-        block.set_selection(None);
-    } else {
-        block.set_selection(Some(bm.indices()));
-    }
+    block.set_selection(cx.eval_block(pred, block).selection());
     before - block.selected()
 }
 

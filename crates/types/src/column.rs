@@ -197,6 +197,40 @@ impl<'a> Picks<'a> {
     }
 }
 
+/// Run `$body` with `$v` bound to the typed vector of a [`ColumnData`]
+/// and `$conv` to the function that reads one of its cells as `f64` —
+/// the one place that says how a dense cell reads as `f64`.
+macro_rules! f64_view {
+    ($data:expr, |$v:ident, $conv:ident| $body:expr) => {
+        match $data {
+            ColumnData::Char($v) => {
+                let $conv = |x: u8| x as f64;
+                $body
+            }
+            ColumnData::Short($v) => {
+                let $conv = |x: i16| x as f64;
+                $body
+            }
+            ColumnData::Int($v) => {
+                let $conv = |x: i32| x as f64;
+                $body
+            }
+            ColumnData::Long($v) => {
+                let $conv = |x: i64| x as f64;
+                $body
+            }
+            ColumnData::Float($v) => {
+                let $conv = |x: f32| x as f64;
+                $body
+            }
+            ColumnData::Double($v) => {
+                let $conv = |x: f64| x;
+                $body
+            }
+        }
+    };
+}
+
 /// The selection-aware column visitor's unit: the picks of one column
 /// that fall in its dense prefix, or in one of its lazy runs. Kernels
 /// dispatch on the representation once per piece, then loop over the
@@ -262,32 +296,19 @@ impl<'a> Piece<'a> {
                 }
             };
         }
-        macro_rules! dense {
-            ($picks:expr, $v:expr, |$x:ident| $conv:expr) => {
-                match $picks {
-                    Picks::Range(a, b) => {
-                        for (k, &$x) in $v[a..b].iter().enumerate() {
-                            f(a + k, $conv);
-                        }
-                    }
-                    Picks::Sel(idx) => {
-                        for &i in idx {
-                            let $x = $v[i as usize];
-                            f(i as usize, $conv);
-                        }
+        match self {
+            Piece::Dense(data, picks) => f64_view!(data, |v, conv| match picks {
+                Picks::Range(a, b) => {
+                    for (k, &x) in v[a..b].iter().enumerate() {
+                        f(a + k, conv(x));
                     }
                 }
-            };
-        }
-        match self {
-            Piece::Dense(data, picks) => match data {
-                ColumnData::Char(v) => dense!(picks, v, |x| x as f64),
-                ColumnData::Short(v) => dense!(picks, v, |x| x as f64),
-                ColumnData::Int(v) => dense!(picks, v, |x| x as f64),
-                ColumnData::Long(v) => dense!(picks, v, |x| x as f64),
-                ColumnData::Float(v) => dense!(picks, v, |x| x as f64),
-                ColumnData::Double(v) => dense!(picks, v, |x| x),
-            },
+                Picks::Sel(idx) => {
+                    for &i in idx {
+                        f(i as usize, conv(v[i as usize]));
+                    }
+                }
+            }),
             Piece::Run(run, dtype, picks) => match run.gen {
                 ColumnGen::Const(v) => {
                     let x = v.as_f64();
@@ -297,6 +318,28 @@ impl<'a> Piece<'a> {
                     rows!(picks, |r| run.gen.value_at(r - run.start, dtype).as_f64())
                 }
             },
+        }
+    }
+
+    /// Set in `bm` the bit of every picked row whose `f64` view (as
+    /// [`Piece::for_each_f64`] reads it) passes `test`; the picked rows'
+    /// bits must be clear on entry. A dense range is written a 64-row
+    /// word at a time ([`Bitmap::set_range_from`]) by one branch-free
+    /// loop per column type, a constant run is tested once, and every
+    /// other piece goes through [`Piece::for_each_f64`].
+    #[inline]
+    pub fn select_f64(self, bm: &mut Bitmap, test: impl Fn(f64) -> bool) {
+        match self {
+            Piece::Dense(data, Picks::Range(a, b)) => f64_view!(data, |v, conv| {
+                let v = &v[..b];
+                bm.set_range_from(a, b, |i| test(conv(v[i])))
+            }),
+            Piece::Run(LazyRun { gen: ColumnGen::Const(v), .. }, _, Picks::Range(a, b)) => {
+                if test(v.as_f64()) {
+                    bm.set_range(a, b);
+                }
+            }
+            piece => piece.for_each_f64(|i, x| bm.set_if(i, test(x))),
         }
     }
 }
@@ -712,13 +755,6 @@ impl Bitmap {
         }
     }
 
-    /// Set bit `i`.
-    #[inline]
-    pub fn set(&mut self, i: usize) {
-        debug_assert!(i < self.len);
-        self.words[i / 64] |= 1u64 << (i % 64);
-    }
-
     /// Read bit `i`.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -743,6 +779,52 @@ impl Bitmap {
             self.words[first + 1..last].fill(u64::MAX);
             self.words[last] |= tail;
         }
+    }
+
+    /// Make bit `i` equal `bit(i)` for every `i` in `[start, end)`,
+    /// leaving the others: a masked head and tail, and one plain store
+    /// per full word in between, each word built from its 64 tests
+    /// without a branch. `bit` is called once per row, in row order.
+    #[inline]
+    pub fn set_range_from(&mut self, start: usize, end: usize, mut bit: impl FnMut(usize) -> bool) {
+        debug_assert!(end <= self.len);
+        if start >= end {
+            return;
+        }
+        let head_end = start.next_multiple_of(64).min(end);
+        let body_end = (end / 64 * 64).max(head_end);
+        self.set_part_from(start, head_end, &mut bit);
+        for (k, word) in self.words[head_end / 64..body_end / 64].iter_mut().enumerate() {
+            let base = head_end + 64 * k;
+            let mut w = 0;
+            for j in 0..64 {
+                w |= (bit(base + j) as u64) << j;
+            }
+            *word = w;
+        }
+        self.set_part_from(body_end, end, &mut bit);
+    }
+
+    /// [`Bitmap::set_range_from`] for a `[from, to)` within one word.
+    #[inline]
+    fn set_part_from(&mut self, from: usize, to: usize, bit: &mut impl FnMut(usize) -> bool) {
+        if from == to {
+            return;
+        }
+        let (mut w, mut mask) = (0u64, 0u64);
+        for i in from..to {
+            w |= (bit(i) as u64) << (i % 64);
+            mask |= 1 << (i % 64);
+        }
+        let word = &mut self.words[from / 64];
+        *word = *word & !mask | w;
+    }
+
+    /// Set bit `i` when `on`, without a branch on `on`.
+    #[inline]
+    pub fn set_if(&mut self, i: usize, on: bool) {
+        debug_assert!(i < self.len);
+        self.words[i / 64] |= (on as u64) << (i % 64);
     }
 
     /// `self &= other`.
@@ -774,9 +856,14 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Ascending indices of set bits — the selection vector.
-    pub fn indices(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.count());
+    /// The selection vector, counting the bitmap once: `None` when
+    /// every bit is set, else the ascending indices of the set bits.
+    pub fn selection(&self) -> Option<Vec<u32>> {
+        let kept = self.count();
+        if kept == self.len {
+            return None;
+        }
+        let mut out = Vec::with_capacity(kept);
         for (wi, &w) in self.words.iter().enumerate() {
             let mut bits = w;
             while bits != 0 {
@@ -785,7 +872,7 @@ impl Bitmap {
                 bits &= bits - 1;
             }
         }
-        out
+        Some(out)
     }
 }
 
@@ -817,14 +904,20 @@ mod tests {
     #[test]
     fn bitmap_ops() {
         let mut a = Bitmap::new_false(70);
-        a.set(0);
-        a.set(65);
+        a.set_if(0, true);
+        a.set_if(65, true);
         assert!(a.get(0) && a.get(65) && !a.get(64));
         assert_eq!(a.count(), 2);
-        assert_eq!(a.indices(), vec![0, 65]);
+        assert_eq!(a.selection(), Some(vec![0, 65]));
+        let mut s = a.clone();
+        s.set_if(3, false);
+        s.set_if(4, true);
+        s.set_if(65, false);
+        assert_eq!(s.selection(), Some(vec![0, 4, 65]));
 
         let t = Bitmap::new_true(70);
         assert_eq!(t.count(), 70);
+        assert_eq!(t.selection(), None);
         let mut n = t.clone();
         n.not();
         assert_eq!(n.count(), 0);
@@ -833,7 +926,7 @@ mod tests {
         o.or(&t);
         assert_eq!(o.count(), 70);
         o.and(&a);
-        assert_eq!(o.indices(), vec![0, 65]);
+        assert_eq!(o.selection(), Some(vec![0, 65]));
     }
 
     #[test]
@@ -845,12 +938,12 @@ mod tests {
         for &start in &edges {
             for &end in &edges {
                 let mut fast = Bitmap::new_false(len);
-                fast.set(7);
-                fast.set(150);
+                fast.set_if(7, true);
+                fast.set_if(150, true);
                 let mut slow = fast.clone();
                 fast.set_range(start, end);
                 for i in start..end {
-                    slow.set(i);
+                    slow.set_if(i, true);
                 }
                 assert_eq!(fast, slow, "[{start}, {end})");
             }
@@ -858,6 +951,44 @@ mod tests {
         let mut full = Bitmap::new_false(len);
         full.set_range(0, len);
         assert_eq!(full, Bitmap::new_true(len));
+    }
+
+    #[test]
+    fn set_range_from_equals_the_per_bit_loop() {
+        // Every `[start, end)` of a 200-bit map (a sample of them under
+        // Miri), over a map whose other bits are random and must stay.
+        let len = 200;
+        let hash = |seed: u64, i: usize| {
+            let mut h = (seed ^ i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h ^= h >> 29;
+            h.wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 32
+        };
+        let mut before = Bitmap::new_false(len);
+        for i in 0..len {
+            before.set_if(i, hash(1, i) % 2 == 0);
+        }
+        let step = if cfg!(miri) { 13 } else { 1 };
+        let tests: [&dyn Fn(usize) -> bool; 4] =
+            [&|_| false, &|_| true, &|i| hash(2, i) % 3 != 0, &|i| hash(3, i) % 17 == 0];
+        for start in (0..=len).step_by(step) {
+            for end in (start..=len).step_by(step) {
+                for (t, bit) in tests.iter().enumerate() {
+                    let mut fast = before.clone();
+                    let mut seen = Vec::new();
+                    fast.set_range_from(start, end, |i| {
+                        seen.push(i);
+                        bit(i)
+                    });
+                    let mut slow = before.clone();
+                    for i in start..end {
+                        slow.words[i / 64] &= !(1 << (i % 64));
+                        slow.set_if(i, bit(i));
+                    }
+                    assert_eq!(fast, slow, "[{start}, {end}) test {t}");
+                    assert!(seen.iter().copied().eq(start..end), "[{start}, {end}) test {t}");
+                }
+            }
+        }
     }
 
     #[test]
