@@ -17,7 +17,12 @@
 //! * [`CodecKind::DelimitedText`] — one CSV line per record instance,
 //!   fields in layout order, typed by the descriptor's attribute
 //!   table. Physical size is data-dependent, so verification can only
-//!   certify it `Unverified`.
+//!   certify it `Unverified`. [`csv_decode`] reads the text in one
+//!   forward pass and parses each cell as it scans it. A float written
+//!   as a plain decimal of at most 15 significant digits is converted
+//!   exactly, without `str::parse` (see [`scan_decimal`] and
+//!   [`narrow_exact`]); every other cell, doubles and integers
+//!   included, falls back to `trim` + `str::parse`.
 //! * [`CodecKind::ZstdSegment`] — the logical image stored as a zstd
 //!   frame (RFC 8878). The encoder emits Raw and RLE blocks only — a
 //!   valid, universally-decodable subset — and the decoder rejects
@@ -25,6 +30,7 @@
 //!   The I/O layer caches the decompressed image whole, so a cold
 //!   query inflates the frame once and warm reads never touch it.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use dv_types::{DataType, DvError, Result};
@@ -225,8 +231,27 @@ fn cell_to_string(ty: DataType, bytes: &[u8]) -> String {
     }
 }
 
+/// Longest run of a file's text an error message quotes; a cell or a
+/// line past it is cut and marked `…`.
+const QUOTE_MAX: usize = 64;
+
+/// `s` for an error message: at most [`QUOTE_MAX`] bytes, cut on a
+/// char boundary, so a file with no delimiters cannot copy megabytes
+/// into a `DvError`.
+fn quote(s: &str) -> Cow<'_, str> {
+    if s.len() <= QUOTE_MAX {
+        return Cow::Borrowed(s);
+    }
+    let mut end = QUOTE_MAX;
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    Cow::Owned(format!("{}…", &s[..end]))
+}
+
 fn cell_from_str(ty: DataType, cell: &str, out: &mut Vec<u8>) -> Result<()> {
-    let bad = |what: &str| DvError::Runtime(format!("CSV cell `{cell}` is not a valid {what}"));
+    let bad =
+        |what: &str| DvError::Runtime(format!("CSV cell `{}` is not a valid {what}", quote(cell)));
     let cell = cell.trim();
     match ty {
         DataType::Char => out.push(cell.parse::<i8>().map_err(|_| bad("char"))? as u8),
@@ -305,54 +330,170 @@ pub fn csv_encode(
 
 /// Parse CSV text back into the packed logical image, validating every
 /// cell against the file's layout and attribute types.
+///
+/// One forward pass: a single cursor walks the text's bytes, and each
+/// cell is scanned once, parsed as it is scanned, and written into the
+/// image. Lines end at `\n`, a `\r` before it is dropped, and the last
+/// line may lack its `\n` — the lines [`str::lines`] yields.
 pub fn csv_decode(
     file: &FileModel,
     attr_types: &HashMap<String, DataType>,
     text: &str,
 ) -> Result<Vec<u8>> {
     let layout = typed_layout(&file.layout, attr_types)?;
-    let mut lines = text.lines();
+    let bytes = text.as_bytes();
     // Exactly the image's size for a well-formed file; a cell is at
     // least one character and a delimiter and at most eight bytes, so
     // a short or hostile text cannot reserve more than 4× its length.
     let justified = (text.len() as u64 + 1).saturating_mul(4);
     let mut out = Vec::with_capacity(typed_size(&layout).min(justified) as usize);
+    let mut pos = 0usize;
     let mut records = 0u64;
     for_each_record(&layout, &mut |record| {
         records += 1;
-        let line = lines.next().ok_or_else(|| {
-            DvError::Runtime(format!(
+        if pos == bytes.len() {
+            return Err(DvError::Runtime(format!(
                 "CSV file `{}` is truncated: record {records} missing",
                 file.rel_path
-            ))
-        })?;
-        let mut cells = line.split(',');
+            )));
+        }
+        // Whether the line still holds a cell: even an empty line holds
+        // one (empty) cell, and a cell ended by `,` is followed by one.
+        let mut more = true;
         for &(a, ty) in record {
-            let cell = cells.next().ok_or_else(|| {
-                DvError::Runtime(format!(
+            if !more {
+                return Err(DvError::Runtime(format!(
                     "CSV file `{}` record {records}: missing field for `{a}`",
                     file.rel_path
-                ))
-            })?;
-            cell_from_str(ty, cell, &mut out).map_err(|e| {
+                )));
+            }
+            let end;
+            (end, more) = decode_cell(text, pos, ty, &mut out).map_err(|e| {
                 DvError::Runtime(format!("CSV file `{}` record {records}: {e}", file.rel_path))
             })?;
+            pos = end + more as usize;
         }
-        if cells.next().is_some() {
+        if more {
             return Err(DvError::Runtime(format!(
                 "CSV file `{}` record {records}: too many fields",
                 file.rel_path
             )));
         }
+        // Step over the record's `\n`, if the text has one.
+        pos = (pos + 1).min(bytes.len());
         Ok(())
     })?;
-    if let Some(extra) = lines.find(|l| !l.trim().is_empty()) {
+    if let Some(extra) = text[pos..].lines().find(|l| !l.trim().is_empty()) {
         return Err(DvError::Runtime(format!(
-            "CSV file `{}` has trailing data past record {records}: `{extra}`",
-            file.rel_path
+            "CSV file `{}` has trailing data past record {records}: `{}`",
+            file.rel_path,
+            quote(extra)
         )));
     }
     Ok(out)
+}
+
+/// Decode the cell that starts at byte `start` of `text` into `out` and
+/// return the position of its terminator — a `,`, a `\n` or the text's
+/// end — and whether that is a `,`.
+///
+/// A float written as a short plain decimal takes the exact fast path
+/// ([`scan_decimal`]); every other cell is cut at its terminator and
+/// parsed by [`cell_from_str`].
+#[inline]
+fn decode_cell(text: &str, start: usize, ty: DataType, out: &mut Vec<u8>) -> Result<(usize, bool)> {
+    let rest = &text.as_bytes()[start..];
+    if ty == DataType::Float {
+        if let Some((v, n, stop)) = scan_decimal(rest) {
+            if matches!(stop, b',' | b'\n') || n == rest.len() {
+                if let Some(f) = narrow_exact(v) {
+                    out.extend_from_slice(&f.to_le_bytes());
+                    return Ok((start + n, stop == b','));
+                }
+            }
+        }
+    }
+    let len = rest.iter().position(|&c| c == b',' || c == b'\n').unwrap_or(rest.len());
+    // `str::lines` drops a `\r` before a line's `\n`, and only there.
+    let cr = len > 0 && rest[len - 1] == b'\r' && rest.get(len) == Some(&b'\n');
+    cell_from_str(ty, &text[start..start + len - cr as usize], out)?;
+    Ok((start + len, rest.get(len) == Some(&b',')))
+}
+
+/// `10^k` for every `k` at which it is an exact `f64` (5^22 < 2^53).
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// The fast path's mantissa bound: a decimal of at most 15
+/// significant digits has `m < 10^15 < 2^53`, an exact `f64`.
+const FAST_MANTISSA: u64 = 1_000_000_000_000_000;
+
+/// Scan a plain decimal — an optional `-`, digits, and an optional `.`
+/// and digits, with at least one digit — from the front of `bytes`, and
+/// return its correctly rounded `f64` value, its length in bytes and
+/// the byte that follows it (zero at the end of `bytes`).
+///
+/// `None` when the prefix is not such a decimal, or has more than 15
+/// significant digits or more than 22 after the point. Inside those
+/// limits both the mantissa `m` and `10^frac` are exact `f64`s, so the
+/// one division `m / 10^frac` is rounded once, correctly (Clinger's
+/// fast path). The caller decides what may follow the decimal.
+#[inline]
+fn scan_decimal(bytes: &[u8]) -> Option<(f64, usize, u8)> {
+    let neg = bytes.first() == Some(&b'-');
+    let mut end = neg as usize;
+    let (mut m, whole, mut stop) = digit_run(bytes, end, 0)?;
+    end += whole;
+    let mut frac = 0;
+    if stop == b'.' {
+        (m, frac, stop) = digit_run(bytes, end + 1, m)?;
+        end += 1 + frac;
+    }
+    if whole + frac == 0 || m >= FAST_MANTISSA {
+        return None;
+    }
+    let v = m as i64 as f64 / *POW10.get(frac)?;
+    Some((if neg { -v } else { v }, end, stop))
+}
+
+/// Append the run of ASCII digits at `bytes[at..]` to the mantissa `m`,
+/// a byte at a time; returns the new mantissa, the run's length and
+/// the byte that ends it (zero past the end of `bytes`), or `None` once
+/// the mantissa passes the fast path's bound.
+#[inline]
+fn digit_run(bytes: &[u8], at: usize, mut m: u64) -> Option<(u64, usize, u8)> {
+    let mut len = 0;
+    loop {
+        let Some(&c) = bytes.get(at + len) else { return Some((m, len, 0)) };
+        let digit = c.wrapping_sub(b'0');
+        if digit > 9 {
+            return Some((m, len, c));
+        }
+        if m >= FAST_MANTISSA {
+            return None;
+        }
+        m = m * 10 + digit as u64;
+        len += 1;
+    }
+}
+
+/// `v` rounded to the nearest `f32`, when that equals rounding the
+/// decimal `v` came from.
+///
+/// `v` is the decimal's correctly rounded `f64`. Rounding it again to
+/// `f32` can differ from rounding the decimal once only when `v` lies
+/// exactly on the midpoint between two adjacent `f32`s: the decimal may
+/// sit on either side of it, and `v` no longer says which. Such a `v`
+/// has the 29 mantissa bits an `f32` drops set to exactly `1000…0`, and
+/// is refused. Every value [`scan_decimal`] yields is zero or between
+/// 10^-22 and 10^15, where both formats are normal and the bit test is
+/// exact.
+#[inline]
+fn narrow_exact(v: f64) -> Option<f32> {
+    const DROPPED: u64 = (1 << 29) - 1;
+    (v.to_bits() & DROPPED != 1 << 28).then_some(v as f32)
 }
 
 // ---------------------------------------------------------------------------
@@ -650,6 +791,119 @@ mod tests {
         assert!(e.contains("too many"), "{e}");
         let e = csv_decode(&file, &types, "1,2.0\n2,3.0\n3,4.0\n5,6.0\n").unwrap_err().to_string();
         assert!(e.contains("trailing"), "{e}");
+    }
+
+    /// The fast path's value for a whole cell, as `decode_cell` takes it.
+    fn fast_f64(cell: &str) -> Option<f64> {
+        scan_decimal(cell.as_bytes()).filter(|&(_, n, _)| n == cell.len()).map(|(v, ..)| v)
+    }
+
+    /// Check every fast-path result for `cell` against `str::parse`:
+    /// [`scan_decimal`]'s `f64` against `::<f64>()`, and the `f32`
+    /// [`narrow_exact`] makes of it against `::<f32>()`; returns
+    /// whether the `f32` fast path took it.
+    fn fast_matches_std(cell: &str) -> bool {
+        let Some(v) = fast_f64(cell) else { return false };
+        let d: f64 = cell.parse().unwrap_or_else(|e| panic!("`{cell}`: {e}"));
+        assert_eq!(v.to_bits(), d.to_bits(), "f64 `{cell}`");
+        let Some(f) = narrow_exact(v) else { return false };
+        assert_eq!(f.to_bits(), cell.parse::<f32>().unwrap().to_bits(), "float `{cell}`");
+        true
+    }
+
+    /// splitmix64: a seeded stream for the tests below.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed;
+        move || {
+            s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    #[test]
+    fn float_fast_path_is_bit_exact() {
+        // A stride through every f32 bit pattern, as `csv_encode`
+        // renders them.
+        let (mut seen, mut taken) = (0, 0);
+        for bits in (0..=u32::MAX).step_by(8191) {
+            let f = f32::from_bits(bits);
+            if f.is_finite() {
+                seen += 1;
+                taken += fast_matches_std(&format!("{f}")) as usize;
+            }
+        }
+        // Shortest renderings of f32s between 1e-22 and 1e15 have at
+        // most nine significant digits: over a third of all patterns.
+        assert!(taken * 3 > seen, "fast path took {taken} of {seen}");
+
+        // Random decimals of 1–17 digits, the point anywhere, either sign.
+        let mut next = rng(0x5eed);
+        for special in ["0", "-0", "-0.0", ".5", "5.", "-.5", "-5.", "007", "0.000"] {
+            assert!(fast_matches_std(special), "`{special}`");
+        }
+        for _ in 0..200_000 {
+            let r = next();
+            let n = 1 + (r % 17) as usize;
+            let mut cell: String = (0..n).map(|_| char::from(b'0' + (next() % 10) as u8)).collect();
+            let point = (r >> 8) as usize % (n + 2);
+            if point <= n {
+                cell.insert(point, '.');
+            }
+            if r >> 16 & 1 == 1 {
+                cell.insert(0, '-');
+            }
+            fast_matches_std(&cell);
+        }
+        for lone in ["-", ".", "-.", "", "1.2.3", "--1"] {
+            assert_eq!(fast_f64(lone), None, "`{lone}`");
+        }
+
+        // Midpoint traps: a 15-digit decimal that parses to the f64
+        // midpoint between two adjacent f32s without being it. Rounding
+        // the f64 again would tie to even whichever side the decimal
+        // lies on.
+        let (mut traps, mut misrounded) = (0, 0);
+        while traps < 500 {
+            let r = f32::from_bits(next() as u32);
+            let exp = r.abs().log10().floor();
+            if !r.is_finite() || !(-6.0..14.0).contains(&exp) {
+                continue;
+            }
+            let mid = (r as f64 + f32::from_bits(r.to_bits() + 1) as f64) / 2.0;
+            let cell = format!("{:.*}", (14.0 - exp) as usize, mid);
+            let exact = format!("{mid:.80}");
+            let trim = |s: &str| s.trim_end_matches('0').trim_end_matches('.').to_string();
+            if cell.parse::<f64>() != Ok(mid) || trim(&cell) == trim(&exact) {
+                continue;
+            }
+            traps += 1;
+            let once = cell.parse::<f32>().unwrap();
+            misrounded += ((mid as f32).to_bits() != once.to_bits()) as usize;
+            fast_matches_std(&cell);
+        }
+        // Ties to even land on the wrong side about half the time.
+        assert!(misrounded > 100, "only {misrounded} of {traps} traps round twice wrongly");
+    }
+
+    #[test]
+    fn hostile_cells_make_short_errors() {
+        let (file, types) = toy_file();
+        for fill in ["x", "é"] {
+            let huge = fill.repeat(1 << 20);
+            let e = csv_decode(&file, &types, &format!("1,{huge}\n")).unwrap_err().to_string();
+            assert!(e.len() < 200 && e.contains("…` is not a valid float"), "{e}");
+            let text = format!("1,2\n2,3\n3,4\n{huge}\n");
+            let e = csv_decode(&file, &types, &text).unwrap_err().to_string();
+            assert!(e.len() < 200 && e.contains("trailing data past record 3"), "{e}");
+            assert!(e.ends_with("…`"), "{e}");
+        }
+        // A cell at the limit is quoted whole.
+        let cell = "x".repeat(QUOTE_MAX);
+        let e = csv_decode(&file, &types, &format!("{cell},1\n")).unwrap_err().to_string();
+        assert!(e.contains(&format!("`{cell}` is not a valid int")), "{e}");
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property tests for the CSV codec: over random record layouts and
-//! cell values `csv_decode(csv_encode(x)) == x` bit for bit, and a
-//! damaged text either fails cleanly or decodes to a well-formed image
-//! — it never panics.
+//! cell values `csv_decode(csv_encode(x)) == x` bit for bit; a damaged
+//! text either fails cleanly or decodes to a well-formed image — it
+//! never panics; and on every text, damaged or not, the one-pass
+//! decoder agrees with the reference decoder below, byte for byte and
+//! error for error.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -10,7 +12,7 @@ use proptest::prelude::*;
 use dv_descriptor::codec::{csv_decode, csv_encode, decode_physical};
 use dv_descriptor::model::{FileModel, ResolvedItem};
 use dv_descriptor::CodecKind;
-use dv_types::DataType;
+use dv_types::{DataType, DvError, Result};
 
 const TYPES: [DataType; 6] = [
     DataType::Char,
@@ -144,6 +146,239 @@ fn file_and_image(layout: Vec<ResolvedItem>, bits: &[u64]) -> (FileModel, Vec<u8
     (file(layout), image)
 }
 
+// ---------------------------------------------------------------------------
+// The reference decoder
+// ---------------------------------------------------------------------------
+
+/// Longest run of text an error message quotes (the codec's rule).
+const QUOTE_MAX: usize = 64;
+
+fn quote(s: &str) -> String {
+    if s.len() <= QUOTE_MAX {
+        return s.to_string();
+    }
+    let mut end = QUOTE_MAX;
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("{}…", &s[..end])
+}
+
+fn cell_from_str(ty: DataType, cell: &str, out: &mut Vec<u8>) -> Result<()> {
+    let bad =
+        |what: &str| DvError::Runtime(format!("CSV cell `{}` is not a valid {what}", quote(cell)));
+    let cell = cell.trim();
+    match ty {
+        DataType::Char => out.push(cell.parse::<i8>().map_err(|_| bad("char"))? as u8),
+        DataType::Short => {
+            out.extend_from_slice(&cell.parse::<i16>().map_err(|_| bad("short int"))?.to_le_bytes())
+        }
+        DataType::Int => {
+            out.extend_from_slice(&cell.parse::<i32>().map_err(|_| bad("int"))?.to_le_bytes())
+        }
+        DataType::Long => {
+            out.extend_from_slice(&cell.parse::<i64>().map_err(|_| bad("long int"))?.to_le_bytes())
+        }
+        DataType::Float => {
+            let v = if let Some(hex) = cell.strip_prefix("0x") {
+                f32::from_bits(u32::from_str_radix(hex, 16).map_err(|_| bad("float"))?)
+            } else {
+                cell.parse::<f32>().map_err(|_| bad("float"))?
+            };
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        DataType::Double => {
+            let v = if let Some(hex) = cell.strip_prefix("0x") {
+                f64::from_bits(u64::from_str_radix(hex, 16).map_err(|_| bad("double"))?)
+            } else {
+                cell.parse::<f64>().map_err(|_| bad("double"))?
+            };
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    Ok(())
+}
+
+/// Every record of the layout in storage order, each as its typed
+/// attribute run.
+fn typed_records<'a>(
+    items: &'a [ResolvedItem],
+    types: &HashMap<String, DataType>,
+    out: &mut Vec<Vec<(&'a str, DataType)>>,
+) {
+    for item in items {
+        match item {
+            ResolvedItem::Attrs(attrs) => {
+                out.push(attrs.iter().map(|a| (a.as_str(), types[a])).collect())
+            }
+            ResolvedItem::Loop { lo, hi, step, body, .. } => {
+                for _ in 0..ResolvedItem::loop_iterations(*lo, *hi, *step) {
+                    typed_records(body, types, out);
+                }
+            }
+            ResolvedItem::Chunked { .. } => unreachable!("not generated"),
+        }
+    }
+}
+
+/// The three-pass decoder the codec's one-pass scanner replaced —
+/// `str::lines`, then `split(',')`, then `trim` + `str::parse` per
+/// cell — with the codec's 64-byte quoting rule. The oracle the
+/// scanner must match: the same image, or the same error message.
+fn reference_csv_decode(
+    file: &FileModel,
+    attr_types: &HashMap<String, DataType>,
+    text: &str,
+) -> Result<Vec<u8>> {
+    let mut layout = Vec::new();
+    typed_records(&file.layout, attr_types, &mut layout);
+    let mut lines = text.lines();
+    let mut out = Vec::new();
+    let mut records = 0u64;
+    for record in &layout {
+        records += 1;
+        let line = lines.next().ok_or_else(|| {
+            DvError::Runtime(format!(
+                "CSV file `{}` is truncated: record {records} missing",
+                file.rel_path
+            ))
+        })?;
+        let mut cells = line.split(',');
+        for &(a, ty) in record {
+            let cell = cells.next().ok_or_else(|| {
+                DvError::Runtime(format!(
+                    "CSV file `{}` record {records}: missing field for `{a}`",
+                    file.rel_path
+                ))
+            })?;
+            cell_from_str(ty, cell, &mut out).map_err(|e| {
+                DvError::Runtime(format!("CSV file `{}` record {records}: {e}", file.rel_path))
+            })?;
+        }
+        if cells.next().is_some() {
+            return Err(DvError::Runtime(format!(
+                "CSV file `{}` record {records}: too many fields",
+                file.rel_path
+            )));
+        }
+    }
+    if let Some(extra) = lines.find(|l| !l.trim().is_empty()) {
+        return Err(DvError::Runtime(format!(
+            "CSV file `{}` has trailing data past record {records}: `{}`",
+            file.rel_path,
+            quote(extra)
+        )));
+    }
+    Ok(out)
+}
+
+/// The span of the cell that holds byte `at` of `text`.
+fn cell_span(text: &[u8], at: usize) -> std::ops::Range<usize> {
+    let delim = |b: &u8| *b == b',' || *b == b'\n';
+    let start = text[..at].iter().rposition(delim).map_or(0, |i| i + 1);
+    let end = text[at..].iter().position(delim).map_or(text.len(), |i| at + i);
+    start..end
+}
+
+/// A decimal of `n` random digits with the point anywhere (or nowhere)
+/// and either sign.
+fn long_mantissa(n: usize, mut r: u64) -> String {
+    let mut s: String = (0..n)
+        .map(|i| char::from(b'0' + ((r.rotate_left(7 * i as u32) ^ i as u64) % 10) as u8))
+        .collect();
+    let point = (r % (n as u64 + 2)) as usize;
+    if point <= n {
+        s.insert(point, '.');
+    }
+    r >>= 32;
+    if r & 1 == 1 {
+        s.insert(0, '-');
+    }
+    s
+}
+
+fn replace(text: &mut Vec<u8>, span: std::ops::Range<usize>, with: &str) {
+    text.splice(span, with.bytes());
+}
+
+/// Damage `text` once: the kinds of `damaged_csv_errs_or_decodes_cleanly`
+/// plus the spellings a hand-written or foreign CSV file carries.
+fn damage(text: &mut Vec<u8>, kind: u8, at: u64, byte: u8, r: u64) {
+    let at = (at % (text.len() as u64 + 1)) as usize;
+    let cell = cell_span(text, at);
+    match kind {
+        0 => text.truncate(at),
+        1 if at < text.len() => text[at] = byte,
+        2 => text.insert(at, b','),
+        3 => {
+            if let Some(i) = text[at..].iter().position(|b| *b == b',') {
+                text.remove(at + i);
+            }
+        }
+        4 => text.extend_from_slice(if byte.is_multiple_of(2) { b"7,7\n" } else { b" \n\n" }),
+        // `\r\n` line ends, everywhere or from `at` on.
+        5 => {
+            let from = if byte.is_multiple_of(2) { 0 } else { at };
+            let mut crlf = text[..from].to_vec();
+            for &b in &text[from..] {
+                if b == b'\n' {
+                    crlf.push(b'\r');
+                }
+                crlf.push(b);
+            }
+            *text = crlf;
+        }
+        // Blank trailing lines, and a last line without its `\n`.
+        6 => match byte % 4 {
+            0 => text.extend_from_slice(b"\n\n"),
+            1 => text.extend_from_slice(b"\r\n\t \r\n"),
+            2 => text.extend_from_slice(b"\n\r"),
+            _ => {
+                if text.last() == Some(&b'\n') {
+                    text.pop();
+                }
+            }
+        },
+        // Spaces, tabs or a NUL around a cell.
+        7 => {
+            let pad = [" ", "\t", "  ", "\0"][byte as usize % 4];
+            let i = if byte.is_multiple_of(2) { cell.start } else { cell.end };
+            text.splice(i..i, pad.bytes());
+        }
+        // A `+` sign, or leading zeros after any sign.
+        8 => text.insert(cell.start, b'+'),
+        9 => {
+            let i = cell.start + (text.get(cell.start) == Some(&b'-')) as usize;
+            text.splice(i..i, "00".bytes().take(1 + byte as usize % 2));
+        }
+        // An exponent.
+        10 => {
+            let e = ["e3", "E-2", "e+1", "e0", "e-40", "e", "E400"][byte as usize % 7];
+            text.splice(cell.end..cell.end, e.bytes());
+        }
+        // A mantissa of 14–20 digits.
+        11 => replace(text, cell, &long_mantissa(14 + byte as usize % 7, r)),
+        // A hex bit pattern, well- or ill-formed.
+        12 => replace(
+            text,
+            cell,
+            &match byte % 3 {
+                0 => format!("0x{:08x}", r as u32),
+                1 => format!("0x{r:016x}"),
+                _ => "0x".to_string(),
+            },
+        ),
+        // Infinities and NaNs in the spellings `str::parse` knows.
+        13 => replace(
+            text,
+            cell,
+            ["inf", "-inf", "NaN", "infinity", "-nan", "+Infinity"][byte as usize % 6],
+        ),
+        // A lone sign or point.
+        _ => replace(text, cell, ["-", ".", "-.", "+", ""][byte as usize % 5]),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -191,6 +426,33 @@ proptest! {
             prop_assert_eq!(decoded.len(), image.len());
             let again = csv_encode(&file, &types, &decoded).unwrap();
             prop_assert_eq!(csv_decode(&file, &types, &again).unwrap(), decoded);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn decode_matches_reference_decoder(
+        layout in arb_items(),
+        bits in prop::collection::vec(any::<u64>(), 64),
+        damages in prop::collection::vec((0u8..15, any::<u64>(), any::<u8>(), any::<u64>()), 0..4),
+    ) {
+        let types = attr_types();
+        let (file, image) = file_and_image(layout, &bits);
+        let mut text = csv_encode(&file, &types, &image).unwrap().into_bytes();
+        for (kind, at, byte, r) in damages {
+            damage(&mut text, kind, at, byte, r);
+        }
+        let decoded = decode_physical(CodecKind::DelimitedText, &file, &types, &text);
+        match std::str::from_utf8(&text) {
+            Ok(text) => match (decoded, reference_csv_decode(&file, &types, text)) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+                (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
+                (got, want) => panic!("decoder {got:?} but reference {want:?} on {text:?}"),
+            },
+            Err(_) => prop_assert!(decoded.unwrap_err().to_string().contains("not valid UTF-8")),
         }
     }
 }
