@@ -59,6 +59,11 @@ pub fn parse(raw: &[String]) -> Result<Args, String> {
             args.positionals.push(a.clone());
         }
     }
+    if args.command == "verify" && args.positionals.len() > 1 {
+        return Err("`verify` takes only a descriptor; to check a query against it, run \
+                    `datavirt lint <descriptor> \"<SQL>\"`"
+            .into());
+    }
     Ok(args)
 }
 
@@ -162,6 +167,13 @@ mod tests {
         let err = parse(&sv(&["query", "d.desc", "--stat"])).unwrap_err();
         assert!(err.contains("--stat"), "{err}");
         assert!(parse(&sv(&["query", "d.desc", "--stats", "--no-prune"])).is_ok());
+    }
+
+    #[test]
+    fn verify_with_sql_is_usage_error() {
+        let err = parse(&sv(&["verify", "d.desc", "SELECT X FROM D"])).unwrap_err();
+        assert!(err.contains("datavirt lint"), "{err}");
+        assert!(parse(&sv(&["verify", "d.desc", "--base", "/data"])).is_ok());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! datavirt schema   <descriptor>                      show the virtual table + file inventory
 //! datavirt fmt      <descriptor>                      print the canonical descriptor form
 //! datavirt validate <descriptor> --base <dir>         check files against the descriptor
-//! datavirt lint     <descriptor> [<SQL>]              static analysis: DV0xx/DV1xx diagnostics
-//! datavirt verify   <descriptor> [<SQL>]              semantic verification: DV2xx refutations + certificate
+//! datavirt lint     <descriptor> [<SQL>]              static analysis: DV0xx/DV1xx (+ DV3xx/DV4xx with SQL)
+//! datavirt verify   <descriptor>                      semantic verification: DV2xx refutations + certificate
 //! datavirt cost     <descriptor> <SQL>                static resource bounds + DV4xx budget checks
 //! datavirt query    <descriptor> --base <dir> <SQL>   run a query  [--format table|csv] [--limit N] [--stats] [--timeout D] [--no-prune]
 //! datavirt serve    <descriptor> --base <dir> --workload <file>   run a query workload concurrently
@@ -25,11 +25,12 @@
 //! --deny-warnings` turns warnings into a failing exit code (for CI).
 //! `lint` and `verify` accept `--format json` (one shared schema) and
 //! `--format sarif` for code-scanning upload. When a SQL argument is
-//! given, `lint` also runs the static prune pass (DV301–DV305): the
-//! WHERE clause abstract-interpreted over the descriptor's extents,
-//! and the static cost pass (DV401–DV405): guaranteed resource bounds
+//! given, `lint` also runs the query pass (DV106, DV301–DV305): the
+//! query decided once against the descriptor's extents, and the
+//! static cost pass (DV401, DV403–DV405): guaranteed resource bounds
 //! checked against `--byte-budget`, `--group-memory-budget` and
-//! `--link-bytes-per-sec`/`--link-deadline`. `cost` prints the full
+//! `--link-bytes-per-sec`/`--link-deadline`. `verify` takes only a
+//! descriptor; a SQL argument is a usage error. `cost` prints the full
 //! bound report; the same budget flags on `query` configure
 //! cost-based admission (statically over-budget queries are rejected
 //! with a DV-coded error before any fragment runs).
@@ -70,7 +71,7 @@ USAGE:
   datavirt fmt      <descriptor>
   datavirt validate <descriptor> --base <dir>
   datavirt lint     <descriptor> [\"<SQL>\"] [--format human|json|sarif] [--deny-warnings] [--byte-budget <B>] [--group-memory-budget <B>] [--link-bytes-per-sec <B> --link-deadline <dur>]
-  datavirt verify   <descriptor> [\"<SQL>\"] [--base <dir>] [--format human|json|sarif] [--deny-warnings]
+  datavirt verify   <descriptor> [--base <dir>] [--format human|json|sarif] [--deny-warnings]
   datavirt cost     <descriptor> \"<SQL>\" [--byte-budget <B>] [--group-memory-budget <B>] [--link-bytes-per-sec <B> --link-deadline <dur>] [--deny-warnings]
   datavirt query    <descriptor> --base <dir> \"<SQL>\" [--format table|csv] [--limit N] [--stats] [--timeout <dur>] [--threads <N>] [--morsel-bytes <B>] [--byte-budget <B>] [--group-memory-budget <B>] [--no-prune] [--deny-warnings]
   datavirt serve    <descriptor> --base <dir> --workload <file> [--max-concurrent <N>] [--timeout <dur>] [--threads <N>] [--morsel-bytes <B>]
@@ -276,7 +277,6 @@ fn collect_lints(
             let model = dv_descriptor::compile(text).map_err(|e| e.to_string())?;
             let udfs = dv_sql::UdfRegistry::with_builtins();
             let mut q = dv_lint::lint_query(&model, sql, &udfs).map_err(|e| e.to_string())?;
-            q.extend(dv_lint::prune_query(&model, sql, &udfs).map_err(|e| e.to_string())?);
             q.extend(dv_lint::cost_query(&model, sql, &udfs, budgets).map_err(|e| e.to_string())?);
             q.sort_by_key(|d| (d.span.start, d.code));
             q
@@ -370,25 +370,12 @@ fn observed_sizes(text: &str, base: &str) -> Result<dv_lint::verify::ObservedSiz
 fn cmd_verify(a: &args::Args) -> Result<ExitCode, String> {
     let path = a.positional(0, "descriptor")?.to_string();
     let text = read_descriptor(a)?;
-    let sql = a.positionals.get(1).map(|s| s.as_str());
-
     let sizes = match a.options.get("base") {
         Some(base) => Some(observed_sizes(&text, base)?),
         None => None,
     };
     let report = dv_lint::verify_descriptor(&text, sizes.as_ref()).map_err(|e| e.to_string())?;
-    // The certificate covers the descriptor; query findings (DV205)
-    // additionally gate the exit code.
     let certificate = report.certificate();
-    let qfindings = match sql {
-        Some(sql) => {
-            let model = dv_descriptor::compile(&text).map_err(|e| e.to_string())?;
-            let udfs = dv_sql::UdfRegistry::with_builtins();
-            dv_lint::verify_query(&model, sql, &udfs).map_err(|e| e.to_string())?
-        }
-        None => Vec::new(),
-    };
-
     let emitted: Vec<dv_lint::Emitted> = report
         .findings
         .iter()
@@ -396,20 +383,12 @@ fn cmd_verify(a: &args::Args) -> Result<ExitCode, String> {
             dv_lint::Emitted::new(&f.diag, &text, &path)
                 .with_counterexample(f.counterexample.as_ref())
         })
-        .chain(qfindings.iter().map(|f| {
-            dv_lint::Emitted::new(&f.diag, sql.unwrap_or(""), "<query>")
-                .with_counterexample(f.counterexample.as_ref())
-        }))
         .collect();
 
     match a.option_or("format", "human") {
         "human" => {
-            let rendered: Vec<String> = report
-                .findings
-                .iter()
-                .map(|f| f.diag.render(&text, &path))
-                .chain(qfindings.iter().map(|f| f.diag.render(sql.unwrap_or(""), "<query>")))
-                .collect();
+            let rendered: Vec<String> =
+                report.findings.iter().map(|f| f.diag.render(&text, &path)).collect();
             if !rendered.is_empty() {
                 print!("{}", rendered.join("\n"));
                 println!();
@@ -477,12 +456,6 @@ fn preflight_lint(a: &args::Args, sql: &str) -> Result<(), String> {
     let report = dv_lint::verify_descriptor(&text, None).map_err(|e| e.to_string())?;
     diags.extend(report.findings.into_iter().map(|f| f.diag));
     diags.sort_by_key(|d| (d.span.start, d.code));
-    if let Ok(model) = dv_descriptor::compile(&text) {
-        let udfs = dv_sql::UdfRegistry::with_builtins();
-        let qf = dv_lint::verify_query(&model, sql, &udfs).map_err(|e| e.to_string())?;
-        qdiags.extend(qf.into_iter().map(|f| f.diag));
-        qdiags.sort_by_key(|d| (d.span.start, d.code));
-    }
     // Notes (e.g. the DV304 prune summary) are informational and must
     // not stop a query under --deny-warnings.
     diags.retain(|d| d.severity != dv_lint::Severity::Note);

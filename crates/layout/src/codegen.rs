@@ -121,11 +121,16 @@ pub fn render_plan(c: &CompiledDataset, plan: &QueryPlan) -> String {
                 np.prune.groups_full
             );
         }
-        // Mirror the runtime: coalescing happens within working-set
-        // groups, so the summary aggregates per group.
+        // The morsel schedule at this host's default worker count (the
+        // runtime re-plans with the query's actual thread setting). Its
+        // groups are the runtime's fetch units — capped at
+        // min(group_bytes, morsel target) — and coalescing happens
+        // within each, so the I/O line sums over them.
+        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let mp = crate::morsel::MorselPlan::build(&np.afcs, io.group_bytes, threads, 0);
         let mut s = crate::io::CoalesceSummary::default();
-        for g in crate::io::group_afcs(&np.afcs, io.group_bytes) {
-            let gs = crate::io::coalesce_summary(&np.afcs[g], io.coalesce_gap);
+        for g in &mp.groups {
+            let gs = crate::io::coalesce_summary(&np.afcs[g.clone()], io.coalesce_gap);
             s.runs += gs.runs;
             s.reads += gs.reads;
             s.bytes_used += gs.bytes_used;
@@ -142,10 +147,6 @@ pub fn render_plan(c: &CompiledDataset, plan: &QueryPlan) -> String {
                 s.bytes_used
             );
         }
-        // Morsel schedule at this host's default worker count (the
-        // runtime re-plans with the query's actual thread setting).
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let mp = crate::morsel::MorselPlan::build(&np.afcs, io.group_bytes, threads, 0);
         if !mp.morsels.is_empty() {
             let _ = writeln!(
                 out,

@@ -19,8 +19,9 @@
 //!   of AFCs whose prune verdict is `Full` (the filter is provably
 //!   true there and skipped at runtime).
 //! * `bytes_read` — exact: `Σ num_rows × stride` over retained AFC
-//!   entries; both the direct read path and the I/O scheduler charge
-//!   exactly the entry runs.
+//!   entries; the scheduled read path charges each extracted AFC's
+//!   entry runs once, whatever coalescing or the cache did to the
+//!   reads beneath them.
 //! * `read_syscalls` / `io_runs` — at most one syscall per entry run
 //!   (`Σ entries`); coalescing and the segment cache only merge or
 //!   absorb reads, never split them.
@@ -28,8 +29,7 @@
 //!   `coalesce_gap`; each merge adds at most `coalesce_gap` slack
 //!   bytes and there are fewer merges than runs, so issued bytes
 //!   never exceed `bytes_read + runs × coalesce_gap`. Overlap
-//!   deduplication and cache hits only reduce the total. The direct
-//!   path issues exactly the planned bytes.
+//!   deduplication and cache hits only reduce the total.
 //! * `mover_sends` — scans ship at most one block per AFC (blocks
 //!   batch one *or more* AFCs) partitioned across at most
 //!   `client_processors` sends each. Aggregation pushdown ships at

@@ -39,9 +39,8 @@ pub fn file_matches(file: &FileModel, ranges: &HashMap<String, IntervalSet>) -> 
 
 /// Are two files consistent enough to contribute to the same rows?
 /// (Shared implicit variables must overlap; exact alignment is checked
-/// later at the segment level.) Also used by `dv-lint` to decide which
-/// file pairs group together.
-pub fn consistent(a: &FileModel, b: &FileModel) -> bool {
+/// later at the segment level.)
+fn consistent(a: &FileModel, b: &FileModel) -> bool {
     for (var, ea) in &a.extents {
         if let Some(eb) = b.extents.get(var) {
             let (alo, ahi) = ea.hull();

@@ -9,10 +9,6 @@
 //!
 //! * **DV401** — the bytes-issued bound (after pruning and run
 //!   coalescing) exceeds the declared byte budget.
-//! * **DV402** — the cost is unboundable below a full scan: a UDF or
-//!   non-finite constant blocks selectivity reasoning, so no budget
-//!   tighter than the un-filtered plan can ever be proven. The
-//!   blocking subexpression is spanned.
 //! * **DV403** — the mover wire-byte bound cannot fit through the
 //!   declared link model within its deadline.
 //! * **DV404** — the group-cardinality bound (aggregation reduction
@@ -20,9 +16,11 @@
 //! * **DV405** — informational note naming the estimate-dominating
 //!   stage (scan I/O vs. data movement) with the full bound summary.
 //!
-//! Descriptors with `CHUNKED` layouts need their on-disk chunk index
-//! to plan, so the pass degrades to silence for them rather than
-//! guessing.
+//! A UDF or non-finite constant leaves the bounds at what pruning
+//! alone proves; that blocker is the query pass's DV303, not a cost
+//! finding. Descriptors with `CHUNKED` layouts need their on-disk
+//! chunk index to plan, so the pass degrades to silence for them
+//! rather than guessing.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -30,12 +28,11 @@ use std::time::Duration;
 
 use dv_descriptor::DatasetModel;
 use dv_layout::{CompiledDataset, CostParams, CostReport};
-use dv_sql::ternary::{prune_blockers, PruneBlocker};
 use dv_sql::{bind, parse, UdfRegistry};
 use dv_types::Result;
 
 use crate::diag::{Code, Diagnostic};
-use crate::prune::{span_of, where_span};
+use crate::prune::where_span;
 
 /// A declared link model for DV403: the bound mover payload must fit
 /// through `bytes_per_sec` within `deadline`.
@@ -46,7 +43,7 @@ pub struct LinkBudget {
 }
 
 /// Declared budgets the cost pass checks bounds against. All optional;
-/// an empty default checks nothing and only emits DV402/DV405.
+/// an empty default checks nothing and only emits the DV405 note.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CostBudgets {
     /// Byte budget for DV401 (checked against the bytes-issued bound).
@@ -58,18 +55,15 @@ pub struct CostBudgets {
     pub link: Option<LinkBudget>,
 }
 
-/// Compile and plan `sql` against a resolved model with dummy storage
-/// roots (layout math only — no data needs to exist on disk),
-/// returning the plan plus the cost parameters [`cost_report`] would
-/// analyze it with. Returns `Ok(None)` for `CHUNKED` descriptors,
-/// whose plans need the on-disk chunk index. Exposed separately so the
-/// cost bench can time the bound derivation apart from planning, which
-/// the admission path gets for free.
-pub fn cost_plan(
+/// Derive the static cost report of `sql` against a resolved model,
+/// planning with dummy storage roots (layout math only — no data needs
+/// to exist on disk). Returns `Ok(None)` for `CHUNKED` descriptors,
+/// whose plans need the on-disk chunk index.
+pub fn cost_report(
     model: &DatasetModel,
     sql: &str,
     udfs: &UdfRegistry,
-) -> Result<Option<(dv_layout::QueryPlan, CostParams)>> {
+) -> Result<Option<CostReport>> {
     let query = parse(sql)?;
     let bound = bind(&query, &model.schema, udfs)?;
     if model.files.iter().any(|f| f.is_chunked()) {
@@ -82,19 +76,7 @@ pub fn cost_plan(
     };
     let plan = compiled.plan_query(&bound)?;
     let params = CostParams::new(&dv_layout::IoOptions::default(), 1, bound.predicate.is_some());
-    Ok(Some((plan, params)))
-}
-
-/// Derive the static cost report of `sql` against a resolved model,
-/// planning with dummy storage roots (layout math only). Returns
-/// `Ok(None)` for `CHUNKED` descriptors, whose plans need the on-disk
-/// chunk index.
-pub fn cost_report(
-    model: &DatasetModel,
-    sql: &str,
-    udfs: &UdfRegistry,
-) -> Result<Option<CostReport>> {
-    Ok(cost_plan(model, sql, udfs)?.map(|(plan, params)| CostReport::analyze(&plan, &params)))
+    Ok(Some(CostReport::analyze(&plan, &params)))
 }
 
 /// Lint one SQL query's static cost against a resolved model and the
@@ -106,43 +88,11 @@ pub fn cost_query(
     udfs: &UdfRegistry,
     budgets: &CostBudgets,
 ) -> Result<Vec<Diagnostic>> {
-    let query = parse(sql)?;
-    let bound = bind(&query, &model.schema, udfs)?;
+    let Some(report) = cost_report(model, sql, udfs)? else {
+        return Ok(Vec::new());
+    };
     let mut diags = Vec::new();
     let span = where_span(sql);
-
-    // DV402: blockers make every bound degrade to the un-filtered
-    // plan — selectivity reasoning is off the table. Spanned at the
-    // blocking subexpression, independent of any budget.
-    if let Some(pred) = &bound.predicate {
-        for blocker in prune_blockers(pred) {
-            let (bspan, what) = match blocker {
-                PruneBlocker::Udf { slot } => {
-                    let name = udfs.name_of(slot).to_string();
-                    (span_of(sql, &name), format!("UDF `{name}` is opaque to interval analysis"))
-                }
-                PruneBlocker::NonFiniteConst => {
-                    (span, "a non-finite constant defeats interval reasoning".to_string())
-                }
-            };
-            diags.push(
-                Diagnostic::new(
-                    Code::Dv402,
-                    bspan,
-                    format!("cost is unboundable below a full scan: {what}"),
-                )
-                .with_help(
-                    "the static bounds assume every chunk survives pruning and every row \
-                     survives the filter; budgets are checked against the full-scan cost",
-                ),
-            );
-        }
-    }
-
-    let Some(report) = cost_report(model, sql, udfs)? else {
-        diags.sort_by_key(|d| (d.span.start, d.code));
-        return Ok(diags);
-    };
 
     // DV401: the plan's post-prune byte bound against the byte budget.
     // `bytes_read` is the exact planned payload; the issued-byte bound
@@ -302,12 +252,13 @@ DATASET "D" {
     }
 
     #[test]
-    fn udf_fires_dv402_at_call_site() {
+    fn udf_is_not_a_cost_finding() {
+        // The blocker is the query pass's DV303; the cost pass only
+        // reports the bound pruning proves — here a full scan.
         let sql = "SELECT SOIL FROM D WHERE SPEED(SOIL, SOIL, SOIL) < 30.0";
         let diags = lint(sql, &CostBudgets::default());
-        let d = diags.iter().find(|d| d.code == Code::Dv402).expect("DV402");
-        assert!(d.message.contains("SPEED"), "{d:?}");
-        assert_eq!(&sql[d.span.start..d.span.end], "SPEED");
+        assert_eq!(codes(&diags), [Code::Dv405], "{diags:?}");
+        assert!(diags[0].help.as_deref().unwrap().contains("rows scanned = 100"), "{diags:?}");
     }
 
     #[test]

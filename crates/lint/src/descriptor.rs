@@ -1,17 +1,17 @@
-//! Descriptor lints DV001–DV008 and DV104.
+//! Descriptor lints DV001–DV007 and DV104.
 //!
 //! DV001–DV007 run on the raw [`DescriptorAst`], so they fire even for
-//! descriptors that fail semantic resolution. DV008 compares resolved
-//! file extents and DV104 inspects resolved layouts and file groups,
-//! so they additionally need the [`DatasetModel`].
+//! descriptors that fail semantic resolution. DV104 inspects resolved
+//! layouts and file groups, so it additionally needs the
+//! [`DatasetModel`]. Misaligned file groups are the verifier's DV203.
 
 use std::collections::{BTreeSet, HashMap};
 
 use dv_descriptor::ast::{DataAst, DatasetAst, DescriptorAst, SpaceItem};
 use dv_descriptor::expr::{Env, Expr};
-use dv_descriptor::model::{items_byte_size, ResolvedItem, VarExtent};
+use dv_descriptor::model::{items_byte_size, ResolvedItem};
 use dv_descriptor::DatasetModel;
-use dv_layout::groups::{consistent, node_file_groups};
+use dv_layout::groups::node_file_groups;
 use dv_types::Span;
 
 use crate::diag::{Code, Diagnostic};
@@ -376,22 +376,9 @@ fn check_unreferenced_dirs(ast: &DescriptorAst, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-fn range_iterations(e: &VarExtent) -> Option<i64> {
-    match e {
-        VarExtent::Point(_) => None,
-        VarExtent::Range { lo, hi, step } => {
-            if *step > 0 && lo <= hi {
-                Some((hi - lo) / step + 1)
-            } else {
-                None
-            }
-        }
-    }
-}
-
-/// Find the span of the LOOP over `var` inside the leaf dataset named
-/// `dataset`, for anchoring DV008.
-fn find_loop_span(ast: &DescriptorAst, dataset: &str, var: &str) -> Span {
+/// Span of the first LOOP over `var` inside the dataset named
+/// `dataset` — the anchor of DV104 and of the verifier's DV203.
+pub(crate) fn loop_span(ast: &DescriptorAst, dataset: &str, var: &str) -> Span {
     fn in_space(space: &[SpaceItem], var: &str) -> Option<Span> {
         for item in space {
             if let SpaceItem::Loop { var: v, body, span, .. } = item {
@@ -413,58 +400,6 @@ fn find_loop_span(ast: &DescriptorAst, dataset: &str, var: &str) -> Span {
         .and_then(|d| d.dataspace.as_ref())
         .and_then(|s| in_space(s, var))
         .unwrap_or(Span::DUMMY)
-}
-
-/// DV008: files of different datasets that group together at query
-/// time (same node, overlapping extents) but whose shared loop
-/// variables enumerate different numbers of points — their computed
-/// row counts disagree, so aligned iteration would drop or duplicate
-/// rows.
-pub fn model_lints(ast: &DescriptorAst, model: &DatasetModel) -> Vec<Diagnostic> {
-    let mut diags = check_group_alignment(ast, model);
-    diags.extend(check_tiny_runs(ast, model));
-    diags
-}
-
-fn check_group_alignment(ast: &DescriptorAst, model: &DatasetModel) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut reported: BTreeSet<(String, String, String)> = BTreeSet::new();
-    for (i, a) in model.files.iter().enumerate() {
-        for b in model.files.iter().skip(i + 1) {
-            if a.dataset == b.dataset || a.node != b.node || !consistent(a, b) {
-                continue;
-            }
-            for (var, ea) in &a.extents {
-                let Some(eb) = b.extents.get(var) else { continue };
-                let counts = (range_iterations(ea), range_iterations(eb));
-                if let (Some(na), Some(nb)) = counts {
-                    if na != nb {
-                        let key = (a.dataset.clone(), b.dataset.clone(), var.clone());
-                        if !reported.insert(key) {
-                            continue;
-                        }
-                        diags.push(
-                            Diagnostic::new(
-                                Code::Dv008,
-                                find_loop_span(ast, &a.dataset, var),
-                                format!(
-                                    "datasets \"{}\" and \"{}\" disagree on the number of \
-                                     `{var}` iterations ({na} vs {nb}) for files that group \
-                                     together",
-                                    a.dataset, b.dataset
-                                ),
-                            )
-                            .with_help(
-                                "aligned file groups must compute identical row counts per \
-                                 shared loop variable",
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    diags
 }
 
 /// One I/O coalescing unit: AFC runs below this size cannot amortize a
@@ -533,7 +468,7 @@ fn innermost_index_var<'a>(items: &'a [ResolvedItem], index: &BTreeSet<&str>) ->
 /// each point-query slice of its layout reads less than one coalescing
 /// unit. Every row block then seeks across all grouped files and the
 /// I/O scheduler's merged reads degenerate to seek-per-file traffic.
-fn check_tiny_runs(ast: &DescriptorAst, model: &DatasetModel) -> Vec<Diagnostic> {
+pub fn check_tiny_runs(ast: &DescriptorAst, model: &DatasetModel) -> Vec<Diagnostic> {
     let index: BTreeSet<&str> = model.index_attrs.iter().map(|s| s.as_str()).collect();
     if index.is_empty() {
         return Vec::new();
@@ -564,7 +499,7 @@ fn check_tiny_runs(ast: &DescriptorAst, model: &DatasetModel) -> Vec<Diagnostic>
                 diags.push(
                     Diagnostic::new(
                         Code::Dv104,
-                        find_loop_span(ast, &f.dataset, var),
+                        loop_span(ast, &f.dataset, var),
                         format!(
                             "dataset \"{}\" yields {run}-byte AFC runs per `{var}` value in \
                              {}-file groups — smaller than one {DV104_RUN_BYTES}-byte \

@@ -6,10 +6,10 @@ use std::fmt;
 use dv_types::Span;
 
 /// Every diagnostic the analyzer can emit. `DV0xx` codes fire on
-/// descriptor text, `DV1xx` codes on queries checked against a
-/// resolved model, `DV2xx` codes are refutations produced by the
-/// `dv-verify` semantic analysis pass, `DV3xx` codes come from the
-/// dv-prune predicate–extent abstract interpretation, and `DV4xx`
+/// descriptor text, `DV1xx` codes need the resolved model (DV104 on
+/// the descriptor, DV106 on a query), `DV2xx` codes are refutations
+/// produced by the `dv-verify` semantic analysis pass, `DV3xx` codes
+/// come from the query pass's predicate–extent analysis, and `DV4xx`
 /// codes from the dv-cost static resource-bound analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
@@ -27,15 +27,6 @@ pub enum Code {
     Dv006,
     /// Storage `DIR` entry referenced by no file template.
     Dv007,
-    /// Aligned file groups whose computed row counts disagree.
-    Dv008,
-    /// Predicate provably selects nothing.
-    Dv101,
-    /// UDF filter over an index-prunable attribute.
-    Dv102,
-    /// UDF filter with no vectorizable guard conjunct — the UDF runs
-    /// on every row of every block.
-    Dv103,
     /// Layout yields AFC runs smaller than one I/O coalescing unit at
     /// high file fan-in — reads degenerate to a seek per file.
     Dv104,
@@ -51,16 +42,16 @@ pub enum Code {
     Dv203,
     /// A DATASPACE region is dead: no query can ever reach its bytes.
     Dv204,
-    /// A predicate is provably empty against the implicit loop bounds.
-    Dv205,
-    /// Predicate contradicts the layout extents: the result is
-    /// statically empty (every file group prunes away).
+    /// The result is statically empty: an attribute's range is empty,
+    /// no file passes the planner's file filter, or the predicate is
+    /// false over the dataset's or every file's extents.
     Dv301,
     /// Predicate is tautological over the dataset's extents: it can
     /// never filter anything.
     Dv302,
-    /// Pruning is blocked by a UDF call or a non-finite (NaN-unsound)
-    /// constant in the predicate.
+    /// No top-level conjunct is free of prune blockers (UDF calls,
+    /// non-finite constants): nothing prunes, and a UDF in every
+    /// conjunct runs on every row.
     Dv303,
     /// Per-group prune summary (informational note).
     Dv304,
@@ -69,10 +60,6 @@ pub enum Code {
     Dv305,
     /// The plan's static byte bound exceeds a declared byte budget.
     Dv401,
-    /// Cost is unboundable below a full scan: a UDF or non-finite
-    /// constant blocks selectivity reasoning (blocking subexpression
-    /// spanned).
-    Dv402,
     /// The mover wire-byte bound exceeds what the declared link model
     /// can carry within the deadline.
     Dv403,
@@ -224,9 +211,9 @@ mod tests {
 
     #[test]
     fn render_survives_dummy_span() {
-        let d = Diagnostic::error(Code::Dv101, Span::DUMMY, "boom");
+        let d = Diagnostic::error(Code::Dv301, Span::DUMMY, "boom");
         let r = d.render("abc", "q");
-        assert!(r.contains("error[DV101]: boom"), "{r}");
+        assert!(r.contains("error[DV301]: boom"), "{r}");
         assert!(r.contains("--> q:1:1"), "{r}");
     }
 
@@ -240,24 +227,18 @@ mod tests {
             Code::Dv005,
             Code::Dv006,
             Code::Dv007,
-            Code::Dv008,
-            Code::Dv101,
-            Code::Dv102,
-            Code::Dv103,
             Code::Dv104,
             Code::Dv106,
             Code::Dv201,
             Code::Dv202,
             Code::Dv203,
             Code::Dv204,
-            Code::Dv205,
             Code::Dv301,
             Code::Dv302,
             Code::Dv303,
             Code::Dv304,
             Code::Dv305,
             Code::Dv401,
-            Code::Dv402,
             Code::Dv403,
             Code::Dv404,
             Code::Dv405,

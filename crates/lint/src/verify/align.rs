@@ -2,20 +2,22 @@
 //! `Find_File_Groups` group must yield the same number of rows per
 //! shared loop variable.
 //!
-//! The lint pass's DV008 warns about the same situation; the verifier
-//! upgrades it to a refutation with a counterexample: the first
-//! iteration present in one file of the group but not the other, and
-//! the byte range of the orphaned record.
+//! The groups are the planner's own ([`node_file_groups`]), so only
+//! files that really iterate in lock-step are compared. A refutation
+//! carries a counterexample: the first iteration present in one file
+//! of the group but not the other, and the byte range of the orphaned
+//! record.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use dv_descriptor::ast::DescriptorAst;
 use dv_descriptor::model::VarExtent;
 use dv_descriptor::DatasetModel;
 use dv_layout::groups::node_file_groups;
-use dv_types::Span;
 
 use super::extent::PseudoFile;
 use super::report::{Counterexample, Finding};
+use crate::descriptor::loop_span;
 use crate::diag::{Code, Diagnostic};
 
 fn range_iterations(e: &VarExtent) -> Option<i64> {
@@ -26,21 +28,12 @@ fn range_iterations(e: &VarExtent) -> Option<i64> {
     }
 }
 
-/// Span of the LOOP over `var` in dataset `dataset`, found via the
-/// elaborated extents (which carry loop-header spans).
-fn loop_span(files: &[PseudoFile], dataset: &str, var: &str) -> Span {
-    files
-        .iter()
-        .filter(|f| f.dataset == dataset)
-        .flat_map(|f| f.regions.iter().chain(f.dead.iter()))
-        .flat_map(|r| r.dims.iter())
-        .find(|d| d.var == var)
-        .map(|d| d.span)
-        .unwrap_or(Span::DUMMY)
-}
-
 /// Check alignment of every query-time file group of the model.
-pub fn check_alignment(model: &DatasetModel, files: &[PseudoFile]) -> Vec<Finding> {
+pub fn check_alignment(
+    ast: &DescriptorAst,
+    model: &DatasetModel,
+    files: &[PseudoFile],
+) -> Vec<Finding> {
     // Pseudo-files by (node name, rel_path), for counterexample bytes.
     let by_path: BTreeMap<(&str, &str), &PseudoFile> =
         files.iter().map(|f| ((f.node.as_str(), f.rel_path.as_str()), f)).collect();
@@ -91,7 +84,7 @@ pub fn check_alignment(model: &DatasetModel, files: &[PseudoFile]) -> Vec<Findin
                         findings.push(Finding {
                             diag: Diagnostic::new(
                                 Code::Dv203,
-                                loop_span(files, &a.dataset, var),
+                                loop_span(ast, &a.dataset, var),
                                 format!(
                                     "misaligned file group: datasets \"{}\" and \"{}\" group \
                                      together but disagree on `{var}` iterations ({na} vs \
@@ -169,7 +162,7 @@ DATASET "D" {
         let ast = parse_descriptor(text).unwrap();
         let model = dv_descriptor::resolve(&ast).unwrap();
         let e = elaborate(&ast);
-        let findings = check_alignment(&model, &e.files);
+        let findings = check_alignment(&ast, &model, &e.files);
         assert_eq!(findings.len(), 1);
         let f = &findings[0];
         assert_eq!(f.diag.code, Code::Dv203);
@@ -210,6 +203,6 @@ DATASET "D" {
         let ast = parse_descriptor(text).unwrap();
         let model = dv_descriptor::resolve(&ast).unwrap();
         let e = elaborate(&ast);
-        assert!(check_alignment(&model, &e.files).is_empty());
+        assert!(check_alignment(&ast, &model, &e.files).is_empty());
     }
 }

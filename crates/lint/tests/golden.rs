@@ -7,7 +7,10 @@
 use std::fs;
 use std::path::PathBuf;
 
-use dv_lint::{lint_descriptor, lint_query, render_all, Code, Diagnostic, Severity};
+use dv_lint::{
+    cost_query, lint_descriptor, lint_query, render_all, verify_descriptor, Code, CostBudgets,
+    Diagnostic, Severity, CODE_REGISTRY,
+};
 use dv_sql::UdfRegistry;
 
 fn fixture(name: &str) -> PathBuf {
@@ -58,8 +61,9 @@ fn clean_descriptor_has_no_diagnostics() {
 
 #[test]
 fn clean_query_has_no_diagnostics() {
+    // Only the DV304 prune-summary note, which every predicate gets.
     let (diags, rendered) = run_query("SELECT X FROM D WHERE T < 50");
-    assert!(diags.is_empty(), "unexpected diagnostics:\n{rendered}");
+    assert_eq!(codes(&diags), [Code::Dv304], "unexpected diagnostics:\n{rendered}");
 }
 
 #[test]
@@ -117,8 +121,16 @@ fn dv007_unreferenced_dir() {
 
 #[test]
 fn dv008_row_count_mismatch() {
+    // DV008 retired: the verifier's DV203 checks the same iteration
+    // counts over the planner's own file groups, and the lint is quiet.
     let (diags, rendered) = run_descriptor("dv008");
-    assert_eq!(codes(&diags), [Code::Dv008], "{rendered}");
+    assert!(diags.is_empty(), "{rendered}");
+    let text = fs::read_to_string(fixture("dv008.desc")).unwrap();
+    let report = verify_descriptor(&text, None).unwrap();
+    let diags: Vec<Diagnostic> = report.findings.iter().map(|f| f.diag.clone()).collect();
+    let rendered = render_all(&diags, &text, "dv008.desc");
+    assert_eq!(codes(&diags), [Code::Dv203], "{rendered}");
+    assert!(report.findings[0].counterexample.is_some(), "{rendered}");
     check_golden(&rendered, "dv008.expected");
 }
 
@@ -130,34 +142,45 @@ fn dv104_tiny_afc_runs() {
     check_golden(&rendered, "dv104.expected");
 }
 
+// DV101, DV102 and DV103 retired into DV301 and DV303; their tests
+// keep their names and fixtures and now expect the retained code.
+
 #[test]
 fn dv101_unsatisfiable_predicate() {
     let (diags, rendered) = run_query("SELECT X FROM D WHERE T > 10 AND T < 5");
-    assert_eq!(codes(&diags), [Code::Dv101], "{rendered}");
+    assert_eq!(codes(&diags), [Code::Dv301, Code::Dv304], "{rendered}");
+    assert!(diags[0].message.contains("`T` to an empty set"), "{rendered}");
     check_golden(&rendered, "q_unsat.expected");
 }
 
 #[test]
 fn dv101_predicate_outside_extents() {
     let (diags, rendered) = run_query("SELECT X FROM D WHERE T > 1000");
-    assert_eq!(codes(&diags), [Code::Dv101], "{rendered}");
+    assert_eq!(codes(&diags), [Code::Dv301, Code::Dv304], "{rendered}");
     check_golden(&rendered, "q_nofile.expected");
 }
 
 #[test]
 fn dv102_udf_over_index_attr() {
-    // The guard conjunct keeps DV103 quiet so this exercises DV102 alone.
-    let (diags, rendered) = run_query("SELECT X FROM D WHERE T < 50 AND DISTANCE(T, X, X) < 5");
-    assert_eq!(codes(&diags), [Code::Dv102], "{rendered}");
+    // No plain conjunct: the one DV303 names the index attribute the
+    // UDF hides. (A guarded form is clean; see the guarded test.)
+    let sql = "SELECT X FROM D WHERE DISTANCE(T, X, X) < 5";
+    let (diags, rendered) = run_query(sql);
+    assert_eq!(codes(&diags), [Code::Dv304, Code::Dv303], "{rendered}");
+    let d = &diags[1];
+    assert_eq!(&sql[d.span.start..d.span.end], "DISTANCE", "{rendered}");
+    assert!(d.message.contains("index attribute `T`"), "{rendered}");
     check_golden(&rendered, "q_udf.expected");
 }
 
 #[test]
 fn dv103_unguarded_udf_filter() {
-    // DISTANCE over non-index attrs only (no DV102), with no UDF-free
-    // conjunct: the columnar engine row-falls-back on every block.
+    // DISTANCE over non-index attrs only, with no UDF-free conjunct:
+    // the UDF runs on every row of every block.
     let (diags, rendered) = run_query("SELECT X FROM D WHERE DISTANCE(X, X, X) < 5");
-    assert_eq!(codes(&diags), [Code::Dv103], "{rendered}");
+    assert_eq!(codes(&diags), [Code::Dv304, Code::Dv303], "{rendered}");
+    assert!(diags[1].message.contains("every row"), "{rendered}");
+    assert!(!diags[1].message.contains("index attribute"), "{rendered}");
     check_golden(&rendered, "q_dv103.expected");
 }
 
@@ -177,8 +200,9 @@ fn dv106_group_by_pinned_coordinate() {
 #[test]
 fn dv106_avg_and_sum_over_pinned_coordinate() {
     let (diags, rendered) = run_query_on("prune", "SELECT AVG(REL), SUM(REL) FROM D WHERE T < 50");
-    assert_eq!(codes(&diags), [Code::Dv106], "{rendered}");
-    assert_eq!(diags.len(), 2, "one per degenerate call:\n{rendered}");
+    assert_eq!(codes(&diags), [Code::Dv106, Code::Dv304], "{rendered}");
+    let n = diags.iter().filter(|d| d.code == Code::Dv106).count();
+    assert_eq!(n, 2, "one per degenerate call:\n{rendered}");
     check_golden(&rendered, "q_dv106_agg.expected");
 }
 
@@ -193,17 +217,24 @@ fn dv106_quiet_on_varying_keys_and_stored_args() {
 
 #[test]
 fn dv103_guarded_udf_filter_is_clean() {
-    let (diags, rendered) = run_query("SELECT X FROM D WHERE X < 50 AND DISTANCE(X, X, X) < 5");
-    assert!(diags.is_empty(), "unexpected diagnostics:\n{rendered}");
+    // A blocker-free conjunct prunes and narrows rows before the call:
+    // only the summary note, whether or not the UDF wraps `T`.
+    for sql in [
+        "SELECT X FROM D WHERE X < 50 AND DISTANCE(X, X, X) < 5",
+        "SELECT X FROM D WHERE T < 50 AND DISTANCE(T, X, X) < 5",
+        "SELECT X FROM D WHERE T < 50 AND SPEED(X, X, X) < 5",
+    ] {
+        let (diags, rendered) = run_query(sql);
+        assert_eq!(codes(&diags), [Code::Dv304], "unexpected diagnostics:\n{rendered}");
+    }
 }
 
-/// The acceptance bar: the lint suite distinguishes at least 9
-/// descriptor codes, and every descriptor diagnostic carries a real
-/// source span.
+/// The acceptance bar: the lint suite distinguishes the 8 descriptor
+/// codes, and every descriptor diagnostic carries a real source span.
 #[test]
 fn descriptor_codes_are_spanned_and_distinct() {
     let mut seen = Vec::new();
-    for name in ["dv001", "dv002", "dv003", "dv004", "dv005", "dv006", "dv007", "dv008", "dv104"] {
+    for name in ["dv001", "dv002", "dv003", "dv004", "dv005", "dv006", "dv007", "dv104"] {
         let (diags, rendered) = run_descriptor(name);
         assert!(!diags.is_empty(), "{name} produced nothing");
         for d in &diags {
@@ -213,39 +244,29 @@ fn descriptor_codes_are_spanned_and_distinct() {
     }
     seen.sort();
     seen.dedup();
-    assert_eq!(seen.len(), 9, "expected 9 distinct descriptor codes, got {seen:?}");
+    assert_eq!(seen.len(), 8, "expected 8 distinct descriptor codes, got {seen:?}");
 }
 
 // ---------------------------------------------------------------------
-// DV301–DV305: the static prune pass (`prune_query`), golden-tested the
-// same way. The pass is separate from `lint_query` (the CLI merges
-// them), so these fixtures exercise it in isolation.
-
-fn run_prune(desc: &str, sql: &str) -> (Vec<Diagnostic>, String) {
-    let text = fs::read_to_string(fixture(&format!("{desc}.desc"))).unwrap();
-    let model = dv_descriptor::compile(&text).unwrap();
-    let diags = dv_lint::prune_query(&model, sql, &UdfRegistry::with_builtins()).unwrap();
-    let rendered = render_all(&diags, sql, "<query>");
-    (diags, rendered)
-}
+// DV301–DV305: the query pass's predicate–extent findings.
 
 #[test]
 fn dv301_contradicted_extents() {
-    let (diags, rendered) = run_prune("query", "SELECT X FROM D WHERE T > 1000");
+    let (diags, rendered) = run_query_on("query", "SELECT X FROM D WHERE T > 1000");
     assert_eq!(codes(&diags), [Code::Dv301, Code::Dv304], "{rendered}");
     check_golden(&rendered, "q_dv301.expected");
 }
 
 #[test]
 fn dv302_tautological_predicate() {
-    let (diags, rendered) = run_prune("query", "SELECT X FROM D WHERE T >= 1");
+    let (diags, rendered) = run_query_on("query", "SELECT X FROM D WHERE T >= 1");
     assert_eq!(codes(&diags), [Code::Dv302, Code::Dv304], "{rendered}");
     check_golden(&rendered, "q_dv302.expected");
 }
 
 #[test]
 fn dv303_udf_blocks_pruning() {
-    let (diags, rendered) = run_prune("query", "SELECT X FROM D WHERE SPEED(X, X, X) < 30.0");
+    let (diags, rendered) = run_query_on("query", "SELECT X FROM D WHERE SPEED(X, X, X) < 30.0");
     // The DV303 span points at the call site, past the WHERE keyword
     // the summary note anchors to.
     assert_eq!(codes(&diags), [Code::Dv304, Code::Dv303], "{rendered}");
@@ -257,7 +278,7 @@ fn dv303_udf_blocks_pruning() {
 
 #[test]
 fn dv304_prune_summary_note() {
-    let (diags, rendered) = run_prune("query", "SELECT X FROM D WHERE T < 50");
+    let (diags, rendered) = run_query_on("query", "SELECT X FROM D WHERE T < 50");
     assert_eq!(codes(&diags), [Code::Dv304], "{rendered}");
     assert!(diags.iter().all(|d| d.severity == Severity::Note), "{rendered}");
     check_golden(&rendered, "q_dv304.expected");
@@ -267,7 +288,7 @@ fn dv304_prune_summary_note() {
 fn dv305_never_varying_coordinate() {
     // `REL = 0:0:1` pins REL; the stored-attr conjunct keeps the whole
     // predicate undecidable so DV302 stays quiet and DV305 is isolated.
-    let (diags, rendered) = run_prune("prune", "SELECT X FROM D WHERE REL = 0 AND X > 0.5");
+    let (diags, rendered) = run_query_on("prune", "SELECT X FROM D WHERE REL = 0 AND X > 0.5");
     assert_eq!(codes(&diags), [Code::Dv304, Code::Dv305], "{rendered}");
     check_golden(&rendered, "q_dv305.expected");
 }
@@ -281,7 +302,7 @@ fn prune_codes_are_spanned_and_distinct() {
         ("query", "SELECT X FROM D WHERE SPEED(X, X, X) < 30.0"),
         ("prune", "SELECT X FROM D WHERE REL = 0 AND X > 0.5"),
     ] {
-        let (diags, rendered) = run_prune(desc, sql);
+        let (diags, rendered) = run_query_on(desc, sql);
         assert!(!diags.is_empty(), "{sql} produced nothing");
         for d in &diags {
             assert!(!d.span.is_dummy(), "{sql}: dummy span in:\n{rendered}");
@@ -298,18 +319,17 @@ fn prune_codes_are_spanned_and_distinct() {
 // same way. Budgets are supplied per test; DV405 (the bound summary
 // note) fires on every boundable plan regardless of budgets.
 
-fn run_cost(desc: &str, sql: &str, budgets: &dv_lint::CostBudgets) -> (Vec<Diagnostic>, String) {
+fn run_cost(desc: &str, sql: &str, budgets: &CostBudgets) -> (Vec<Diagnostic>, String) {
     let text = fs::read_to_string(fixture(&format!("{desc}.desc"))).unwrap();
     let model = dv_descriptor::compile(&text).unwrap();
-    let diags = dv_lint::cost_query(&model, sql, &UdfRegistry::with_builtins(), budgets).unwrap();
+    let diags = cost_query(&model, sql, &UdfRegistry::with_builtins(), budgets).unwrap();
     let rendered = render_all(&diags, sql, "<query>");
     (diags, rendered)
 }
 
 #[test]
 fn dv401_byte_budget_exceeded() {
-    let budgets =
-        dv_lint::CostBudgets { max_plan_bytes: Some(16), ..dv_lint::CostBudgets::default() };
+    let budgets = CostBudgets { max_plan_bytes: Some(16), ..CostBudgets::default() };
     let (diags, rendered) = run_cost("query", "SELECT X FROM D WHERE T < 50", &budgets);
     assert_eq!(codes(&diags), [Code::Dv401, Code::Dv405], "{rendered}");
     check_golden(&rendered, "q_dv401.expected");
@@ -317,28 +337,25 @@ fn dv401_byte_budget_exceeded() {
 
 #[test]
 fn dv402_udf_makes_cost_unboundable() {
-    let (diags, rendered) = run_cost(
-        "query",
-        "SELECT X FROM D WHERE SPEED(X, X, X) < 30.0",
-        &dv_lint::CostBudgets::default(),
-    );
-    let c = codes(&diags);
-    assert!(c.contains(&Code::Dv402), "{rendered}");
-    assert!(c.contains(&Code::Dv405), "{rendered}");
-    let d = diags.iter().find(|d| d.code == Code::Dv402).unwrap();
+    // DV402 retired: the blocker is the query pass's one DV303, and the
+    // cost pass adds only its summary note, as `lint` runs them both.
     let sql = "SELECT X FROM D WHERE SPEED(X, X, X) < 30.0";
-    assert_eq!(&sql[d.span.start..d.span.end], "SPEED", "{rendered}");
+    let (mut diags, _) = run_query(sql);
+    diags.extend(run_cost("query", sql, &CostBudgets::default()).0);
+    diags.sort_by_key(|d| (d.span.start, d.code));
+    let rendered = render_all(&diags, sql, "<query>");
+    assert_eq!(codes(&diags), [Code::Dv304, Code::Dv405, Code::Dv303], "{rendered}");
     check_golden(&rendered, "q_dv402.expected");
 }
 
 #[test]
 fn dv403_link_deadline_exceeded() {
-    let budgets = dv_lint::CostBudgets {
+    let budgets = CostBudgets {
         link: Some(dv_lint::LinkBudget {
             bytes_per_sec: 1.0,
             deadline: std::time::Duration::from_millis(1),
         }),
-        ..dv_lint::CostBudgets::default()
+        ..CostBudgets::default()
     };
     let (diags, rendered) = run_cost("query", "SELECT X FROM D WHERE T < 50", &budgets);
     assert_eq!(codes(&diags), [Code::Dv403, Code::Dv405], "{rendered}");
@@ -349,8 +366,7 @@ fn dv403_link_deadline_exceeded() {
 fn dv404_group_memory_budget_exceeded() {
     // X is stored: its group cardinality is only bounded by the row
     // count, so a tiny memory budget must warn.
-    let budgets =
-        dv_lint::CostBudgets { max_group_memory: Some(64), ..dv_lint::CostBudgets::default() };
+    let budgets = CostBudgets { max_group_memory: Some(64), ..CostBudgets::default() };
     let (diags, rendered) = run_cost("query", "SELECT X, COUNT(X) FROM D GROUP BY X", &budgets);
     assert_eq!(codes(&diags), [Code::Dv404, Code::Dv405], "{rendered}");
     check_golden(&rendered, "q_dv404.expected");
@@ -359,7 +375,7 @@ fn dv404_group_memory_budget_exceeded() {
 #[test]
 fn dv405_cost_summary_note() {
     let (diags, rendered) =
-        run_cost("query", "SELECT X FROM D WHERE T < 50", &dv_lint::CostBudgets::default());
+        run_cost("query", "SELECT X FROM D WHERE T < 50", &CostBudgets::default());
     assert_eq!(codes(&diags), [Code::Dv405], "{rendered}");
     assert!(diags.iter().all(|d| d.severity == Severity::Note), "{rendered}");
     check_golden(&rendered, "q_dv405.expected");
@@ -367,7 +383,7 @@ fn dv405_cost_summary_note() {
 
 #[test]
 fn cost_codes_are_spanned_and_distinct() {
-    let tight = dv_lint::CostBudgets {
+    let tight = CostBudgets {
         max_plan_bytes: Some(16),
         max_group_memory: Some(64),
         link: Some(dv_lint::LinkBudget {
@@ -390,7 +406,7 @@ fn cost_codes_are_spanned_and_distinct() {
     }
     seen.sort();
     seen.dedup();
-    assert_eq!(seen.len(), 5, "expected DV401–DV405, got {seen:?}");
+    assert_eq!(seen.len(), 4, "expected DV401 and DV403–DV405, got {seen:?}");
 }
 
 /// Every shipped example descriptor is cost-clean (notes only) under
@@ -399,10 +415,10 @@ fn cost_codes_are_spanned_and_distinct() {
 /// attribute whose cardinality bound blows the memory budget (DV404).
 #[test]
 fn shipped_examples_cost_clean_except_dense() {
-    let budgets = dv_lint::CostBudgets {
+    let budgets = CostBudgets {
         max_plan_bytes: Some(1 << 30),
         max_group_memory: Some(64 * 1024),
-        ..dv_lint::CostBudgets::default()
+        ..CostBudgets::default()
     };
     let canonical: &[(&str, &str)] = &[
         ("ipars_l0.desc", "SELECT SOIL FROM IparsData WHERE TIME >= 10 AND TIME <= 20"),
@@ -433,8 +449,7 @@ fn shipped_examples_cost_clean_except_dense() {
             .unwrap_or_else(|| panic!("{name}: add a canonical cost query for this new example"));
         let text = fs::read_to_string(&path).unwrap();
         let model = dv_descriptor::compile(&text).unwrap();
-        let diags =
-            dv_lint::cost_query(&model, sql, &UdfRegistry::with_builtins(), &budgets).unwrap();
+        let diags = cost_query(&model, sql, &UdfRegistry::with_builtins(), &budgets).unwrap();
         let rendered = render_all(&diags, sql, "<query>");
         if name == "ipars_dense.desc" {
             assert!(codes(&diags).contains(&Code::Dv404), "{name}: expected DV404:\n{rendered}");
@@ -482,7 +497,7 @@ fn shipped_examples_prune_clean_except_pinned() {
             .unwrap_or_else(|| panic!("{name}: add a canonical query for this new example"));
         let text = fs::read_to_string(&path).unwrap();
         let model = dv_descriptor::compile(&text).unwrap();
-        let diags = dv_lint::prune_query(&model, sql, &UdfRegistry::with_builtins()).unwrap();
+        let diags = lint_query(&model, sql, &UdfRegistry::with_builtins()).unwrap();
         let rendered = render_all(&diags, sql, "<query>");
         if name == "ipars_pinned.desc" {
             let c = codes(&diags);
@@ -495,4 +510,73 @@ fn shipped_examples_prune_clean_except_pinned() {
             );
         }
     }
+}
+
+/// Codes retired because another code reports the same cause: DV008
+/// (DV203), DV101 and DV205 (DV301), DV102, DV103 and DV402 (DV303).
+const RETIRED: [&str; 6] = ["DV008", "DV101", "DV102", "DV103", "DV205", "DV402"];
+
+/// Registry, golden fixtures and docs stay in step: every registered
+/// code is expected by some golden fixture and documented, and no
+/// retired code survives in either place.
+#[test]
+fn registry_fixtures_and_docs_agree() {
+    let mut expected = String::new();
+    for entry in fs::read_dir(fixture("")).unwrap().flatten() {
+        if entry.path().extension().is_some_and(|e| e == "expected") {
+            expected.push_str(&fs::read_to_string(entry.path()).unwrap());
+        }
+    }
+    let docs = fs::read_to_string(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../docs/LANGUAGE.md"),
+    )
+    .unwrap();
+    assert_eq!(CODE_REGISTRY.len(), 22);
+    for info in CODE_REGISTRY {
+        assert!(expected.contains(&format!("[{}]", info.name)), "no fixture expects {}", info.name);
+        assert!(docs.contains(info.name), "docs/LANGUAGE.md does not document {}", info.name);
+    }
+    for code in RETIRED {
+        assert!(CODE_REGISTRY.iter().all(|i| i.name != code), "{code} is still registered");
+        assert!(!expected.contains(code), "a golden fixture still expects {code}");
+        assert!(!docs.contains(code), "docs/LANGUAGE.md still names {code}");
+    }
+}
+
+/// Warnings and errors from every pass run together, as `lint` and the
+/// `query --deny-warnings` pre-flight run them.
+fn actionable(desc: &str, sql: Option<&str>) -> Vec<Diagnostic> {
+    let text = fs::read_to_string(fixture(&format!("{desc}.desc"))).unwrap();
+    let mut diags = lint_descriptor(&text).unwrap();
+    diags.extend(verify_descriptor(&text, None).unwrap().findings.into_iter().map(|f| f.diag));
+    if let Some(sql) = sql {
+        let model = dv_descriptor::compile(&text).unwrap();
+        let udfs = UdfRegistry::with_builtins();
+        diags.extend(lint_query(&model, sql, &udfs).unwrap());
+        diags.extend(cost_query(&model, sql, &udfs, &CostBudgets::default()).unwrap());
+    }
+    diags.retain(|d| d.severity != Severity::Note);
+    diags
+}
+
+/// Each cause is reported once, by the retained code, with all passes
+/// run together; a guarded UDF is not a finding at all.
+#[test]
+fn all_passes_report_each_cause_once() {
+    for (desc, sql, code) in [
+        ("query", Some("SELECT X FROM D WHERE T > 10 AND T < 5"), Code::Dv301),
+        ("query", Some("SELECT X FROM D WHERE T > 1000"), Code::Dv301),
+        ("query", Some("SELECT X FROM D WHERE T * 2 > 1000"), Code::Dv301),
+        ("query", Some("SELECT X FROM D WHERE DISTANCE(T, X, X) < 5"), Code::Dv303),
+        ("query", Some("SELECT X FROM D WHERE DISTANCE(X, X, X) < 5"), Code::Dv303),
+        ("dv008", None, Code::Dv203),
+        ("dv203", None, Code::Dv203),
+    ] {
+        let diags = actionable(desc, sql);
+        let found: Vec<Code> = diags.iter().map(|d| d.code).collect();
+        assert_eq!(found, [code], "{desc} {sql:?}");
+    }
+    assert!(
+        actionable("query", Some("SELECT X FROM D WHERE T < 50 AND SPEED(X, X, X) < 5")).is_empty()
+    );
 }

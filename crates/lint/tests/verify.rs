@@ -10,7 +10,7 @@ use std::path::PathBuf;
 
 use dv_layout::Certificate;
 use dv_lint::verify::ObservedSizes;
-use dv_lint::{verify_descriptor, verify_query, Code, Finding};
+use dv_lint::{lint_query, render_all, verify_descriptor, Code, Finding};
 use dv_sql::UdfRegistry;
 
 fn fixture(name: &str) -> PathBuf {
@@ -143,14 +143,15 @@ fn dv204_dead_dataspace_region() {
 
 #[test]
 fn dv205_compile_time_empty_predicate() {
+    // DV205 retired with `verify_query`: the query pass reports the
+    // layout-empty predicate once, as DV301.
     let text = fs::read_to_string(fixture("query.desc")).unwrap();
     let model = dv_descriptor::compile(&text).unwrap();
     let sql = "SELECT X FROM D WHERE T > 1000";
-    let findings = verify_query(&model, sql, &UdfRegistry::with_builtins()).unwrap();
-    assert_eq!(findings.len(), 1);
-    assert_eq!(findings[0].diag.code, Code::Dv205);
-    let rendered = render(&findings, sql, "<query>");
-    check_golden(&rendered, "q_dv205.expected");
+    let diags = lint_query(&model, sql, &UdfRegistry::with_builtins()).unwrap();
+    assert_eq!(diags.iter().filter(|d| d.code == Code::Dv301).count(), 1, "{diags:?}");
+    assert!(diags[0].help.as_deref().unwrap().contains("[1, 100]"), "{diags:?}");
+    check_golden(&render_all(&diags, sql, "<query>"), "q_dv205.expected");
 }
 
 /// Every descriptor shipped under `examples/descriptors/` verifies
@@ -180,7 +181,7 @@ fn shipped_examples_verify_clean() {
 }
 
 /// Acceptance: every DV2xx refutation carries a real span and a
-/// concrete counterexample (or, for DV204/DV205, at least a span).
+/// concrete counterexample (or, for DV204, at least a span).
 #[test]
 fn verify_codes_are_spanned_and_distinct() {
     let mut seen = Vec::new();

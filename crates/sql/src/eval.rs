@@ -314,7 +314,7 @@ fn for_each_pick(rows: Picks<'_>, mut f: impl FnMut(usize, usize)) {
 
 /// True when the expression contains a UDF call anywhere. `AND`/`OR`
 /// evaluate such a side last, so its UDFs run only on the rows the
-/// other side left undecided (see DV103 in dv-lint).
+/// other side left undecided (see DV303 in dv-lint).
 pub fn expr_has_func(expr: &BoundExpr) -> bool {
     match expr {
         BoundExpr::And(l, r) | BoundExpr::Or(l, r) => expr_has_func(l) || expr_has_func(r),

@@ -193,10 +193,11 @@ pub fn abstract_eval(e: &BoundExpr, env: &HullEnv) -> Ternary {
 
 /// A subexpression that prevents the abstract interpreter from ever
 /// concluding anything about part of a predicate (DV303 material).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PruneBlocker {
-    /// A UDF call: opaque to interval reasoning.
-    Udf { slot: usize },
+    /// A UDF call: opaque to interval reasoning. `attrs` are the
+    /// schema attributes its arguments read, sorted and deduplicated.
+    Udf { slot: usize, attrs: Vec<usize> },
     /// A non-finite literal (`NaN`/overflowing constant) whose IEEE
     /// comparison semantics no interval captures.
     NonFiniteConst,
@@ -244,7 +245,11 @@ fn walk_scalar(s: &BoundScalar, out: &mut Vec<PruneBlocker>) {
             }
         }
         BoundScalar::Func { slot, args } => {
-            out.push(PruneBlocker::Udf { slot: *slot });
+            let mut attrs = Vec::new();
+            args.iter().for_each(|a| scalar_attrs(a, &mut attrs));
+            attrs.sort_unstable();
+            attrs.dedup();
+            out.push(PruneBlocker::Udf { slot: *slot, attrs });
             for a in args {
                 walk_scalar(a, out);
             }
@@ -266,28 +271,17 @@ pub fn predicate_attrs(e: &BoundExpr) -> Vec<usize> {
             }
             BoundExpr::Not(i) => expr(i, out),
             BoundExpr::Cmp { lhs, rhs, .. } => {
-                scalar(lhs, out);
-                scalar(rhs, out);
+                scalar_attrs(lhs, out);
+                scalar_attrs(rhs, out);
             }
             BoundExpr::InList { expr: x, list, .. } => {
-                scalar(x, out);
-                list.iter().for_each(|i| scalar(i, out));
+                scalar_attrs(x, out);
+                list.iter().for_each(|i| scalar_attrs(i, out));
             }
             BoundExpr::Between { expr: x, lo, hi, .. } => {
-                scalar(x, out);
-                scalar(lo, out);
-                scalar(hi, out);
-            }
-        }
-    }
-    fn scalar(s: &BoundScalar, out: &mut Vec<usize>) {
-        match s {
-            BoundScalar::Attr(a) => out.push(*a),
-            BoundScalar::Const(_) => {}
-            BoundScalar::Func { args, .. } => args.iter().for_each(|a| scalar(a, out)),
-            BoundScalar::Arith { lhs, rhs, .. } => {
-                scalar(lhs, out);
-                scalar(rhs, out);
+                scalar_attrs(x, out);
+                scalar_attrs(lo, out);
+                scalar_attrs(hi, out);
             }
         }
     }
@@ -296,6 +290,19 @@ pub fn predicate_attrs(e: &BoundExpr) -> Vec<usize> {
     out.sort_unstable();
     out.dedup();
     out
+}
+
+/// Schema attribute indices a scalar reads, in syntax order.
+fn scalar_attrs(s: &BoundScalar, out: &mut Vec<usize>) {
+    match s {
+        BoundScalar::Attr(a) => out.push(*a),
+        BoundScalar::Const(_) => {}
+        BoundScalar::Func { args, .. } => args.iter().for_each(|a| scalar_attrs(a, out)),
+        BoundScalar::Arith { lhs, rhs, .. } => {
+            scalar_attrs(lhs, out);
+            scalar_attrs(rhs, out);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -401,7 +408,14 @@ mod tests {
     fn udf_is_unknown_and_a_blocker() {
         let p = pred("SELECT REL FROM T WHERE SPEED(X, X, X) < 30.0");
         assert_eq!(abstract_eval(&p, &env(&[(3, 0.0, 1.0)])), Ternary::Unknown);
-        assert!(matches!(prune_blockers(&p)[..], [PruneBlocker::Udf { .. }]));
+        assert!(
+            matches!(&prune_blockers(&p)[..], [PruneBlocker::Udf { attrs, .. }] if attrs == &[3])
+        );
+        // The call's argument attributes are recorded, sorted.
+        let p = pred("SELECT REL FROM T WHERE SPEED(X, TIME, X + REL) < 30.0");
+        assert!(
+            matches!(&prune_blockers(&p)[..], [PruneBlocker::Udf { attrs, .. }] if attrs == &[0, 1, 3])
+        );
         // But a decidable conjunct still forces False through.
         let p = pred("SELECT REL FROM T WHERE TIME > 100 AND SPEED(X, X, X) < 30.0");
         assert_eq!(abstract_eval(&p, &env(&[(1, 1.0, 50.0)])), Ternary::False);

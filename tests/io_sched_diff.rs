@@ -169,6 +169,32 @@ fn l0_counters_show_coalescing_and_warm_cache() {
     assert_eq!(warm.bytes_read, cold.bytes_read);
 }
 
+/// `explain`'s I/O schedule line is the runtime's: the coalesced reads
+/// it sums over every node equal the read syscalls of a cold query at
+/// the default options, whose fetch groups are capped at the morsel
+/// target rather than at `group_bytes`.
+#[test]
+fn explain_io_schedule_matches_cold_read_syscalls() {
+    let cfg = ipars_cfg();
+    let base = scratch("iodiff-explain");
+    let descriptor = ipars::generate(&base, &cfg, IparsLayout::I).unwrap();
+    let v = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
+    let sql = "SELECT * FROM IparsData";
+
+    let explained: u64 = v
+        .explain(sql)
+        .unwrap()
+        .lines()
+        .filter_map(|l| l.split(" runs -> ").nth(1))
+        .map(|rest| rest.split(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum();
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let opts = QueryOptions { intra_node_threads: threads, ..QueryOptions::default() };
+    let (_, cold) = query_checked(&v, sql, &opts);
+    assert!(explained > 0);
+    assert_eq!(explained, cold.io.read_syscalls, "explain's coalesced reads vs the runtime's");
+}
+
 /// Rewriting a data file in place (fresh mtime, same length) must
 /// invalidate its cached segments: the same server answers the second
 /// query from the new bytes.

@@ -4,9 +4,12 @@
 //! (`QueryOptions::no_prune`) and to the row-at-a-time reference
 //! executor, which evaluates every row and ignores verdicts. This is
 //! the empirical half of dv-prune's soundness argument: the abstract
-//! interpreter may only drop chunks no row of which can qualify.
+//! interpreter may only drop chunks no row of which can qualify. Each
+//! predicate's lint-time verdict is checked against the same runs:
+//! DV301 (statically empty) must mean zero rows, DV302 (tautological)
+//! must mean every scanned row is selected.
 
-use dv_core::{QueryOptions, Virtualizer};
+use dv_core::{QueryOptions, QueryStats, Virtualizer};
 use dv_datagen::{ipars, IparsConfig, IparsLayout};
 use dv_integration::{query_checked, reference, scratch};
 use dv_types::Table;
@@ -19,6 +22,43 @@ fn run(v: &Virtualizer, sql: &str, no_prune: bool) -> (Table, dv_core::QueryStat
     let opts = QueryOptions { no_prune, ..Default::default() };
     let (mut tables, stats) = query_checked(v, sql, &opts);
     (tables.remove(0), stats)
+}
+
+/// Check `dv_lint::lint_query`'s static verdicts on `sql` against what
+/// the engine did: DV301 implies no row, DV302 implies every scanned
+/// row is selected, in every run. Returns the codes checked.
+fn lint_agrees(
+    v: &Virtualizer,
+    sql: &str,
+    rows: usize,
+    runs: &[&QueryStats],
+) -> Result<Vec<dv_lint::Code>, String> {
+    let diags = dv_lint::lint_query(v.model(), sql, &dv_sql::UdfRegistry::with_builtins())
+        .map_err(|e| format!("{sql}: lint failed: {e}"))?;
+    let verdicts: Vec<dv_lint::Code> = diags
+        .iter()
+        .map(|d| d.code)
+        .filter(|c| matches!(c, dv_lint::Code::Dv301 | dv_lint::Code::Dv302))
+        .collect();
+    for code in &verdicts {
+        match code {
+            dv_lint::Code::Dv301 if rows != 0 => {
+                return Err(format!("{sql}: DV301 says statically empty, engine kept {rows} rows"))
+            }
+            dv_lint::Code::Dv302 => {
+                for s in runs {
+                    if s.rows_selected != s.rows_scanned {
+                        return Err(format!(
+                            "{sql}: DV302 says tautological, engine selected {} of {} rows",
+                            s.rows_selected, s.rows_scanned
+                        ));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(verdicts)
 }
 
 /// The reference executor's result over the unpruned plan.
@@ -54,10 +94,12 @@ fn fixed_queries_pruned_equals_unpruned() {
         // Negation + disjunction over the implicit window.
         "SELECT TIME, SOIL FROM IparsData WHERE NOT (TIME < 5 OR TIME > 35)",
     ];
+    let mut verdicts = Vec::new();
     for sql in queries {
         let (pruned, ps) = run(&v, sql, false);
         let (unpruned, us) = run(&v, sql, true);
         let row = run_reference(&v, sql);
+        verdicts.extend(lint_agrees(&v, sql, row.len(), &[&ps, &us]).unwrap());
         assert!(
             pruned.same_rows(&unpruned),
             "{sql}: pruned {} vs unpruned {}",
@@ -72,6 +114,9 @@ fn fixed_queries_pruned_equals_unpruned() {
             "{sql}: certificate accounting"
         );
     }
+    // The contradiction and the tautology above draw both verdicts.
+    assert!(verdicts.contains(&dv_lint::Code::Dv301), "{verdicts:?}");
+    assert!(verdicts.contains(&dv_lint::Code::Dv302), "{verdicts:?}");
 
     // The arithmetic window must actually prune: range analysis cannot
     // see through `TIME * 10`, so those chunks reach the abstract
@@ -138,9 +183,10 @@ DATASET "D" {
         "SELECT TIME, F FROM D WHERE TIME > 100",
     ];
     for sql in queries {
-        let (pruned, _) = run(&v, sql, false);
-        let (unpruned, _) = run(&v, sql, true);
+        let (pruned, ps) = run(&v, sql, false);
+        let (unpruned, us) = run(&v, sql, true);
         let row = run_reference(&v, sql);
+        lint_agrees(&v, sql, row.len(), &[&ps, &us]).unwrap();
         assert!(pruned.same_rows(&unpruned), "{sql}: pruned vs unpruned");
         assert!(pruned.same_rows(&row), "{sql}: pruned vs reference");
         assert_eq!(unpruned.rows, row.rows, "{sql}: unpruned vs reference");
@@ -227,6 +273,8 @@ mod random {
             let (pruned, ps) = run(v, &sql, false);
             let (unpruned, us) = run(v, &sql, true);
             let row = run_reference(v, &sql);
+            let lint = lint_agrees(v, &sql, row.len(), &[&ps, &us]);
+            prop_assert!(lint.is_ok(), "{:?}", lint);
             prop_assert!(
                 pruned.same_rows(&unpruned),
                 "{sql}: pruned {} rows vs unpruned {} rows",
