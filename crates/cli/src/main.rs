@@ -271,19 +271,43 @@ fn collect_lints(
     sql: Option<&str>,
     budgets: &dv_lint::CostBudgets,
 ) -> Result<(Vec<dv_lint::Diagnostic>, Vec<dv_lint::Diagnostic>), String> {
-    let diags = dv_lint::lint_descriptor(text).map_err(|e| e.to_string())?;
+    let mut diags = dv_lint::lint_descriptor(text).map_err(|e| e.to_string())?;
     let qdiags = match sql {
         Some(sql) => {
             let model = dv_descriptor::compile(text).map_err(|e| e.to_string())?;
             let udfs = dv_sql::UdfRegistry::with_builtins();
             let mut q = dv_lint::lint_query(&model, sql, &udfs).map_err(|e| e.to_string())?;
-            q.extend(dv_lint::cost_query(&model, sql, &udfs, budgets).map_err(|e| e.to_string())?);
+            match dv_lint::cost_query(&model, sql, &udfs, budgets) {
+                Ok(cost) => q.extend(cost),
+                // Planning stops at a misaligned file group: report it
+                // as verify does, at the dataspace that disagrees.
+                Err(e @ dv_types::DvError::Alignment(_)) => {
+                    diags.extend(misaligned_groups(text, e)?)
+                }
+                Err(e) => return Err(e.to_string()),
+            }
             q.sort_by_key(|d| (d.span.start, d.code));
             q
         }
         None => Vec::new(),
     };
     Ok((diags, qdiags))
+}
+
+/// The DV203 findings that explain the planner's alignment error `e`,
+/// or `e` itself when the verifier found none.
+fn misaligned_groups(text: &str, e: dv_types::DvError) -> Result<Vec<dv_lint::Diagnostic>, String> {
+    let report = dv_lint::verify_descriptor(text, None).map_err(|e| e.to_string())?;
+    let found: Vec<dv_lint::Diagnostic> = report
+        .findings
+        .into_iter()
+        .map(|f| f.diag)
+        .filter(|d| d.code == dv_lint::Code::Dv203)
+        .collect();
+    if found.is_empty() {
+        return Err(e.to_string());
+    }
+    Ok(found)
 }
 
 fn render_mixed(
@@ -456,6 +480,8 @@ fn preflight_lint(a: &args::Args, sql: &str) -> Result<(), String> {
     let report = dv_lint::verify_descriptor(&text, None).map_err(|e| e.to_string())?;
     diags.extend(report.findings.into_iter().map(|f| f.diag));
     diags.sort_by_key(|d| (d.span.start, d.code));
+    // A misaligned group is reported by both passes (see `collect_lints`).
+    diags.dedup();
     // Notes (e.g. the DV304 prune summary) are informational and must
     // not stop a query under --deny-warnings.
     diags.retain(|d| d.severity != dv_lint::Severity::Note);
@@ -526,7 +552,7 @@ fn cmd_query(a: &args::Args) -> Result<ExitCode, String> {
             stats.groups_pruned, stats.groups_total, stats.groups_full, stats.bytes_avoided,
         );
         eprintln!(
-            "io: {} read syscalls; coalesce ratio: {:.1}; bytes issued/used: {}/{}; cache hit: {:.0}% ({} hit / {} miss bytes); decode: {} calls, {} KiB",
+            "io: {} read syscalls; coalesce ratio: {:.1}; bytes issued/used: {}/{}; cache hit: {:.0}% ({} hit / {} miss bytes, {} inserted); decode: {} calls, {} KiB",
             stats.io.read_syscalls,
             stats.io.coalesce_ratio(),
             stats.io.bytes_issued,
@@ -534,6 +560,7 @@ fn cmd_query(a: &args::Args) -> Result<ExitCode, String> {
             stats.io.cache_hit_rate() * 100.0,
             stats.io.cache_hit_bytes,
             stats.io.cache_miss_bytes,
+            stats.io.cache_insert_bytes,
             stats.io.decode_calls,
             stats.io.decode_bytes / 1024,
         );

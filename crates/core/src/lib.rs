@@ -219,14 +219,29 @@ impl Virtualizer {
     }
 
     /// Render the AFC schedule of a query (debugging / inspection),
-    /// followed by the plan's static resource bounds (dv-cost).
+    /// followed by the plan's static resource bounds (dv-cost), at the
+    /// default [`QueryOptions`].
     pub fn explain(&self, sql: &str) -> Result<String> {
+        self.explain_with(sql, &QueryOptions::default())
+    }
+
+    /// [`Virtualizer::explain`] under explicit options: the I/O lines,
+    /// each node's cache decision and the cost bounds follow `opts.io`
+    /// and `opts.client_processors`, as [`Virtualizer::query_with`]
+    /// would run them. The morsel schedule is shown at the host's
+    /// default worker count.
+    pub fn explain_with(&self, sql: &str, opts: &QueryOptions) -> Result<String> {
         let bq = self.service.bind_sql(sql)?;
         let plan = self.service.compiled().plan_query(&bq)?;
-        let mut out = dv_layout::codegen::render_plan(self.service.compiled(), &plan);
+        let mut out = dv_layout::codegen::render_plan(
+            self.service.compiled(),
+            &plan,
+            &opts.io,
+            self.service.cache_budget(),
+        );
         let report = CostReport::analyze(
             &plan,
-            &CostParams::new(&IoOptions::default(), 1, bq.predicate.is_some()),
+            &CostParams::new(&opts.io, opts.client_processors, bq.predicate.is_some()),
         );
         out.push_str("// ---- static cost bounds (dv-cost) ----\n");
         for line in report.to_string().lines() {

@@ -78,8 +78,15 @@ fn render_items(out: &mut String, items: &[ResolvedItem], depth: usize) {
     }
 }
 
-/// Render the query-specific part: the AFC schedule.
-pub fn render_plan(c: &CompiledDataset, plan: &QueryPlan) -> String {
+/// Render the query-specific part: the AFC schedule, as the runtime
+/// would run it under the query's I/O options `io` against a segment
+/// cache of `cache_budget` bytes.
+pub fn render_plan(
+    c: &CompiledDataset,
+    plan: &QueryPlan,
+    io: &crate::io::IoOptions,
+    cache_budget: u64,
+) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "// query plan: working row = [{}]", plan.working.names.join(", "));
     let _ = writeln!(
@@ -108,7 +115,6 @@ pub fn render_plan(c: &CompiledDataset, plan: &QueryPlan) -> String {
             calls.join(", "),
         );
     }
-    let io = crate::io::IoOptions::default();
     for np in &plan.node_plans {
         let _ = writeln!(out, "// node {} — {} AFCs", np.node, np.afcs.len());
         if np.prune.groups_pruned > 0 || np.prune.groups_full > 0 {
@@ -156,6 +162,13 @@ pub fn render_plan(c: &CompiledDataset, plan: &QueryPlan) -> String {
                 mp.worker_count(threads)
             );
         }
+        let cache = crate::io::cache_decision(
+            mp.total_bytes,
+            plan.node_plans.len(),
+            io.cache_bytes,
+            cache_budget,
+        );
+        let _ = writeln!(out, "//   cache: {cache}");
         for (i, afc) in np.afcs.iter().enumerate().take(8) {
             let _ = writeln!(out, "//   afc[{i}]: {} rows", afc.num_rows);
             for e in &afc.entries {
@@ -179,6 +192,7 @@ pub fn render_plan(c: &CompiledDataset, plan: &QueryPlan) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::IoOptions;
     use dv_sql::{bind, parse, UdfRegistry};
     use std::path::PathBuf;
     use std::sync::Arc;
@@ -224,9 +238,15 @@ DATASET "D" {
         let q = parse("SELECT V FROM D WHERE TIME = 2").unwrap();
         let b = bind(&q, &c.model.schema, &UdfRegistry::new()).unwrap();
         let plan = c.plan_query(&b).unwrap();
-        let text = render_plan(&c, &plan);
+        let text = render_plan(&c, &plan, &IoOptions::default(), 1 << 20);
         assert!(text.contains("working row = [TIME, V]"), "{text}");
         assert!(text.contains("read {"), "{text}");
+        // One node reads 24 bytes: they fit a 1 MiB cache, not
+        // a 10-byte query budget.
+        assert!(text.contains("cache: admit (plan 24 B × 1 node ≤ 1048576 B)"), "{text}");
+        let io = IoOptions { cache_bytes: 10, ..IoOptions::default() };
+        let text = render_plan(&c, &plan, &io, 1 << 20);
+        assert!(text.contains("cache: stream (plan 24 B × 1 node > 10 B)"), "{text}");
     }
 
     #[test]
@@ -237,7 +257,7 @@ DATASET "D" {
         let q = parse("SELECT TIME, COUNT(*), AVG(V) FROM D GROUP BY TIME").unwrap();
         let b = bind(&q, &c.model.schema, &UdfRegistry::new()).unwrap();
         let plan = c.plan_query(&b).unwrap();
-        let text = render_plan(&c, &plan);
+        let text = render_plan(&c, &plan, &IoOptions::default(), 1 << 20);
         assert!(text.contains("group by [TIME] -> [COUNT(*), AVG(V)]"), "{text}");
         assert!(text.contains("pushdown"), "{text}");
     }
@@ -253,7 +273,7 @@ DATASET "D" {
                 parse("SELECT REL, TIME, COUNT(*), AVG(SOIL) FROM IparsData GROUP BY REL, TIME")
                     .unwrap();
             let b = bind(&q, &c.model.schema, &UdfRegistry::new()).unwrap();
-            render_plan(&c, &c.plan_query(&b).unwrap())
+            render_plan(&c, &c.plan_query(&b).unwrap(), &IoOptions::default(), 1 << 20)
         };
         let text = render();
         assert!(text.contains("supply REL <- Const(Short(0))"), "{text}");

@@ -358,7 +358,7 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64, path: &Path) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{group_afcs, IoOptions, IoScheduler, IoStats, SegmentCache};
+    use crate::io::{group_afcs, IoOptions, IoScheduler, IoSnapshot, IoStats, SegmentCache};
     use dv_sql::{bind, parse, UdfRegistry};
     use dv_types::{DataType, Row, Value};
     use std::io::Write;
@@ -556,6 +556,92 @@ DATASET "IparsData" {
                 assert!(snap.cache_hit_bytes > 0);
             }
         }
+    }
+
+    /// Fetch every AFC of node 0's `SELECT *` plan as a group of its
+    /// own through one scheduler, recycling each group once decoded.
+    /// Returns the decoded rows, the rows of a plain fetch, the spare
+    /// buffer count after each recycle, and the I/O counters.
+    fn fetch_recycling(
+        desc: &str,
+        base: &Path,
+        stream: bool,
+        cache: &Arc<SegmentCache>,
+    ) -> (Vec<Row>, Vec<Row>, Vec<usize>, IoSnapshot) {
+        let compiled = crate::plan::compile_from_text(desc, base).unwrap();
+        let q = parse("SELECT * FROM IparsData").unwrap();
+        let b = bind(&q, &compiled.model.schema, &UdfRegistry::with_builtins()).unwrap();
+        let plan = compiled.plan_query(&b).unwrap();
+        let ex = Extractor::new(&compiled, plan.working.attrs.len());
+        let np = &plan.node_plans[0];
+        let stats = Arc::new(IoStats::default());
+        let sched = IoScheduler::new(
+            ex.clone(),
+            IoOptions::default(),
+            Some(Arc::clone(cache)),
+            Arc::clone(&stats),
+        )
+        .streaming(stream);
+        let mut block = ColumnBlock::with_dtypes(np.node, &plan.working.dtypes);
+        let mut spare = Vec::new();
+        for afc in &np.afcs {
+            let fetched = sched.fetch(std::slice::from_ref(afc)).unwrap();
+            ex.extract_columns_fetched(afc, &mut block, &fetched).unwrap();
+            sched.recycle(fetched);
+            spare.push(sched.spare_buffers());
+        }
+        let plain = extract_all(&ex, &np.afcs, &plan.working.dtypes).unwrap();
+        (rows_of(&block), plain, spare, stats.snapshot())
+    }
+
+    #[test]
+    fn streaming_scheduler_reuses_read_buffers() {
+        let base = tmpbase("stream-reuse");
+        write_dataset(&base);
+        let cache = Arc::new(SegmentCache::new(1 << 20));
+        let (rows, plain, spare, snap) = fetch_recycling(DESC, &base, true, &cache);
+        assert_eq!(rows, plain);
+        assert!(spare.len() > 1, "several groups");
+        // Every later group reads into the first group's buffers: the
+        // free list never grows past them.
+        assert!(spare[0] > 0, "an unshared buffer is kept for reuse");
+        assert!(spare.iter().all(|&n| n == spare[0]), "{spare:?}");
+        assert!(snap.cache_miss_bytes > 0);
+        assert_eq!(snap.cache_insert_bytes, 0, "a streaming scheduler inserts nothing");
+        assert_eq!(cache.used_bytes(), 0);
+
+        // Admitted reads stay the cache's: nothing to reuse, and the
+        // second pass over the same cache hits everything.
+        let (rows, _, spare, snap) = fetch_recycling(DESC, &base, false, &cache);
+        assert_eq!(rows, plain);
+        assert!(spare.iter().all(|&n| n == 0), "{spare:?}");
+        assert_eq!(snap.cache_insert_bytes, snap.bytes_issued);
+        let (rows, _, _, warm) = fetch_recycling(DESC, &base, true, &cache);
+        assert_eq!(rows, plain);
+        assert_eq!((warm.read_syscalls, warm.cache_miss_bytes), (0, 0), "streaming serves hits");
+    }
+
+    #[test]
+    fn streaming_scheduler_admits_and_never_reuses_decoded_images() {
+        let base = tmpbase("stream-codec");
+        write_dataset(&base);
+        let desc = codec_desc();
+        transcode_dataset(&desc, &base);
+        let cache = Arc::new(SegmentCache::new(1 << 20));
+        let (rows, plain, spare, snap) = fetch_recycling(&desc, &base, true, &cache);
+        assert_eq!(rows, plain);
+        assert!(spare.iter().all(|&n| n == 0), "{spare:?}");
+        // Decode-once still holds: the images went into the cache.
+        assert_eq!(snap.cache_insert_bytes, snap.decode_bytes);
+        assert_eq!(cache.used_bytes(), snap.decode_bytes);
+
+        // Images the cache cannot retain are each group's alone, and
+        // still never become read buffers.
+        let tiny = Arc::new(SegmentCache::new(8));
+        let (rows, _, spare, _) = fetch_recycling(&desc, &base, true, &tiny);
+        assert_eq!(rows, plain);
+        assert!(spare.iter().all(|&n| n == 0), "{spare:?}");
+        assert_eq!(tiny.used_bytes(), 0);
     }
 
     #[test]

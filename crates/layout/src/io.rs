@@ -17,13 +17,29 @@
 //! another generation is dropped — nanosecond mtimes so that two
 //! rewrites within the same second cannot serve stale bytes.
 //!
+//! The plan decides whether a node's misses may enter the cache
+//! ([`cache_decision`]): a node whose post-prune schedule, scaled by
+//! the node count, is larger than the query's budget
+//! ([`IoOptions::cache_bytes`]) or the cache's own *streams*. Its
+//! scheduler still serves hits from resident segments but inserts no
+//! coalesced read, so an over-budget scan cannot flush a neighbour's
+//! working set for segments it would evict itself before re-reading
+//! any of them. Because the cache then holds no reference to its read
+//! buffers, a streaming node reuses them: a worker hands each decoded
+//! group back ([`IoScheduler::recycle`]), the buffers only that group
+//! held go on the scheduler's bounded free list, and a later miss
+//! reads into one of them — resized, never zero-filled again, and
+//! overwritten whole by the read (or dropped when the read fails).
+//!
 //! A file in a non-affine codec (CSV, zstd) has byte offsets only in
 //! its decoded image, so it is fetched whole: the cache holds the
 //! image as one entry `(file, 0, logical size)` and every scheduled
 //! range of the file slices it. However many fetch groups and pool
 //! workers want the file, a cold query decodes it once — a per-file
 //! guard in the node's scheduler makes concurrent missers wait for one
-//! decode — and a warm query not at all. The cache budget
+//! decode — and a warm query not at all. Images are admitted to the
+//! cache whether or not the node streams, since decode-once rests on
+//! them, and are never reused as read buffers. The cache budget
 //! is the only memory bound: an image that does not fit it (or a
 //! scheduler without a cache) is decoded by each fetch call that needs
 //! it and dropped with that call's [`FetchedGroup`].
@@ -51,7 +67,11 @@ pub struct IoOptions {
     /// their runs sum to this many bytes, and each group is fetched as
     /// one schedule.
     pub group_bytes: u64,
-    /// Byte budget of the cross-query segment cache; 0 disables it.
+    /// This query's budget in the cross-query segment cache; 0
+    /// disables the cache. A node whose schedule (scaled by the node
+    /// count) exceeds the smaller of this and the cache's own budget
+    /// streams: it reads past the cache instead of inserting (see
+    /// [`cache_decision`]).
     pub cache_bytes: u64,
 }
 
@@ -275,6 +295,52 @@ pub fn group_afcs(afcs: &[Afc], group_bytes: u64) -> Vec<std::ops::Range<usize>>
     groups
 }
 
+/// Whether one node's cache misses enter the segment cache this query,
+/// and the numbers that decided it. `explain` prints it per node
+/// (`Display`), and the runtime streams exactly where it says so.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheDecision {
+    /// The node's post-prune schedule bytes
+    /// ([`crate::MorselPlan::total_bytes`]).
+    pub plan_bytes: u64,
+    /// Nodes the query runs on.
+    pub nodes: usize,
+    /// The smaller of the query's and the cache's byte budgets.
+    pub budget: u64,
+    /// The node reads past the cache: it inserts no coalesced read.
+    pub stream: bool,
+}
+
+/// The admission rule of the segment cache: a node streams when its
+/// schedule bytes times the node count — the whole query's footprint,
+/// were every node alike — exceed the smaller of the query's budget
+/// (`IoOptions::cache_bytes`) and the cache's. Such a scan would evict
+/// everything before re-reading any of it, so caching it only costs:
+/// the insertions, the neighbours' evicted segments, and read buffers
+/// that can never be reused.
+pub fn cache_decision(
+    plan_bytes: u64,
+    nodes: usize,
+    query_budget: u64,
+    cache_budget: u64,
+) -> CacheDecision {
+    let budget = query_budget.min(cache_budget);
+    let stream = plan_bytes.saturating_mul(nodes as u64) > budget;
+    CacheDecision { plan_bytes, nodes, budget, stream }
+}
+
+impl std::fmt::Display for CacheDecision {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (verdict, cmp) = if self.stream { ("stream", ">") } else { ("admit", "≤") };
+        let unit = if self.nodes == 1 { "node" } else { "nodes" };
+        write!(
+            f,
+            "{verdict} (plan {} B × {} {unit} {cmp} {} B)",
+            self.plan_bytes, self.nodes, self.budget
+        )
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SegKey {
     file: usize,
@@ -323,6 +389,11 @@ impl SegmentCache {
         let mut inner = self.inner.lock().expect("segment cache poisoned");
         inner.budget = budget;
         Self::evict_to_fit(&mut inner, 0);
+    }
+
+    /// The byte budget.
+    pub fn budget(&self) -> u64 {
+        self.inner.lock().expect("segment cache poisoned").budget
     }
 
     /// Bytes currently held.
@@ -423,6 +494,12 @@ impl FetchedGroup {
     }
 }
 
+/// Read buffers one scheduler keeps for reuse. A miss allocates only
+/// when the free list is empty, so the list never holds more buffers
+/// than were in flight at once; the cap bounds what it keeps beyond
+/// that when returned groups outpace misses.
+const FREE_BUFFERS: usize = 64;
+
 /// One node worker's view of the I/O pipeline: coalesces, consults
 /// the shared cache, and issues reads through the extractor's handle
 /// pool. Created per query per node ("per-node scheduler instances").
@@ -430,12 +507,18 @@ pub struct IoScheduler {
     extractor: Extractor,
     opts: IoOptions,
     cache: Option<Arc<SegmentCache>>,
+    /// Misses of affine files stay out of the cache (see
+    /// [`cache_decision`]).
+    stream: bool,
     stats: Arc<IoStats>,
     cancel: CancelToken,
     /// Per-file decode guards of the non-affine files this scheduler
     /// has missed on: whoever holds a file's guard is decoding it, and
     /// everyone else who wants that image waits for the result.
     decoding: Mutex<HashMap<usize, Arc<Mutex<()>>>>,
+    /// Coalesced-read buffers handed back by [`IoScheduler::recycle`]
+    /// that no one else references, for later misses to read into.
+    free: Mutex<Vec<Vec<u8>>>,
 }
 
 impl IoScheduler {
@@ -453,10 +536,21 @@ impl IoScheduler {
             extractor,
             opts,
             cache,
+            stream: false,
             stats,
             cancel: CancelToken::new(),
             decoding: Mutex::new(HashMap::new()),
+            free: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Set whether this node streams (the verdict of
+    /// [`cache_decision`]): a streaming scheduler serves hits but
+    /// inserts none of its coalesced reads. Decoded images of
+    /// non-affine files are admitted either way.
+    pub fn streaming(mut self, stream: bool) -> IoScheduler {
+        self.stream = stream;
+        self
     }
 
     /// Attach a query's cancellation token; [`IoScheduler::fetch`]
@@ -536,15 +630,19 @@ impl IoScheduler {
                     hit
                 }
                 None => {
-                    let mut buf = vec![0u8; read.len as usize];
+                    // A failed read drops the buffer: no partly
+                    // overwritten bytes ever reach a later fetch.
+                    let mut buf = self.take_buffer(read.len as usize);
                     self.extractor.read_file_at(read.file, read.start, &mut buf)?;
                     self.stats.read_syscalls.fetch_add(1, Ordering::Relaxed);
                     let data = Arc::new(buf);
                     self.stats.bytes_issued.fetch_add(read.len, Ordering::Relaxed);
                     if let Some(cache) = self.cache.as_deref() {
                         self.stats.cache_miss_bytes.fetch_add(read.len, Ordering::Relaxed);
-                        self.stats.cache_insert_bytes.fetch_add(read.len, Ordering::Relaxed);
-                        cache.insert(read, generation, Arc::clone(&data));
+                        if !self.stream {
+                            self.stats.cache_insert_bytes.fetch_add(read.len, Ordering::Relaxed);
+                            cache.insert(read, generation, Arc::clone(&data));
+                        }
                     }
                     data
                 }
@@ -554,6 +652,48 @@ impl IoScheduler {
         // `reads` is sorted by (file, start), so per-file vectors are
         // already in start order.
         Ok(FetchedGroup { segs })
+    }
+
+    /// Hand back a group whose blocks are decoded and shipped. Each
+    /// coalesced-read buffer that only this group references goes on
+    /// the free list; one the cache or a concurrent fetch still holds
+    /// stays theirs, and decoded images are never reused.
+    pub fn recycle(&self, group: FetchedGroup) {
+        let mut spare: Vec<Vec<u8>> = Vec::new();
+        for (file, segs) in group.segs {
+            if self.extractor.codec(file).is_affine() {
+                spare.extend(segs.into_iter().filter_map(|(_, data)| Arc::try_unwrap(data).ok()));
+            }
+        }
+        let mut free = self.free.lock().expect("free list poisoned");
+        let room = FREE_BUFFERS.saturating_sub(free.len());
+        free.extend(spare.into_iter().take(room));
+    }
+
+    /// Buffers on the free list.
+    #[cfg(test)]
+    pub(crate) fn spare_buffers(&self) -> usize {
+        self.free.lock().expect("free list poisoned").len()
+    }
+
+    /// A buffer of `len` bytes for a miss to read into: a recycled one
+    /// when the free list has any — preferring one whose capacity
+    /// already fits — resized without zero-filling the bytes it keeps
+    /// (the read overwrites every byte), else a fresh one.
+    fn take_buffer(&self, len: usize) -> Vec<u8> {
+        let reused = {
+            let mut free = self.free.lock().expect("free list poisoned");
+            let fit = free.iter().position(|b| b.capacity() >= len);
+            fit.or(free.len().checked_sub(1)).map(|i| free.swap_remove(i))
+        };
+        match reused {
+            Some(mut buf) => {
+                // Truncates or grows; only grown bytes are written.
+                buf.resize(len, 0);
+                buf
+            }
+            None => vec![0u8; len],
+        }
     }
 
     /// The whole logical image of non-affine `file`, and whether the
@@ -758,6 +898,24 @@ mod tests {
         assert_eq!(cache.used_bytes(), 100);
         cache.set_budget(40);
         assert!(cache.used_bytes() <= 40);
+    }
+
+    #[test]
+    fn cache_decision_scales_the_plan_by_nodes() {
+        // 64 MB per node on two nodes is over a 64 MiB budget.
+        let d = cache_decision(64_000_000, 2, 64 << 20, 64 << 20);
+        assert!(d.stream);
+        assert_eq!(d.to_string(), "stream (plan 64000000 B × 2 nodes > 67108864 B)");
+        // The smaller budget decides; a footprint equal to it fits.
+        let d = cache_decision(500, 2, 1000, 1 << 20);
+        assert!(!d.stream);
+        assert_eq!(d.to_string(), "admit (plan 500 B × 2 nodes ≤ 1000 B)");
+        assert!(cache_decision(501, 2, 1 << 20, 1000).stream);
+        // No cache at all: every non-empty plan streams.
+        assert!(cache_decision(1, 1, 0, 1 << 20).stream);
+        assert!(!cache_decision(0, 4, 0, 0).stream);
+        // The product saturates instead of wrapping below the budget.
+        assert!(cache_decision(u64::MAX / 2, 3, u64::MAX - 1, u64::MAX).stream);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::Sender;
-use dv_layout::io::{FetchedGroup, IoScheduler, IoStats};
+use dv_layout::io::{cache_decision, FetchedGroup, IoScheduler, IoStats};
 use dv_layout::{Afc, Extractor, Morsel, MorselPlan, PruneVerdict, SegmentCache};
 use dv_sql::eval::EvalContext;
 use dv_sql::{BoundExpr, UdfRegistry};
@@ -239,6 +239,9 @@ impl AggSink {
 /// partition → move pipeline for one query.
 pub(crate) struct NodeWorker {
     pub node: usize,
+    /// Nodes the query runs on (scales this node's plan in the cache
+    /// decision).
+    pub nodes: usize,
     pub extractor: Extractor,
     pub udfs: Arc<UdfRegistry>,
     pub predicate: Arc<Option<BoundExpr>>,
@@ -281,14 +284,22 @@ impl NodeWorker {
         self.morsel_stats.target_bytes.fetch_max(plan.target_bytes, Ordering::Relaxed);
 
         // One shared [`IoScheduler`] per node — the only source of
-        // bytes; every pool worker fetches through it.
+        // bytes; every pool worker fetches through it. A schedule the
+        // cache cannot keep streams past it.
+        let cache = cache_decision(
+            plan.total_bytes,
+            self.nodes,
+            self.opts.io.cache_bytes,
+            self.segment_cache.budget(),
+        );
         let scheduler = IoScheduler::new(
             self.extractor.clone(),
             self.opts.io.clone(),
             Some(Arc::clone(&self.segment_cache)),
             Arc::clone(&self.io_stats),
         )
-        .with_cancel(self.cancel.clone());
+        .with_cancel(self.cancel.clone())
+        .streaming(cache.stream);
 
         self.run_pool(&plan, workers, &|m: &Morsel| {
             self.run_morsel(afcs, verdicts, &plan, m, &scheduler, tx)
@@ -391,8 +402,9 @@ impl NodeWorker {
     }
 
     /// One morsel: fetch each of its coalesce groups through the node's
-    /// scheduler and decode and ship its blocks. The scanned-ordinal
-    /// cursor starts at the morsel's plan-time base.
+    /// scheduler, decode and ship its blocks, and hand the group back
+    /// for its read buffers to be reused. The scanned-ordinal cursor
+    /// starts at the morsel's plan-time base.
     fn run_morsel(
         &self,
         afcs: &[Afc],
@@ -411,6 +423,7 @@ impl NodeWorker {
             let fetched = scheduler.fetch(&afcs[g.clone()])?;
             let (afcs, verdicts) = (&afcs[g.clone()], &verdicts[g]);
             self.decode_and_ship(afcs, verdicts, &fetched, &cx, &mut cursor, &mut sink, tx)?;
+            scheduler.recycle(fetched);
         }
         self.finish_morsel(m, cursor, sink, tx)
     }

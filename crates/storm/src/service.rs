@@ -228,6 +228,12 @@ impl QueryService {
         &self.core.compiled
     }
 
+    /// Byte budget of the server's segment cache (one of the two
+    /// budgets of the per-node cache decision, beside the query's).
+    pub fn cache_budget(&self) -> u64 {
+        self.core.segment_cache.budget()
+    }
+
     /// Parse + bind a query against the served schema.
     pub fn bind_sql(&self, sql: &str) -> Result<BoundQuery> {
         let q = parse(sql)?;
@@ -674,6 +680,7 @@ pub(crate) fn run_session(
         let pre = pre_planned.clone();
         let worker = NodeWorker {
             node,
+            nodes: node_count,
             extractor: extractor.clone(),
             udfs: Arc::clone(&core.udfs),
             predicate: Arc::clone(&predicate),

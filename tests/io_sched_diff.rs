@@ -5,23 +5,34 @@
 //! and of the row-at-a-time reference executor (which reads whole
 //! files itself) on proptest-generated queries; plus
 //! invalidation tests proving a file rewritten, replaced by rename or
-//! truncated yields fresh reads, never stale cached bytes or handles.
+//! truncated yields fresh reads, never stale cached bytes, handles or
+//! recycled read buffers; and the cache decision (`explain`'s
+//! `cache:` line) holding at run time.
 
 use dv_bench::queries::{ipars_queries, titan_queries};
 use dv_core::{IoOptions, QueryOptions, Virtualizer};
 use dv_datagen::{ipars, titan, IparsConfig, IparsLayout, TitanConfig};
 use dv_handwritten::{HandIparsL0, HandTitan};
-use dv_integration::{query_checked, reference, scratch};
+use dv_integration::{query_checked, query_options, reference, scratch};
 use dv_sql::{bind, parse, UdfRegistry};
-use dv_types::Table;
+use dv_types::{DvError, Table};
 
 fn ipars_cfg() -> IparsConfig {
     IparsConfig { realizations: 2, time_steps: 40, grid_per_dir: 50, dirs: 2, nodes: 2, seed: 77 }
 }
 
+/// Options under which every node of every test plan streams past the
+/// segment cache: a query budget below any plan's bytes, and fetch
+/// groups small enough that each node's later misses read into
+/// recycled buffers of varying sizes.
+fn stream_io() -> IoOptions {
+    IoOptions { cache_bytes: 1, group_bytes: 16 * 1024, ..IoOptions::default() }
+}
+
 /// The knob matrix: plain baseline, coalesce-only (two gaps), tiny
 /// working sets without a cache (multi-group morsels), the default
-/// cache, and small working sets with the cache.
+/// cache, small working sets with the cache, and streaming nodes
+/// that reuse their read buffers.
 fn knob_combos() -> Vec<(&'static str, IoOptions)> {
     vec![
         ("plain", IoOptions::plain()),
@@ -33,6 +44,7 @@ fn knob_combos() -> Vec<(&'static str, IoOptions)> {
         ),
         ("cache", IoOptions::default()),
         ("full", IoOptions { group_bytes: 64 * 1024, ..IoOptions::default() }),
+        ("stream", stream_io()),
     ]
 }
 
@@ -42,7 +54,7 @@ fn run(v: &Virtualizer, sql: &str, opts: &QueryOptions) -> Table {
 }
 
 fn run_io(v: &Virtualizer, sql: &str, io: &IoOptions) -> Table {
-    run(v, sql, &QueryOptions { io: io.clone(), ..Default::default() })
+    run(v, sql, &QueryOptions { io: io.clone(), ..query_options() })
 }
 
 /// All knob combinations == hand-written, across the fig8 Ipars query
@@ -195,32 +207,141 @@ fn explain_io_schedule_matches_cold_read_syscalls() {
     assert_eq!(explained, cold.io.read_syscalls, "explain's coalesced reads vs the runtime's");
 }
 
+/// Per node of an `explain` rendering: whether its `cache:` line says
+/// `stream`, the plan bytes it names, and the bytes its I/O schedule
+/// line issues (0 for a node that reads nothing).
+fn explained_nodes(text: &str) -> Vec<(bool, u64, u64)> {
+    let mut nodes = Vec::new();
+    for line in text.lines() {
+        if line.starts_with("// node ") {
+            nodes.push((false, 0, 0));
+        }
+        let Some(node) = nodes.last_mut() else { continue };
+        if line.contains(" runs -> ") {
+            let issued = line.split(" bytes issued").next().unwrap();
+            node.2 = issued.rsplit(' ').next().unwrap().parse().unwrap();
+        }
+        if let Some(cache) = line.strip_prefix("//   cache: ") {
+            node.0 = cache.starts_with("stream");
+            node.1 =
+                cache.split("plan ").nth(1).unwrap().split(' ').next().unwrap().parse().unwrap();
+        }
+    }
+    nodes
+}
+
+/// `explain`'s per-node cache decision is the runtime's: on a fresh
+/// server a cold query inserts exactly the bytes its admitting nodes
+/// issue, and nothing where `explain` says `stream` — at the default
+/// budget (everything fits), below every plan (everything streams),
+/// and at a budget that splits the nodes of an uneven plan.
+#[test]
+fn explain_cache_decision_matches_cold_inserts() {
+    let cfg = TitanConfig { points: 2000, tiles: (3, 3, 2), nodes: 2, seed: 17 };
+    let base = scratch("iodiff-explain-cache");
+    let descriptor = titan::generate(&base, &cfg).unwrap();
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    // Planning reads no data: one server explains every query.
+    let planner = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
+    let mut split = false;
+    for q in titan_queries("TitanData") {
+        let plans: Vec<u64> =
+            explained_nodes(&planner.explain(&q.sql).unwrap()).iter().map(|n| n.1).collect();
+        let (lo, hi) = (*plans.iter().min().unwrap(), *plans.iter().max().unwrap());
+        let mut budgets = vec![IoOptions::default().cache_bytes, 1];
+        if lo < hi {
+            budgets.push(lo * plans.len() as u64);
+        }
+        for budget in budgets {
+            let io = IoOptions { cache_bytes: budget, ..IoOptions::default() };
+            let opts = QueryOptions { io, intra_node_threads: threads, ..query_options() };
+            let nodes = explained_nodes(&planner.explain_with(&q.sql, &opts).unwrap());
+            let admitted: u64 = nodes.iter().filter(|n| !n.0).map(|n| n.2).sum();
+            split |= nodes.iter().any(|n| n.0 && n.2 > 0) && admitted > 0;
+            let v = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
+            let (_, cold) = query_checked(&v, &q.sql, &opts);
+            assert_eq!(
+                cold.io.cache_insert_bytes, admitted,
+                "q{} ({}) at a {budget}-byte budget: inserts vs explain's admitting nodes {nodes:?}",
+                q.no, q.what
+            );
+        }
+    }
+    assert!(split, "no query split its nodes between stream and admit");
+}
+
+/// A small query's resident working set survives a neighbour's scan
+/// that is over its budget: the scan streams past the cache, inserting
+/// nothing, and the small query stays wholly warm.
+#[test]
+fn resident_working_set_survives_streaming_scan() {
+    let cfg = ipars_cfg();
+    let base = scratch("iodiff-resident");
+    let descriptor = ipars::generate(&base, &cfg, IparsLayout::I).unwrap();
+    let v = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
+    let small = "SELECT REL, TIME, SOIL FROM IparsData WHERE TIME <= 4";
+    let opts = query_options();
+
+    let (cold, _) = query_checked(&v, small, &opts);
+    let (_, warm) = query_checked(&v, small, &opts);
+    assert_eq!(warm.io.cache_hit_rate(), 1.0, "the small query is cache-resident");
+
+    // The scan's budget holds the small query's footprint but not its
+    // own plan.
+    let scan_opts = QueryOptions {
+        io: IoOptions { cache_bytes: 4 * warm.io.cache_hit_bytes, ..IoOptions::default() },
+        ..query_options()
+    };
+    assert!(v.explain_with("SELECT * FROM IparsData", &scan_opts).unwrap().contains("stream"));
+    let (_, scan) = query_checked(&v, "SELECT * FROM IparsData", &scan_opts);
+    assert!(scan.io.bytes_issued > 0, "the scan reads the files past the cache");
+    assert_eq!(scan.io.cache_insert_bytes, 0, "a streaming scan inserts nothing");
+
+    let (again, after) = query_checked(&v, small, &opts);
+    assert!(again[0].same_rows(&cold[0]));
+    assert_eq!(after.io.cache_hit_rate(), 1.0, "the small query is still wholly cached");
+    assert_eq!(after.io.read_syscalls, 0, "and reads nothing");
+}
+
+/// The cache arms of the invalidation tests: the default cache, and
+/// nodes that stream past it reusing their read buffers.
+fn cache_arms() -> [(&'static str, QueryOptions); 2] {
+    [("cache", query_options()), ("stream", QueryOptions { io: stream_io(), ..query_options() })]
+}
+
 /// Rewriting a data file in place (fresh mtime, same length) must
 /// invalidate its cached segments: the same server answers the second
-/// query from the new bytes.
+/// query from the new bytes. A streaming server caches nothing, and
+/// its recycled buffers never outlive a query, so it too must read
+/// the new bytes.
 #[test]
 fn cache_invalidation_on_rewrite() {
-    let cfg_a = ipars_cfg();
-    let cfg_b = IparsConfig { seed: 4242, ..cfg_a.clone() };
-    let base = scratch("iodiff-rewrite");
-    let descriptor = ipars::generate(&base, &cfg_a, IparsLayout::L0).unwrap();
-    let v = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
-    let sql = "SELECT * FROM IparsData WHERE TIME <= 5";
+    for (arm, opts) in cache_arms() {
+        let cfg_a = ipars_cfg();
+        let cfg_b = IparsConfig { seed: 4242, ..cfg_a.clone() };
+        let base = scratch(&format!("iodiff-rewrite-{arm}"));
+        let descriptor = ipars::generate(&base, &cfg_a, IparsLayout::L0).unwrap();
+        let v = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
+        let sql = "SELECT * FROM IparsData WHERE TIME <= 5";
 
-    let (t1, _) = v.query(sql).unwrap();
-    // Rewrite every data file in place with different values (the
-    // sleep guarantees a distinct mtime even on coarse filesystems).
-    std::thread::sleep(std::time::Duration::from_millis(20));
-    ipars::generate(&base, &cfg_b, IparsLayout::L0).unwrap();
+        let (t1, stats1) = query_checked(&v, sql, &opts);
+        if arm == "stream" {
+            assert_eq!(stats1.io.cache_insert_bytes, 0, "a streaming query inserts nothing");
+        }
+        // Rewrite every data file in place with different values (the
+        // sleep guarantees a distinct mtime even on coarse filesystems).
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        ipars::generate(&base, &cfg_b, IparsLayout::L0).unwrap();
 
-    let (t2, stats2) = v.query(sql).unwrap();
-    assert!(!t1.same_rows(&t2), "rewritten data must change the result");
-    assert_eq!(stats2.io.cache_hit_bytes, 0, "no stale segment may be served");
+        let (t2, stats2) = query_checked(&v, sql, &opts);
+        assert!(!t1[0].same_rows(&t2[0]), "{arm}: rewritten data must change the result");
+        assert_eq!(stats2.io.cache_hit_bytes, 0, "{arm}: no stale segment may be served");
 
-    // A fresh server over the rewritten files agrees.
-    let v_fresh = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
-    let (t_fresh, _) = v_fresh.query(sql).unwrap();
-    assert!(t2.same_rows(&t_fresh), "post-rewrite result must match a cold server");
+        // A fresh server over the rewritten files agrees.
+        let v_fresh = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
+        let t_fresh = run(&v_fresh, sql, &opts);
+        assert!(t2[0].same_rows(&t_fresh), "{arm}: post-rewrite result must match a cold server");
+    }
 }
 
 /// Replacing data files by rename (a new inode under the old path)
@@ -255,28 +376,39 @@ fn cache_invalidation_on_rename() {
     assert!(t3.same_rows(&t_fresh), "default query after the rename must match a cold server");
 }
 
-/// Truncating a file after it was cached must surface as an I/O
-/// error on the next query, not a stale success.
+/// Truncating a file after it was read must surface as a clean I/O
+/// error on the next query, not a stale success — whether its
+/// segments were cached or its read buffer is being reused — and once
+/// the file is whole again the same server answers correctly.
 #[test]
 fn cache_invalidation_on_truncate() {
-    let cfg = ipars_cfg();
-    let base = scratch("iodiff-trunc");
-    let descriptor = ipars::generate(&base, &cfg, IparsLayout::L0).unwrap();
-    let v = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
-    let sql = "SELECT * FROM IparsData";
+    for (arm, opts) in cache_arms() {
+        let cfg = ipars_cfg();
+        let base = scratch(&format!("iodiff-trunc-{arm}"));
+        let descriptor = ipars::generate(&base, &cfg, IparsLayout::L0).unwrap();
+        let v = Virtualizer::builder(&descriptor).storage_base(&base).build().unwrap();
+        let sql = "SELECT * FROM IparsData";
 
-    v.query(sql).unwrap();
-    // Truncate one vertical-fragment file to half its size.
-    let victim = walk_one_data_file(&base);
-    let bytes = std::fs::read(&victim).unwrap();
-    std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+        let before = run(&v, sql, &opts);
+        // Truncate one vertical-fragment file to half its size.
+        let victim = walk_one_data_file(&base);
+        let bytes = std::fs::read(&victim).unwrap();
+        std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
 
-    let err = v.query(sql);
-    assert!(
-        err.is_err(),
-        "query over a truncated file must fail, got {:?}",
-        err.map(|r| r.0.len())
-    );
+        match v.query_with(sql, &opts) {
+            Err(DvError::Io { path, .. }) => {
+                assert_eq!(std::path::Path::new(&path), victim, "{arm}: error names the file")
+            }
+            other => panic!(
+                "{arm}: query over a truncated file must fail with an I/O error, got {:?}",
+                other.map(|r| r.0[0].len())
+            ),
+        }
+
+        std::fs::write(&victim, &bytes).unwrap();
+        let after = run(&v, sql, &opts);
+        assert!(after.same_rows(&before), "{arm}: the restored file must read correctly");
+    }
 }
 
 /// First regular file below `base` (the datasets are generated, so
