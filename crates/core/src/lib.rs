@@ -166,7 +166,10 @@ impl Virtualizer {
         &self.service.model().schema
     }
 
-    /// The resolved dataset model (files, implicit extents, layouts).
+    /// The resolved dataset model: every file (path, node, binding
+    /// env, codec) and the distinct resolved layouts the files share
+    /// (`FileModel::shape`); a file's implicit extents are read with
+    /// `FileModel::extents`.
     pub fn model(&self) -> &DatasetModel {
         self.service.model()
     }

@@ -99,7 +99,7 @@ pub fn decode_physical(
     match kind {
         CodecKind::FixedBinary => Ok(physical.to_vec()),
         CodecKind::ZstdSegment => {
-            let promised = typed_size(&typed_layout(&file.layout, attr_types)?);
+            let promised = typed_size(&typed_layout(file.layout(), attr_types)?);
             zstd_decompress(physical, Some(promised))
                 .map_err(|e| DvError::Runtime(format!("zstd file `{}`: {e}", file.rel_path)))
         }
@@ -297,7 +297,7 @@ pub fn csv_encode(
     attr_types: &HashMap<String, DataType>,
     logical: &[u8],
 ) -> Result<String> {
-    let layout = typed_layout(&file.layout, attr_types)?;
+    let layout = typed_layout(file.layout(), attr_types)?;
     let mut out = String::new();
     let mut cursor = 0usize;
     for_each_record(&layout, &mut |record| {
@@ -340,7 +340,7 @@ pub fn csv_decode(
     attr_types: &HashMap<String, DataType>,
     text: &str,
 ) -> Result<Vec<u8>> {
-    let layout = typed_layout(&file.layout, attr_types)?;
+    let layout = typed_layout(file.layout(), attr_types)?;
     let bytes = text.as_bytes();
     // Exactly the image's size for a well-formed file; a cell is at
     // least one character and a delimiter and at most eight bytes, so
@@ -650,8 +650,8 @@ pub fn zstd_decompress(frame: &[u8], expected: Option<u64>) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::FileModel;
-    use std::collections::BTreeMap;
+    use crate::model::{FileModel, FileShape};
+    use std::sync::Arc;
 
     fn zstd_roundtrip(data: &[u8]) {
         let frame = zstd_compress(data);
@@ -740,10 +740,13 @@ mod tests {
             node: 0,
             rel_path: "f".into(),
             env: Default::default(),
-            layout,
-            stored_attrs: vec!["T".into(), "X".into()],
-            extents: BTreeMap::new(),
             codec: CodecKind::DelimitedText,
+            shape: Arc::new(FileShape {
+                id: 0,
+                layout,
+                stored_attrs: vec!["T".into(), "X".into()],
+                loop_extents: Vec::new(),
+            }),
         };
         let types: HashMap<String, DataType> =
             [("T".to_string(), DataType::Int), ("X".to_string(), DataType::Float)]

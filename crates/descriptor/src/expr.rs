@@ -35,34 +35,37 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Evaluate under `env`. Unbound variables and division by zero
-    /// are semantic errors (reported with the variable name).
+    /// Evaluate under `env`. Unbound variables, division by zero and
+    /// results outside the 64-bit range are semantic errors (reported
+    /// with the variable name or the operation).
     pub fn eval(&self, env: &Env) -> Result<i64> {
+        let overflow =
+            |what: &str| DvError::DescriptorSemantic(format!("{what} overflows a 64-bit integer"));
         match self {
             Expr::Int(v) => Ok(*v),
             Expr::Var(name) => env.get(name).copied().ok_or_else(|| {
                 DvError::DescriptorSemantic(format!("unbound variable `${name}` in expression"))
             }),
-            Expr::Neg(e) => Ok(-e.eval(env)?),
+            Expr::Neg(e) => e.eval(env)?.checked_neg().ok_or_else(|| overflow("negation")),
             Expr::Bin { op, lhs, rhs } => {
                 let l = lhs.eval(env)?;
                 let r = rhs.eval(env)?;
                 match op {
-                    Op::Add => Ok(l + r),
-                    Op::Sub => Ok(l - r),
-                    Op::Mul => Ok(l * r),
+                    Op::Add => l.checked_add(r).ok_or_else(|| overflow("addition")),
+                    Op::Sub => l.checked_sub(r).ok_or_else(|| overflow("subtraction")),
+                    Op::Mul => l.checked_mul(r).ok_or_else(|| overflow("multiplication")),
                     Op::Div => {
                         if r == 0 {
                             Err(DvError::DescriptorSemantic("division by zero".into()))
                         } else {
-                            Ok(l / r)
+                            l.checked_div(r).ok_or_else(|| overflow("division"))
                         }
                     }
                     Op::Mod => {
                         if r == 0 {
                             Err(DvError::DescriptorSemantic("modulo by zero".into()))
                         } else {
-                            Ok(l % r)
+                            l.checked_rem(r).ok_or_else(|| overflow("remainder"))
                         }
                     }
                 }
@@ -146,6 +149,24 @@ mod tests {
         assert!(z.eval(&Env::new()).is_err());
         let m = bin(Op::Mod, Expr::Int(7), Expr::Int(0));
         assert!(m.eval(&Env::new()).is_err());
+    }
+
+    #[test]
+    fn overflow_is_an_error() {
+        let max = || Expr::Int(i64::MAX);
+        let min = || Expr::Neg(Box::new(bin(Op::Add, max(), Expr::Int(0))));
+        for e in [
+            bin(Op::Add, max(), Expr::Int(1)),
+            bin(Op::Sub, min(), Expr::Int(2)),
+            bin(Op::Mul, max(), Expr::Int(2)),
+            bin(Op::Div, bin(Op::Sub, min(), Expr::Int(1)), Expr::Int(-1)),
+            bin(Op::Mod, bin(Op::Sub, min(), Expr::Int(1)), Expr::Int(-1)),
+            Expr::Neg(Box::new(bin(Op::Sub, min(), Expr::Int(1)))),
+        ] {
+            let msg = e.eval(&Env::new()).unwrap_err().to_string();
+            assert!(msg.contains("overflows a 64-bit integer"), "{msg}");
+        }
+        assert_eq!(bin(Op::Sub, min(), Expr::Int(1)).eval(&Env::new()).unwrap(), i64::MIN);
     }
 
     #[test]

@@ -1,15 +1,29 @@
 //! Resolved dataset model — the output of descriptor compilation.
 //!
 //! Resolution expands every `DATA` file binding over its variable
-//! ranges into concrete [`FileModel`]s. Each file carries:
+//! ranges into concrete [`FileModel`]s. A file owns only what differs
+//! from file to file: its path, node, codec and binding environment
+//! (`DIRID = 1, REL = 3`). What its `DATASPACE` evaluates to is a
+//! [`FileShape`], shared through an `Arc` by every file whose binding
+//! values the dataspace reads are equal:
 //!
 //! * a fully-evaluated loop-nest layout (all bounds are integers);
-//! * its *implicit attribute extents* — values or ranges of attributes
-//!   that are never stored in the file's bytes but are implied by the
-//!   file name, directory, or loop structure (paper §4). These drive
-//!   both file pruning and aligned-file-chunk consistency checks.
+//! * the schema attributes the layout stores;
+//! * the extents of its loop variables.
+//!
+//! A file's *implicit attribute extents* ([`FileModel::extents`]) —
+//! values or ranges of attributes that are never stored in the file's
+//! bytes but are implied by the file name, directory, or loop
+//! structure (paper §4) — are its binding points merged with its
+//! shape's loop extents. They drive both file pruning and
+//! aligned-file-chunk consistency checks. A descriptor naming 800 files
+//! through `DIR[$DIRID]/r$REL.t$TIME.dat` whose loops read only
+//! `$DIRID` resolves to as many shapes as it has directories.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::collections::{btree_map, HashMap};
+use std::iter::Peekable;
+use std::sync::Arc;
 
 use dv_types::{DataType, Schema};
 
@@ -71,13 +85,26 @@ pub enum ResolvedItem {
 }
 
 impl ResolvedItem {
-    /// Iteration count of a loop (`0` for empty loops).
+    /// Iteration count of a loop (`0` for empty loops). Exact for any
+    /// bounds (saturating at `u64::MAX`); the resolver only admits
+    /// loops [`ResolvedItem::checked_loop_iterations`] accepts.
     pub fn loop_iterations(lo: i64, hi: i64, step: i64) -> u64 {
         if step <= 0 || lo > hi {
             0
         } else {
-            (((hi - lo) / step) + 1) as u64
+            let n = (i128::from(hi) - i128::from(lo)) / i128::from(step) + 1;
+            u64::try_from(n).unwrap_or(u64::MAX)
         }
+    }
+
+    /// Iteration count of the range `lo:hi:step`, or `None` when a value
+    /// of the range, or the one a further step would reach, does not
+    /// fit in an `i64` — so a walk of it, `lo + i*step` for `i` up to
+    /// the count, never overflows. Empty ranges count `0`.
+    pub fn checked_loop_iterations(lo: i64, hi: i64, step: i64) -> Option<u64> {
+        let n = Self::loop_iterations(lo, hi, step);
+        let end = i128::from(lo) + i128::from(n) * i128::from(step);
+        (n == 0 || end <= i128::from(i64::MAX)).then_some(n)
     }
 
     /// Byte size of this item given per-attribute sizes. `Chunked`
@@ -111,6 +138,22 @@ pub fn items_byte_size(items: &[ResolvedItem], attr_sizes: &HashMap<String, usiz
     Some(total)
 }
 
+/// One resolved `DATASPACE`: what every file of one leaf dataset whose
+/// binding values the dataspace reads are equal shares.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FileShape {
+    /// Dense id within [`DatasetModel::shapes`].
+    pub id: usize,
+    /// Resolved byte layout.
+    pub layout: Vec<ResolvedItem>,
+    /// Schema attributes physically stored, in first appearance order.
+    pub stored_attrs: Vec<String>,
+    /// Extent of every loop variable, sorted by name; a variable of
+    /// several loops gets their hull (with the first loop's step). Keys
+    /// include non-schema alignment variables such as `GRID`.
+    pub loop_extents: Vec<(String, VarExtent)>,
+}
+
 /// One concrete data file of the dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FileModel {
@@ -125,31 +168,106 @@ pub struct FileModel {
     /// Binding-variable environment that produced this file
     /// (`DIRID = 1, REL = 3`).
     pub env: Env,
-    /// Resolved byte layout.
-    pub layout: Vec<ResolvedItem>,
-    /// Schema attributes physically stored in this file, in first
-    /// appearance order.
-    pub stored_attrs: Vec<String>,
-    /// Implicit extents of every variable relevant to this file:
-    /// binding variables (points) and loop variables (ranges). Keys
-    /// include non-schema alignment variables such as `GRID`.
-    pub extents: BTreeMap<String, VarExtent>,
     /// Storage codec of the physical file.
     pub codec: CodecKind,
+    /// The file's resolved layout, shared with every file of the same
+    /// shape.
+    pub shape: Arc<FileShape>,
 }
 
 impl FileModel {
+    /// Resolved byte layout.
+    pub fn layout(&self) -> &[ResolvedItem] {
+        &self.shape.layout
+    }
+
+    /// Schema attributes physically stored in this file, in first
+    /// appearance order.
+    pub fn stored_attrs(&self) -> &[String] {
+        &self.shape.stored_attrs
+    }
+
+    /// Implicit extents of every variable relevant to this file, sorted
+    /// by name: binding variables (points) and loop variables (ranges;
+    /// a binding variable that is also looped over gets the hull of
+    /// both). Allocates nothing.
+    pub fn extents(&self) -> Extents<'_> {
+        Extents {
+            points: self.env.iter().peekable(),
+            loops: self.shape.loop_extents.iter().peekable(),
+        }
+    }
+
+    /// The implicit extent of `var`, if the file has one.
+    pub fn extent(&self, var: &str) -> Option<VarExtent> {
+        let point = self.env.get(var).map(|&v| VarExtent::Point(v));
+        let looped = self
+            .shape
+            .loop_extents
+            .binary_search_by(|(k, _)| k.as_str().cmp(var))
+            .ok()
+            .map(|i| self.shape.loop_extents[i].1);
+        match (point, looped) {
+            (Some(p), Some(l)) => Some(p.merge(&l)),
+            (p, l) => p.or(l),
+        }
+    }
+
+    /// The variables both files have an extent for, in name order, with
+    /// this file's extent and `other`'s: one merge of the two sorted
+    /// [`FileModel::extents`], no lookups.
+    pub fn shared_extents<'a>(
+        &'a self,
+        other: &'a FileModel,
+    ) -> impl Iterator<Item = (&'a str, VarExtent, VarExtent)> + 'a {
+        let mut theirs = other.extents().peekable();
+        self.extents().filter_map(move |(var, mine)| {
+            while theirs.next_if(|&(v, _)| v < var).is_some() {}
+            theirs.next_if(|&(v, _)| v == var).map(|(_, e)| (var, mine, e))
+        })
+    }
+
     /// Expected byte size of the *logical* image from the layout
     /// (`None` when chunked). For affine codecs this is also the
     /// physical file size; for CSV/zstd the physical size is
     /// data-dependent.
     pub fn expected_size(&self, attr_sizes: &HashMap<String, usize>) -> Option<u64> {
-        items_byte_size(&self.layout, attr_sizes)
+        items_byte_size(self.layout(), attr_sizes)
     }
 
     /// True when the layout is a `CHUNKED` external-index layout.
     pub fn is_chunked(&self) -> bool {
-        matches!(self.layout.first(), Some(ResolvedItem::Chunked { .. }))
+        matches!(self.layout().first(), Some(ResolvedItem::Chunked { .. }))
+    }
+}
+
+/// [`FileModel::extents`]: a file's binding points merged, by name,
+/// with its shape's loop extents.
+pub struct Extents<'a> {
+    points: Peekable<btree_map::Iter<'a, String, i64>>,
+    loops: Peekable<std::slice::Iter<'a, (String, VarExtent)>>,
+}
+
+impl<'a> Iterator for Extents<'a> {
+    type Item = (&'a str, VarExtent);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let order = match (self.points.peek(), self.loops.peek()) {
+            (Some((p, _)), Some((l, _))) => p.as_str().cmp(l.as_str()),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return None,
+        };
+        let point = |(k, &v): (&'a String, &i64)| (k.as_str(), VarExtent::Point(v));
+        match order {
+            Ordering::Less => self.points.next().map(point),
+            Ordering::Greater => self.loops.next().map(|(k, e)| (k.as_str(), *e)),
+            Ordering::Equal => {
+                let (k, p) = self.points.next().map(point)?;
+                let (_, l) = self.loops.next()?;
+                Some((k, p.merge(l)))
+            }
+        }
     }
 }
 
@@ -174,6 +292,8 @@ pub struct DatasetModel {
     pub attr_sizes: HashMap<String, usize>,
     /// Every concrete file.
     pub files: Vec<FileModel>,
+    /// Every distinct resolved layout, indexed by [`FileShape::id`].
+    pub shapes: Vec<Arc<FileShape>>,
 }
 
 impl DatasetModel {
@@ -208,6 +328,72 @@ mod tests {
         assert_eq!(ResolvedItem::loop_iterations(1, 10, 3), 4); // 1,4,7,10
         assert_eq!(ResolvedItem::loop_iterations(5, 4, 1), 0);
         assert_eq!(ResolvedItem::loop_iterations(1, 10, 0), 0);
+        assert_eq!(ResolvedItem::loop_iterations(i64::MIN, i64::MAX, 1), u64::MAX);
+        assert_eq!(ResolvedItem::loop_iterations(-i64::MAX, i64::MAX, 1), u64::MAX);
+    }
+
+    #[test]
+    fn checked_iterations_reject_ranges_that_step_past_i64() {
+        assert_eq!(ResolvedItem::checked_loop_iterations(1, 10, 3), Some(4));
+        assert_eq!(ResolvedItem::checked_loop_iterations(5, 4, 1), Some(0));
+        assert_eq!(ResolvedItem::checked_loop_iterations(i64::MAX - 10, i64::MAX - 1, 1), Some(10));
+        // The walk's next value, MAX - 1 + 1, still fits.
+        assert_eq!(
+            ResolvedItem::checked_loop_iterations(i64::MIN, i64::MAX - 1, 1),
+            Some(u64::MAX)
+        );
+        assert_eq!(ResolvedItem::checked_loop_iterations(-i64::MAX, i64::MAX, 1), None);
+        // 9223372036854775800 and …805 fit; the step after them does not.
+        assert_eq!(ResolvedItem::checked_loop_iterations(i64::MAX - 7, i64::MAX, 5), None);
+        assert_eq!(ResolvedItem::checked_loop_iterations(i64::MAX - 10, i64::MAX - 6, 5), Some(1));
+    }
+
+    #[test]
+    fn extents_merge_binding_points_with_loop_extents() {
+        let shape = FileShape {
+            id: 0,
+            layout: Vec::new(),
+            stored_attrs: Vec::new(),
+            loop_extents: vec![
+                ("GRID".into(), VarExtent::Range { lo: 1, hi: 10, step: 1 }),
+                ("REL".into(), VarExtent::Range { lo: 4, hi: 6, step: 2 }),
+                ("TIME".into(), VarExtent::Range { lo: 1, hi: 5, step: 1 }),
+            ],
+        };
+        let file = FileModel {
+            id: 0,
+            dataset: "d".into(),
+            node: 0,
+            rel_path: "f".into(),
+            env: [("DIRID".to_string(), 1), ("REL".to_string(), 2), ("Z".to_string(), 9)].into(),
+            codec: CodecKind::FixedBinary,
+            shape: Arc::new(shape),
+        };
+        let all: Vec<(&str, VarExtent)> = file.extents().collect();
+        assert_eq!(
+            all,
+            [
+                ("DIRID", VarExtent::Point(1)),
+                ("GRID", VarExtent::Range { lo: 1, hi: 10, step: 1 }),
+                ("REL", VarExtent::Range { lo: 2, hi: 6, step: 2 }),
+                ("TIME", VarExtent::Range { lo: 1, hi: 5, step: 1 }),
+                ("Z", VarExtent::Point(9)),
+            ]
+        );
+        for (var, e) in &all {
+            assert_eq!(file.extent(var), Some(*e), "{var}");
+        }
+        assert_eq!(file.extent("NONE"), None);
+
+        let mut other = file.clone();
+        other.env = [("A".to_string(), 0), ("REL".to_string(), 7), ("ZZ".to_string(), 1)].into();
+        let shared: Vec<(&str, VarExtent, VarExtent)> = file.shared_extents(&other).collect();
+        let rel = VarExtent::Range { lo: 2, hi: 6, step: 2 };
+        let rel_other = VarExtent::Range { lo: 4, hi: 7, step: 2 };
+        assert_eq!(
+            shared,
+            [("GRID", all[1].1, all[1].1), ("REL", rel, rel_other), ("TIME", all[3].1, all[3].1),]
+        );
     }
 
     #[test]

@@ -3,15 +3,26 @@
 //! This is the expensive half of descriptor compilation the paper runs
 //! *once*, ahead of any query: binding-variable ranges are expanded
 //! into concrete files, loop bounds are evaluated, attribute references
-//! are checked, and implicit extents are computed per file.
+//! are checked, and implicit extents are computed.
+//!
+//! A file's `DATASPACE` depends on its binding environment only through
+//! the variables its loop bounds and `CHUNKED` index template read. For
+//! each leaf dataset the resolver collects that set once and memoises
+//! the resolved [`FileShape`] by those variables' values: a pattern
+//! naming 800 files whose loops read only `$DIRID` evaluates its
+//! dataspace once per directory, and the files share the result. The
+//! per-file checks — directory slot, duplicate path, `CODEC` with
+//! `CHUNKED` — still run for every file, and a dataspace error is
+//! raised on the first file that reaches it.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use dv_types::{Attribute, DataType, DvError, Result, Schema};
 
 use crate::ast::{DataAst, DatasetAst, DescriptorAst, FileBinding, SpaceItem};
 use crate::expr::Env;
-use crate::model::{DatasetModel, DirInfo, FileModel, ResolvedItem, VarExtent};
+use crate::model::{DatasetModel, DirInfo, FileModel, FileShape, ResolvedItem, VarExtent};
 
 /// Resolve a parsed descriptor into a dataset model.
 pub fn resolve(ast: &DescriptorAst) -> Result<DatasetModel> {
@@ -76,16 +87,17 @@ pub fn resolve(ast: &DescriptorAst) -> Result<DatasetModel> {
         }
     }
 
-    let files = {
+    let (files, shapes) = {
         let mut resolver = Resolver {
             schema: &schema,
             dirs: &dirs,
             attr_types: &attr_types,
             files: Vec::new(),
+            shapes: Vec::new(),
             seen_paths: HashSet::new(),
         };
         resolver.walk(&ast.layout)?;
-        resolver.files
+        (resolver.files, resolver.shapes)
     };
     if files.is_empty() {
         return Err(DvError::DescriptorSemantic(
@@ -102,6 +114,7 @@ pub fn resolve(ast: &DescriptorAst) -> Result<DatasetModel> {
         attr_types,
         attr_sizes,
         files,
+        shapes,
     })
 }
 
@@ -143,7 +156,46 @@ struct Resolver<'a> {
     dirs: &'a [DirInfo],
     attr_types: &'a HashMap<String, DataType>,
     files: Vec<FileModel>,
+    shapes: Vec<Arc<FileShape>>,
     seen_paths: HashSet<(usize, String)>,
+}
+
+/// The shapes one leaf dataset's files resolved to, keyed by the values
+/// of the binding variables its dataspace reads (`None` = unbound).
+struct ShapeMemo<'s> {
+    space: &'s [SpaceItem],
+    /// Variables the dataspace reads, sorted.
+    reads: Vec<String>,
+    shapes: HashMap<Vec<Option<i64>>, Arc<FileShape>>,
+    /// Scratch key of the current file.
+    key: Vec<Option<i64>>,
+}
+
+impl<'s> ShapeMemo<'s> {
+    fn new(space: &'s [SpaceItem]) -> ShapeMemo<'s> {
+        let mut reads = Vec::new();
+        dataspace_reads(space, &mut reads);
+        reads.sort();
+        reads.dedup();
+        ShapeMemo { space, reads, shapes: HashMap::new(), key: Vec::new() }
+    }
+}
+
+/// Every variable the loop bounds and `CHUNKED` index templates of
+/// `items` read: all a resolved layout depends on.
+fn dataspace_reads(items: &[SpaceItem], out: &mut Vec<String>) {
+    for item in items {
+        match item {
+            SpaceItem::Attrs(_) => {}
+            SpaceItem::Loop { lo, hi, step, body, .. } => {
+                for e in [lo, hi, step] {
+                    out.extend(e.variables());
+                }
+                dataspace_reads(body, out);
+            }
+            SpaceItem::Chunked { index_template, .. } => out.extend(index_template.variables()),
+        }
+    }
 }
 
 impl<'a> Resolver<'a> {
@@ -161,8 +213,9 @@ impl<'a> Resolver<'a> {
         }
         match (&ds.dataspace, &ds.data) {
             (Some(space), DataAst::Files(bindings)) => {
+                let mut memo = ShapeMemo::new(space);
                 for b in bindings {
-                    self.expand_binding(ds, space, b)?;
+                    self.expand_binding(ds, &mut memo, b)?;
                 }
             }
             (Some(_), _) => {
@@ -190,13 +243,13 @@ impl<'a> Resolver<'a> {
     fn expand_binding(
         &mut self,
         ds: &DatasetAst,
-        space: &[SpaceItem],
+        memo: &mut ShapeMemo<'_>,
         binding: &FileBinding,
     ) -> Result<()> {
         // Evaluate range bounds (must be constant; ranges may not refer
         // to other binding variables).
         let empty = Env::new();
-        let mut ranges: Vec<(String, i64, i64, i64)> = Vec::with_capacity(binding.ranges.len());
+        let mut ranges: Vec<(String, i64, i64, u64)> = Vec::with_capacity(binding.ranges.len());
         for (var, lo, hi, step) in &binding.ranges {
             let upper = var.to_ascii_uppercase();
             let lo = lo.eval(&empty)?;
@@ -214,7 +267,14 @@ impl<'a> Resolver<'a> {
                     ds.name
                 )));
             }
-            ranges.push((upper, lo, hi, step));
+            let count = ResolvedItem::checked_loop_iterations(lo, hi, step).ok_or_else(|| {
+                DvError::DescriptorSemantic(format!(
+                    "binding variable `{upper}` in dataset `{}` has range {lo}:{hi}:{step} \
+                     that steps past the 64-bit integer range",
+                    ds.name
+                ))
+            })?;
+            ranges.push((upper, lo, step, count));
         }
 
         // Check the template only uses bound variables.
@@ -229,54 +289,49 @@ impl<'a> Resolver<'a> {
         }
 
         let mut env = Env::new();
-        self.expand_rec(ds, space, binding, &ranges, 0, &mut env)
+        self.expand_rec(ds, memo, binding, &ranges, &mut env)
     }
 
     fn expand_rec(
         &mut self,
         ds: &DatasetAst,
-        space: &[SpaceItem],
+        memo: &mut ShapeMemo<'_>,
         binding: &FileBinding,
-        ranges: &[(String, i64, i64, i64)],
-        depth: usize,
+        ranges: &[(String, i64, i64, u64)],
         env: &mut Env,
     ) -> Result<()> {
-        if depth == ranges.len() {
-            return self.emit_file(ds, space, binding, env);
-        }
-        let (var, lo, hi, step) = ranges[depth].clone();
-        let mut v = lo;
-        while v <= hi {
+        let Some(((var, lo, step, count), inner)) = ranges.split_first() else {
+            return self.emit_file(ds, memo, binding, env);
+        };
+        // The count was checked: `v` never steps past `i64::MAX`.
+        let mut v = *lo;
+        for _ in 0..*count {
             env.insert(var.clone(), v);
-            self.expand_rec(ds, space, binding, ranges, depth + 1, env)?;
+            self.expand_rec(ds, memo, binding, inner, env)?;
             v += step;
         }
-        env.remove(&var);
+        env.remove(var);
         Ok(())
     }
 
     fn emit_file(
         &mut self,
         ds: &DatasetAst,
-        space: &[SpaceItem],
+        memo: &mut ShapeMemo<'_>,
         binding: &FileBinding,
         env: &Env,
     ) -> Result<()> {
-        // Uppercase the env (template rendering needs original case?
-        // no — vars were uppercased at range evaluation, and Expr vars
-        // are matched case-sensitively, so normalize expressions too).
-        let dir_slot = binding.template.dir_index.eval(&upper_env(env))?;
-        let slot =
-            usize::try_from(dir_slot).ok().filter(|s| *s < self.dirs.len()).ok_or_else(|| {
+        // Binding variables were upper-cased at range evaluation.
+        let dir_slot = binding.template.dir_index.eval(env)?;
+        let dir =
+            usize::try_from(dir_slot).ok().and_then(|s| self.dirs.get(s)).ok_or_else(|| {
                 DvError::DescriptorSemantic(format!(
                     "dataset `{}` references DIR[{dir_slot}] which is not in the storage section",
                     ds.name
                 ))
             })?;
-        let dir = self.dirs[slot].clone();
-        let name = binding.template.render_name(&upper_env(env))?;
-        let rel_path =
-            if dir.path.is_empty() { name.clone() } else { format!("{}/{}", dir.path, name) };
+        let name = binding.template.render_name(env)?;
+        let rel_path = if dir.path.is_empty() { name } else { format!("{}/{}", dir.path, name) };
 
         if !self.seen_paths.insert((dir.node, rel_path.clone())) {
             return Err(DvError::DescriptorSemantic(format!(
@@ -284,16 +339,11 @@ impl<'a> Resolver<'a> {
                 dir.node
             )));
         }
+        let node = dir.node;
 
-        // Resolve the dataspace under this file's environment.
-        let mut extents: BTreeMap<String, VarExtent> = BTreeMap::new();
-        for (var, val) in env {
-            extents.insert(var.to_ascii_uppercase(), VarExtent::Point(*val));
-        }
-        let layout = self.resolve_items(ds, space, &upper_env(env), &mut extents)?;
-
+        let shape = self.shape(ds, memo, env)?;
         if !binding.codec.is_affine()
-            && layout.iter().any(|i| matches!(i, ResolvedItem::Chunked { .. }))
+            && shape.layout.iter().any(|i| matches!(i, ResolvedItem::Chunked { .. }))
         {
             return Err(DvError::DescriptorSemantic(format!(
                 "dataset `{}` uses CODEC {} with a CHUNKED layout; external-index \
@@ -303,21 +353,45 @@ impl<'a> Resolver<'a> {
             )));
         }
 
-        let mut stored_attrs: Vec<String> = Vec::new();
-        collect_stored_attrs(&layout, self.schema, &mut stored_attrs);
-
         self.files.push(FileModel {
             id: self.files.len(),
             dataset: ds.name.clone(),
-            node: dir.node,
+            node,
             rel_path,
-            env: upper_env(env),
-            layout,
-            stored_attrs,
-            extents,
+            env: env.clone(),
             codec: binding.codec,
+            shape,
         });
         Ok(())
+    }
+
+    /// The shape of the file bound by `env`: the memoised one when an
+    /// earlier file agreed on every variable the dataspace reads, else
+    /// a fresh resolution.
+    fn shape(
+        &mut self,
+        ds: &DatasetAst,
+        memo: &mut ShapeMemo<'_>,
+        env: &Env,
+    ) -> Result<Arc<FileShape>> {
+        memo.key.clear();
+        memo.key.extend(memo.reads.iter().map(|v| env.get(v).copied()));
+        if let Some(shape) = memo.shapes.get(memo.key.as_slice()) {
+            return Ok(Arc::clone(shape));
+        }
+        let mut extents: BTreeMap<String, VarExtent> = BTreeMap::new();
+        let layout = self.resolve_items(ds, memo.space, env, &mut extents)?;
+        let mut stored_attrs: Vec<String> = Vec::new();
+        collect_stored_attrs(&layout, self.schema, &mut stored_attrs);
+        let shape = Arc::new(FileShape {
+            id: self.shapes.len(),
+            layout,
+            stored_attrs,
+            loop_extents: extents.into_iter().collect(),
+        });
+        self.shapes.push(Arc::clone(&shape));
+        memo.shapes.insert(memo.key.clone(), Arc::clone(&shape));
+        Ok(shape)
     }
 
     fn resolve_items(
@@ -362,6 +436,13 @@ impl<'a> Resolver<'a> {
                             ds.name
                         )));
                     }
+                    if ResolvedItem::checked_loop_iterations(lo, hi, step).is_none() {
+                        return Err(DvError::DescriptorSemantic(format!(
+                            "LOOP {var} in dataset `{}` ({lo}:{hi}:{step}) steps past the \
+                             64-bit integer range",
+                            ds.name
+                        )));
+                    }
                     let ext = VarExtent::Range { lo, hi, step };
                     extents.entry(var.clone()).and_modify(|e| *e = e.merge(&ext)).or_insert(ext);
                     let body = self.resolve_items(ds, body, env, extents)?;
@@ -384,7 +465,7 @@ impl<'a> Resolver<'a> {
                                 ds.name
                             ))
                         })?;
-                    let dir = self.dirs[slot].clone();
+                    let dir = &self.dirs[slot];
                     let name = index_template.render_name(env)?;
                     let index_path =
                         if dir.path.is_empty() { name } else { format!("{}/{}", dir.path, name) };
@@ -410,10 +491,6 @@ impl<'a> Resolver<'a> {
         }
         Ok(out)
     }
-}
-
-fn upper_env(env: &Env) -> Env {
-    env.iter().map(|(k, v)| (k.to_ascii_uppercase(), *v)).collect()
 }
 
 fn collect_stored_attrs(items: &[ResolvedItem], schema: &Schema, out: &mut Vec<String>) {
@@ -494,10 +571,10 @@ DATASET "IparsData" {
         assert_eq!(coords.len(), 4);
         let c2 = coords.iter().find(|f| f.node == 2).unwrap();
         assert_eq!(c2.rel_path, "ipars/COORDS");
-        assert_eq!(c2.stored_attrs, vec!["X", "Y", "Z"]);
+        assert_eq!(c2.stored_attrs(), vec!["X", "Y", "Z"]);
         // Implicit grid extent on node 2: 201..=300.
-        assert_eq!(c2.extents["GRID"], VarExtent::Range { lo: 201, hi: 300, step: 1 });
-        assert_eq!(c2.extents["DIRID"], VarExtent::Point(2));
+        assert_eq!(c2.extent("GRID"), Some(VarExtent::Range { lo: 201, hi: 300, step: 1 }));
+        assert_eq!(c2.extent("DIRID"), Some(VarExtent::Point(2)));
         // 100 grid points × 3 floats.
         assert_eq!(c2.expected_size(&m.attr_sizes), Some(1200));
     }
@@ -512,12 +589,60 @@ DATASET "IparsData" {
             .expect("DATA3 on node 1");
         assert_eq!(f.env["REL"], 3);
         assert_eq!(f.env["DIRID"], 1);
-        assert_eq!(f.extents["REL"], VarExtent::Point(3));
-        assert_eq!(f.extents["TIME"], VarExtent::Range { lo: 1, hi: 500, step: 1 });
-        assert_eq!(f.extents["GRID"], VarExtent::Range { lo: 101, hi: 200, step: 1 });
-        assert_eq!(f.stored_attrs, vec!["SOIL", "SGAS"]);
+        assert_eq!(f.extent("REL"), Some(VarExtent::Point(3)));
+        assert_eq!(f.extent("TIME"), Some(VarExtent::Range { lo: 1, hi: 500, step: 1 }));
+        assert_eq!(f.extent("GRID"), Some(VarExtent::Range { lo: 101, hi: 200, step: 1 }));
+        assert_eq!(f.stored_attrs(), vec!["SOIL", "SGAS"]);
         // 500 time-steps × 100 grid points × 2 floats.
         assert_eq!(f.expected_size(&m.attr_sizes), Some(400_000));
+    }
+
+    #[test]
+    fn files_share_one_shape_per_distinct_dataspace_reading() {
+        let m = model();
+        // Both dataspaces read only `$DIRID`: one shape per directory
+        // and dataset, whatever `REL` is.
+        assert_eq!(m.shapes.len(), 8);
+        for (i, s) in m.shapes.iter().enumerate() {
+            assert_eq!(s.id, i);
+        }
+        let data: Vec<&FileModel> =
+            m.files.iter().filter(|f| f.dataset == "ipars2" && f.env["DIRID"] == 1).collect();
+        assert_eq!(data.len(), 4);
+        assert!(data.iter().all(|f| Arc::ptr_eq(&f.shape, &data[0].shape)));
+        let other = m.files.iter().find(|f| f.dataset == "ipars2" && f.env["DIRID"] == 2).unwrap();
+        assert!(!Arc::ptr_eq(&other.shape, &data[0].shape));
+    }
+
+    #[test]
+    fn overflowing_binding_range_rejected() {
+        let text = FIGURE4.replace(
+            "DATA { DIR[$DIRID]/DATA$REL REL = 0:3:1 DIRID = 0:3:1 }",
+            "DATA { DIR[$DIRID]/DATA$REL REL = 9223372036854775800:9223372036854775807:5 \
+             DIRID = 0:3:1 }",
+        );
+        let e = resolve(&parse_descriptor(&text).unwrap()).unwrap_err();
+        assert!(matches!(e, DvError::DescriptorSemantic(_)), "{e:?}");
+        let e = e.to_string();
+        assert!(e.contains("`REL`") && e.contains("64-bit"), "{e}");
+    }
+
+    #[test]
+    fn overflowing_loop_range_rejected() {
+        let text = FIGURE4
+            .replace("LOOP TIME 1:500:1", "LOOP TIME -9223372036854775807:9223372036854775807:1");
+        let e = resolve(&parse_descriptor(&text).unwrap()).unwrap_err();
+        assert!(matches!(e, DvError::DescriptorSemantic(_)), "{e:?}");
+        let e = e.to_string();
+        assert!(e.contains("LOOP TIME") && e.contains("64-bit"), "{e}");
+    }
+
+    #[test]
+    fn loop_error_raised_on_first_file_reaching_it() {
+        // `$REL = 2` empties the loop; the files before it resolve.
+        let text = FIGURE4.replace("LOOP TIME 1:500:1", "LOOP TIME 1:(10-$REL*5):1");
+        let e = resolve(&parse_descriptor(&text).unwrap()).unwrap_err().to_string();
+        assert!(e.contains("LOOP TIME in dataset `ipars2` is empty (1:0:1)"), "{e}");
     }
 
     #[test]

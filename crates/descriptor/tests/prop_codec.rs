@@ -5,12 +5,13 @@
 //! decoder agrees with the reference decoder below, byte for byte and
 //! error for error.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use dv_descriptor::codec::{csv_decode, csv_encode, decode_physical};
-use dv_descriptor::model::{FileModel, ResolvedItem};
+use dv_descriptor::model::{FileModel, FileShape, ResolvedItem};
 use dv_descriptor::CodecKind;
 use dv_types::{DataType, DvError, Result};
 
@@ -54,10 +55,13 @@ fn file(layout: Vec<ResolvedItem>) -> FileModel {
         node: 0,
         rel_path: "f.csv".into(),
         env: Default::default(),
-        layout,
-        stored_attrs: Vec::new(),
-        extents: BTreeMap::new(),
         codec: CodecKind::DelimitedText,
+        shape: Arc::new(FileShape {
+            id: 0,
+            layout,
+            stored_attrs: Vec::new(),
+            loop_extents: Vec::new(),
+        }),
     }
 }
 
@@ -231,7 +235,7 @@ fn reference_csv_decode(
     text: &str,
 ) -> Result<Vec<u8>> {
     let mut layout = Vec::new();
-    typed_records(&file.layout, attr_types, &mut layout);
+    typed_records(file.layout(), attr_types, &mut layout);
     let mut lines = text.lines();
     let mut out = Vec::new();
     let mut records = 0u64;

@@ -155,6 +155,7 @@ type BucketKey<'a> = (&'a [(u32, i64)], InnerSig, u64);
 /// A file's segments bucketed by `(coords, signature, rows)`: array
 /// layouts put several attribute runs of the same logical chunk in one
 /// bucket.
+#[derive(Debug)]
 pub(crate) struct Bucket {
     /// The bucket's first segment: its coordinates, signature and row
     /// count key the bucket.

@@ -26,7 +26,7 @@ pub fn render_compiled(c: &CompiledDataset) -> String {
         writeln!(out, "    // file table ({} files on {} nodes)", m.files.len(), m.node_count());
     for f in &m.files {
         let mut extents = String::new();
-        for (var, e) in &f.extents {
+        for (var, e) in f.extents() {
             let (lo, hi) = e.hull();
             if lo == hi {
                 let _ = write!(extents, " {var}={lo}");
@@ -48,7 +48,7 @@ pub fn render_compiled(c: &CompiledDataset) -> String {
     let _ = writeln!(out, "fn extraction_function(afc: &Afc) -> Rows {{");
     for f in &m.files {
         let _ = writeln!(out, "    // layout of file {} (`{}`):", f.id, f.rel_path);
-        render_items(&mut out, &f.layout, 1);
+        render_items(&mut out, f.layout(), 1);
     }
     let _ = writeln!(out, "    read_lockstep(afc)");
     let _ = writeln!(out, "}}");

@@ -16,6 +16,7 @@
 //! `TIME >= 1000` leaves the coordinate files alone with no group, not
 //! coordinate-only rows.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use dv_descriptor::{DatasetModel, FileModel};
@@ -24,29 +25,41 @@ use dv_types::IntervalSet;
 /// File groups of one node, each in class order.
 pub type FileGroups<'a> = Vec<Vec<&'a FileModel>>;
 
-/// Does the file survive the query's range constraints?
+/// Does the file survive the query's range constraints? Every
+/// constrained variable the file has an extent for must overlap it (a
+/// query constrains few variables, so look each one up).
 pub fn file_matches(file: &FileModel, ranges: &HashMap<String, IntervalSet>) -> bool {
-    for (var, extent) in &file.extents {
-        if let Some(set) = ranges.get(var) {
-            let (lo, hi) = extent.hull();
-            if !set.overlaps_closed(lo as f64, hi as f64) {
-                return false;
-            }
-        }
-    }
-    true
+    ranges.iter().all(|(var, set)| {
+        file.extent(var).is_none_or(|e| {
+            let (lo, hi) = e.hull();
+            set.overlaps_closed(lo as f64, hi as f64)
+        })
+    })
+}
+
+/// A node file with its implicit hulls in name order, read once for
+/// the DFS's pairwise checks.
+type Hulled<'a> = (&'a FileModel, Vec<(&'a str, (i64, i64))>);
+
+fn hulled(f: &FileModel) -> Hulled<'_> {
+    (f, f.extents().map(|(var, e)| (var, e.hull())).collect())
 }
 
 /// Are two files consistent enough to contribute to the same rows?
 /// (Shared implicit variables must overlap; exact alignment is checked
-/// later at the segment level.)
-fn consistent(a: &FileModel, b: &FileModel) -> bool {
-    for (var, ea) in &a.extents {
-        if let Some(eb) = b.extents.get(var) {
-            let (alo, ahi) = ea.hull();
-            let (blo, bhi) = eb.hull();
-            if alo > bhi || blo > ahi {
-                return false;
+/// later at the segment level.) Both hull lists are sorted by name.
+fn consistent(a: &[(&str, (i64, i64))], b: &[(&str, (i64, i64))]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&(va, (alo, ahi))), Some(&(vb, (blo, bhi)))) = (a.get(i), b.get(j)) {
+        match va.cmp(vb) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                if alo > bhi || blo > ahi {
+                    return false;
+                }
+                i += 1;
+                j += 1;
             }
         }
     }
@@ -62,48 +75,54 @@ pub fn node_file_groups(model: &DatasetModel, node: usize) -> FileGroups<'_> {
     // per-realization data files in the join — they supply the REL/TIME
     // implicit values and the table's cardinality, even though none of
     // their stored bytes are read (their field-less AFC entries are
-    // dropped when the query instantiates its chunks).
+    // dropped when the query instantiates its chunks). A shape belongs
+    // to one dataset, so the key is the shape's: classify each shape
+    // once.
     type Key<'a> = (Vec<&'a str>, Option<&'a str>);
     fn key(f: &FileModel) -> Key<'_> {
-        let mut attrs: Vec<&str> = f.stored_attrs.iter().map(String::as_str).collect();
+        let mut attrs: Vec<&str> = f.stored_attrs().iter().map(String::as_str).collect();
         attrs.sort_unstable();
         let dataset = attrs.is_empty().then_some(f.dataset.as_str());
         (attrs, dataset)
     }
-    let mut classes: Vec<(Key<'_>, Vec<&FileModel>)> = Vec::new();
+    let mut classes: Vec<(Key<'_>, Vec<Hulled<'_>>)> = Vec::new();
+    let mut class_of_shape: HashMap<usize, usize> = HashMap::new();
     for f in model.files_on_node(node) {
-        let k = key(f);
-        match classes.iter_mut().find(|(c, _)| *c == k) {
-            Some((_, files)) => files.push(f),
-            None => classes.push((k, vec![f])),
-        }
+        let c = *class_of_shape.entry(f.shape.id).or_insert_with(|| {
+            let k = key(f);
+            classes.iter().position(|(c, _)| *c == k).unwrap_or_else(|| {
+                classes.push((k, Vec::new()));
+                classes.len() - 1
+            })
+        });
+        classes[c].1.push(hulled(f));
     }
     if classes.is_empty() {
         return Vec::new();
     }
-    let mut classes: Vec<Vec<&FileModel>> = classes.into_iter().map(|(_, f)| f).collect();
+    let mut classes: Vec<Vec<Hulled<'_>>> = classes.into_iter().map(|(_, f)| f).collect();
 
     // Smallest classes first: cheap pruning near the root of the DFS.
     classes.sort_by_key(|files| files.len());
 
     let mut groups: FileGroups<'_> = Vec::new();
-    let mut current: Vec<&FileModel> = Vec::new();
+    let mut current: Vec<&Hulled<'_>> = Vec::new();
     dfs(&classes, 0, &mut current, &mut groups);
     groups
 }
 
-fn dfs<'a>(
-    classes: &[Vec<&'a FileModel>],
+fn dfs<'a, 'c>(
+    classes: &'c [Vec<Hulled<'a>>],
     depth: usize,
-    current: &mut Vec<&'a FileModel>,
+    current: &mut Vec<&'c Hulled<'a>>,
     out: &mut FileGroups<'a>,
 ) {
     if depth == classes.len() {
-        out.push(current.clone());
+        out.push(current.iter().map(|&&(f, _)| f).collect());
         return;
     }
     for candidate in &classes[depth] {
-        if current.iter().all(|chosen| consistent(chosen, candidate)) {
+        if current.iter().all(|chosen| consistent(&chosen.1, &candidate.1)) {
             current.push(candidate);
             dfs(classes, depth + 1, current, out);
             current.pop();

@@ -7,8 +7,10 @@
 //! builds R-trees over chunk MBRs. Each node's **plan catalog** is
 //! built on the node's first [`CompiledDataset::plan_node`] call, on
 //! the node's worker and once only: names interned to dense ids, the
-//! node's file groups (`Find_File_Groups` with no query), every file's
-//! unclipped segment table, and every group's joined partials
+//! node's file groups (`Find_File_Groups` with no query), one unclipped
+//! segment table per file shape and chunk index — shared by every node
+//! file of that shape, so the work scales with distinct layouts, not
+//! with files — and every group's joined partials
 //! (`Process_File_Groups` before clipping and projection).
 //!
 //! **Phase 2** runs per query and only selects from the catalog:
@@ -149,7 +151,7 @@ impl CompiledDataset {
         let mut by_path: HashMap<(usize, String), Arc<LoadedChunkIndex>> = HashMap::new();
         let mut chunk_indexes = HashMap::new();
         for f in &model.files {
-            if let Some(ResolvedItem::Chunked { index_node, index_path, .. }) = f.layout.first() {
+            if let Some(ResolvedItem::Chunked { index_node, index_path, .. }) = f.layout().first() {
                 let key = (*index_node, index_path.clone());
                 let loaded = match by_path.get(&key) {
                     Some(l) => Arc::clone(l),
@@ -228,7 +230,7 @@ impl CompiledDataset {
                 }
             } else if let Some(index) = self.chunk_index(f.id) {
                 // Chunked: the index must fit within the data file.
-                let stride: u64 = match f.layout.first() {
+                let stride: u64 = match f.layout().first() {
                     Some(ResolvedItem::Chunked { attrs, .. }) => attrs
                         .iter()
                         .map(|a| *self.model.attr_sizes.get(a).unwrap_or(&0) as u64)
@@ -310,8 +312,10 @@ impl CompiledDataset {
         let q = QueryView::new(&cat.names, &prep.working, &prep.ranges);
         let matches: Vec<bool> =
             cat.files.iter().map(|f| file_matches(&self.model.files[f.id], &prep.ranges)).collect();
+        let table_needed: Vec<bool> =
+            cat.tables.iter().map(|t| t.records.iter().any(|&r| q.needs_record(r))).collect();
         let needed: Vec<bool> =
-            cat.files.iter().map(|f| f.records.iter().any(|&r| q.needs_record(r))).collect();
+            cat.files.iter().map(|f| f.table.as_ref().is_ok_and(|&t| table_needed[t])).collect();
         // The R-tree lookup of every chunked file the query may reach.
         let chunk_sets: Vec<Option<Vec<bool>>> = cat
             .files
@@ -383,14 +387,35 @@ impl Deferred {
     }
 }
 
+/// One segment table of the catalog, shared by every node file of the
+/// same shape and chunk index.
+#[derive(Debug)]
+struct CatalogTable {
+    table: SegmentTable,
+    buckets: Vec<Bucket>,
+    /// Distinct record layouts the table's segments read.
+    records: Vec<u32>,
+}
+
+impl CatalogTable {
+    fn new(table: SegmentTable) -> CatalogTable {
+        let mut records: Vec<u32> = Vec::new();
+        for s in &table.segments {
+            if !records.contains(&s.record) {
+                records.push(s.record);
+            }
+        }
+        CatalogTable { buckets: buckets(&table), table, records }
+    }
+}
+
 /// One node file in the catalog.
 #[derive(Debug)]
 struct CatalogFile {
     /// Model file id.
     id: usize,
-    /// Distinct record layouts the file's segments read.
-    records: Vec<u32>,
-    table: std::result::Result<SegmentTable, Deferred>,
+    /// Index into [`NodeCatalog::tables`].
+    table: std::result::Result<usize, Deferred>,
 }
 
 /// One file group in the catalog.
@@ -405,6 +430,7 @@ struct CatalogGroup {
 #[derive(Debug)]
 struct NodeCatalog {
     names: Interner,
+    tables: Vec<CatalogTable>,
     files: Vec<CatalogFile>,
     /// Groups in `Find_File_Groups` order.
     groups: Vec<CatalogGroup>,
@@ -414,45 +440,57 @@ impl NodeCatalog {
     fn build(c: &CompiledDataset, node: usize) -> NodeCatalog {
         let model = &c.model;
         let mut names = Interner::new();
+        let mut tables: Vec<CatalogTable> = Vec::new();
         let mut files: Vec<CatalogFile> = Vec::new();
-        let mut file_buckets: Vec<Vec<Bucket>> = Vec::new();
         let mut slot_of: HashMap<usize, usize> = HashMap::new();
+        // A segment table depends on the file only through its shape
+        // and chunk index: build it once per pair. Rebuilding it would
+        // intern nothing new, so every name and record id is what a
+        // per-file build assigns.
+        let mut table_of: HashMap<(usize, Option<*const LoadedChunkIndex>), usize> = HashMap::new();
         let mut groups = Vec::new();
         for group in node_file_groups(model, node) {
             let mut idx = Vec::with_capacity(group.len());
             for f in group {
                 let i = *slot_of.entry(f.id).or_insert(files.len());
                 if i == files.len() {
-                    let table =
-                        SegmentTable::build(f, &model.attr_sizes, c.chunk_index(f.id), &mut names);
-                    let mut records: Vec<u32> = Vec::new();
-                    for s in table.iter().flat_map(|t| &t.segments) {
-                        if !records.contains(&s.record) {
-                            records.push(s.record);
-                        }
-                    }
-                    file_buckets.push(table.as_ref().map(buckets).unwrap_or_default());
-                    files.push(CatalogFile { id: f.id, records, table: table.map_err(Deferred) });
+                    let index = c.chunk_index(f.id);
+                    let key = (f.shape.id, index.map(std::ptr::from_ref));
+                    let table = match table_of.get(&key) {
+                        Some(&t) => Ok(t),
+                        None => SegmentTable::build(f, &model.attr_sizes, index, &mut names).map(
+                            |table| {
+                                tables.push(CatalogTable::new(table));
+                                table_of.insert(key, tables.len() - 1);
+                                tables.len() - 1
+                            },
+                        ),
+                    };
+                    files.push(CatalogFile { id: f.id, table: table.map_err(Deferred) });
                 }
                 idx.push(i);
             }
             let joined = idx
                 .iter()
-                .map(|&i| files[i].table.as_ref().map_err(Deferred::raise))
+                .map(|&i| files[i].table.as_ref().map(|&t| &tables[t]).map_err(Deferred::raise))
                 .collect::<Result<Vec<_>>>()
-                .and_then(|tables| {
+                .and_then(|shared| {
                     let ids: Vec<usize> = idx.iter().map(|&i| files[i].id).collect();
-                    let sides: Vec<Side<'_>> = idx
+                    let sides: Vec<Side<'_>> = shared
                         .iter()
-                        .zip(tables)
-                        .map(|(&i, table)| Side { table, buckets: &file_buckets[i] })
+                        .map(|t| Side { table: &t.table, buckets: &t.buckets })
                         .collect();
                     JoinedGroup::build(model, &ids, &sides, &mut names)
                 })
                 .map_err(Deferred);
             groups.push(CatalogGroup { files: idx, joined });
         }
-        NodeCatalog { names, files, groups }
+        NodeCatalog { names, tables, files, groups }
+    }
+
+    /// The segment table of catalog file `f`, if it built.
+    fn table(&self, f: usize) -> Option<&SegmentTable> {
+        self.files[f].table.as_ref().ok().map(|&t| &self.tables[t].table)
     }
 
     /// Does the query reach a group whose catalog build failed? A
@@ -467,7 +505,7 @@ impl NodeCatalog {
         chunk_sets: &[Option<Vec<bool>>],
     ) -> bool {
         let tables: Option<Vec<(usize, &SegmentTable)>> =
-            g.files.iter().map(|&f| self.files[f].table.as_ref().ok().map(|t| (f, t))).collect();
+            g.files.iter().map(|&f| self.table(f).map(|t| (f, t))).collect();
         let Some(tables) = tables else { return true };
         tables.into_iter().all(|(f, table)| {
             table.segments.iter().any(|s| {

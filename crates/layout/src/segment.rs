@@ -172,7 +172,7 @@ impl SegmentTable {
             offset: 0,
             out: SegmentTable { segments: Vec::new(), coords: Vec::new() },
         };
-        w.walk(&file.layout, &mut Vec::new())?;
+        w.walk(file.layout(), &mut Vec::new())?;
         Ok(w.out)
     }
 

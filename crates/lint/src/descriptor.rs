@@ -248,7 +248,8 @@ fn check_double_binding(leaf: &DatasetAst, diags: &mut Vec<Diagnostic>) {
 }
 
 /// DV006: constant loop or binding ranges that enumerate nothing
-/// (lo > hi) or never terminate conceptually (step <= 0).
+/// (lo > hi), never terminate conceptually (step <= 0), or step past
+/// the 64-bit integer range.
 fn check_degenerate_ranges(ds: &DatasetAst, diags: &mut Vec<Diagnostic>) {
     fn check_range(
         what: &str,
@@ -282,6 +283,23 @@ fn check_degenerate_ranges(ds: &DatasetAst, diags: &mut Vec<Diagnostic>) {
                     )
                     .with_help("an empty range yields no rows / no files"),
                 );
+            } else if let Some(s) = const_eval(step) {
+                if ResolvedItem::checked_loop_iterations(l, h, s).is_none() {
+                    diags.push(
+                        Diagnostic::new(
+                            Code::Dv006,
+                            span,
+                            format!(
+                                "{what} over `{var}` steps past the 64-bit integer range \
+                                 ({l}:{h}:{s})"
+                            ),
+                        )
+                        .with_help(
+                            "every value of a range, and the one a further step reaches, must \
+                             fit in a 64-bit integer",
+                        ),
+                    );
+                }
             }
         }
     }
@@ -486,10 +504,10 @@ pub fn check_tiny_runs(ast: &DescriptorAst, model: &DatasetModel) -> Vec<Diagnos
                 }
                 // A file with no index loop is read once per query,
                 // not re-sought per slice — never a seek storm.
-                let Some(var) = innermost_index_var(&f.layout, &index) else {
+                let Some(var) = innermost_index_var(f.layout(), &index) else {
                     continue;
                 };
-                let Some(run) = min_sliced_run(&f.layout, &index, &model.attr_sizes) else {
+                let Some(run) = min_sliced_run(f.layout(), &index, &model.attr_sizes) else {
                     continue;
                 };
                 if run == 0 || run >= DV104_RUN_BYTES {

@@ -23,7 +23,8 @@ pub enum Code {
     Dv004,
     /// Attribute both stored explicitly and bound implicitly.
     Dv005,
-    /// Empty or non-positive-stride loop / binding range.
+    /// Empty, non-positive-stride or 64-bit-overflowing loop / binding
+    /// range.
     Dv006,
     /// Storage `DIR` entry referenced by no file template.
     Dv007,

@@ -61,7 +61,7 @@
 //! | DV003 | warning  | schema attribute never stored or bound |
 //! | DV004 | warning  | dead `DATATYPE` auxiliary attribute |
 //! | DV005 | error    | attribute both stored and implicitly bound |
-//! | DV006 | error    | empty or non-positive-stride range |
+//! | DV006 | error    | empty, non-positive-stride or 64-bit-overflowing range |
 //! | DV007 | warning  | storage `DIR` referenced by no file template |
 //! | DV104 | warning  | AFC runs smaller than one I/O coalescing unit at high fan-in |
 //! | DV106 | warning  | aggregate keyed by or computed over a never-varying coordinate |
@@ -128,7 +128,12 @@ pub const CODE_REGISTRY: &[CodeInfo] = &[
     row(Code::Dv003, "DV003", Severity::Warning, "schema attribute never stored or bound"),
     row(Code::Dv004, "DV004", Severity::Warning, "dead DATATYPE auxiliary attribute"),
     row(Code::Dv005, "DV005", Severity::Error, "attribute both stored and implicitly bound"),
-    row(Code::Dv006, "DV006", Severity::Error, "empty or non-positive-stride range"),
+    row(
+        Code::Dv006,
+        "DV006",
+        Severity::Error,
+        "empty, non-positive-stride or 64-bit-overflowing range",
+    ),
     row(Code::Dv007, "DV007", Severity::Warning, "storage DIR referenced by no file template"),
     row(Code::Dv104, "DV104", Severity::Warning, "AFC runs below one I/O coalescing unit"),
     row(

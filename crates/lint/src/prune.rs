@@ -77,7 +77,7 @@ fn span_from(sql: &str, from: usize, needle: &str) -> Span {
 /// Names of schema attributes stored in at least one file — excluded
 /// from every hull env (their byte values are unconstrained).
 fn stored_attrs(model: &DatasetModel) -> BTreeSet<&str> {
-    model.files.iter().flat_map(|f| f.stored_attrs.iter().map(String::as_str)).collect()
+    model.shapes.iter().flat_map(|s| s.stored_attrs.iter().map(String::as_str)).collect()
 }
 
 /// Hulls of the never-stored schema attributes: the union across every
@@ -111,7 +111,7 @@ fn file_hulls(
     for (name, v) in &file.env {
         push(name, *v, *v);
     }
-    for (name, extent) in &file.extents {
+    for (name, extent) in file.extents() {
         let (lo, hi) = extent.hull();
         push(name, lo, hi);
     }

@@ -47,14 +47,13 @@ pub fn check_alignment(
                     if a.dataset == b.dataset {
                         continue;
                     }
-                    for (var, ea) in &a.extents {
-                        let Some(eb) = b.extents.get(var) else { continue };
-                        let counts = (range_iterations(ea), range_iterations(eb));
+                    for (var, ea, eb) in a.shared_extents(b) {
+                        let counts = (range_iterations(&ea), range_iterations(&eb));
                         let (Some(na), Some(nb)) = counts else { continue };
                         if na == nb {
                             continue;
                         }
-                        let key = (a.dataset.clone(), b.dataset.clone(), var.clone());
+                        let key = (a.dataset.clone(), b.dataset.clone(), var.to_string());
                         if !reported.insert(key) {
                             continue;
                         }

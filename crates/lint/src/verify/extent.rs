@@ -128,7 +128,7 @@ fn expand_binding(
         ));
     }
     let empty = Env::new();
-    let mut ranges: Vec<(String, i64, i64, i64)> = Vec::new();
+    let mut ranges: Vec<(String, i64, i64, u64)> = Vec::new();
     for (var, lo, hi, step) in &binding.ranges {
         let upper = var.to_ascii_uppercase();
         let (Ok(lo), Ok(hi), Ok(step)) = (lo.eval(&empty), hi.eval(&empty), step.eval(&empty))
@@ -147,15 +147,24 @@ fn expand_binding(
             ));
             return;
         }
-        ranges.push((upper, lo, hi, step));
+        let Some(count) = ResolvedItem::checked_loop_iterations(lo, hi, step) else {
+            out.unproven.push(format!(
+                "dataset \"{}\": binding range of `{upper}` ({lo}:{hi}:{step}) steps past the \
+                 64-bit integer range",
+                leaf.name
+            ));
+            return;
+        };
+        ranges.push((upper, lo, step, count));
     }
 
     let mut envs: Vec<Env> = vec![Env::new()];
-    for (var, lo, hi, step) in &ranges {
+    for (var, lo, step, count) in &ranges {
         let mut next = Vec::new();
         for env in &envs {
+            // The count was checked: `v` never steps past `i64::MAX`.
             let mut v = *lo;
-            while v <= *hi {
+            for _ in 0..(*count).min(MAX_FILES as u64 + 1) {
                 let mut e = env.clone();
                 e.insert(var.clone(), v);
                 next.push(e);
@@ -279,7 +288,11 @@ impl SpaceElab<'_> {
                     let (Ok(lo), Ok(hi), Ok(step)) = evals else {
                         return Err(format!("bounds of LOOP {var} do not evaluate"));
                     };
-                    let count = ResolvedItem::loop_iterations(lo, hi, step);
+                    let Some(count) = ResolvedItem::checked_loop_iterations(lo, hi, step) else {
+                        return Err(format!(
+                            "LOOP {var} ({lo}:{hi}:{step}) steps past the 64-bit integer range"
+                        ));
+                    };
                     // Body size is needed first to know this loop's
                     // stride; elaborate with a placeholder stride, then
                     // patch it into every extent the body produced.

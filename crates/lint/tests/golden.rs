@@ -113,6 +113,24 @@ fn dv006_degenerate_ranges() {
 }
 
 #[test]
+fn dv006_ranges_stepping_past_i64() {
+    // The binding's values fit but its next step does not; the loop's
+    // iteration count does not fit in a walk. Neither may hang lint,
+    // resolve or verify.
+    let (diags, rendered) = run_descriptor("dv006_overflow");
+    assert_eq!(codes(&diags), [Code::Dv006], "{rendered}");
+    assert_eq!(diags.len(), 2, "binding + loop:\n{rendered}");
+    assert!(diags.iter().all(|d| d.severity == Severity::Error));
+    check_golden(&rendered, "dv006_overflow.expected");
+    let text = fs::read_to_string(fixture("dv006_overflow.desc")).unwrap();
+    let e = dv_descriptor::compile(&text).unwrap_err().to_string();
+    assert!(e.contains("`REL`") && e.contains("64-bit"), "{e}");
+    let report = verify_descriptor(&text, None).unwrap();
+    assert!(report.unproven.iter().any(|u| u.contains("`REL`")), "{:?}", report.unproven);
+    assert!(report.unproven.iter().any(|u| u.contains("LOOP T")), "{:?}", report.unproven);
+}
+
+#[test]
 fn dv007_unreferenced_dir() {
     let (diags, rendered) = run_descriptor("dv007");
     assert_eq!(codes(&diags), [Code::Dv007], "{rendered}");

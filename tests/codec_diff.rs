@@ -225,7 +225,7 @@ fn rewritten_csv_file_is_redecoded() {
     // the binary twin as raw bytes and in the CSV file as text.
     let model = dv_descriptor::compile(&descriptor).unwrap();
     let f = &model.files[0];
-    assert_eq!(model.attr_types[f.stored_attrs.last().unwrap()], dv_types::DataType::Float);
+    assert_eq!(model.attr_types[f.stored_attrs().last().unwrap()], dv_types::DataType::Float);
     let bin_victim = one_data_file(&bin_base, &bin_desc);
     let mut logical = fs::read(&bin_victim).unwrap();
     let at = logical.len() - 4;

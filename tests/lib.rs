@@ -9,6 +9,7 @@ use dv_layout::{NodePlan, RuntimeCounters};
 use dv_types::{Schema, Table, Value};
 
 pub mod reference;
+pub mod resolve_ref;
 
 /// Fresh scratch directory unique to a test.
 pub fn scratch(tag: &str) -> PathBuf {
